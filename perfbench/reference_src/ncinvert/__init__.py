@@ -1,0 +1,103 @@
+"""Exact inversion of formal maps z - H(z) in noncommutative variables.
+
+The package provides truncated noncommutative power series over exact
+coefficient rings, four mutually checking inversion engines (fixed-point
+substitution, the characteristic-0 recurrence, the characteristic-p
+direct/lift pair, and the planar-binary-tree expansion), the t-deformation
+machinery behind them, the commutative quotient, and a CLI front end.
+"""
+
+from .rings import QQ, IntPolyRing, PrimeField, RationalField, TQuotientRing
+from .freealg import (
+    Derivation,
+    FormalMap,
+    INFINITE_ORDER,
+    NCSeries,
+    SeriesMatrix,
+    compose,
+    compose_vector,
+    jacobian_tilde,
+    star_action,
+)
+from .inversion import (
+    ENGINES,
+    NSequence,
+    VerifyReport,
+    assemble_inverse,
+    c_sequence,
+    engines_for_ring,
+    invert,
+    invert_charp_direct,
+    invert_charp_lift,
+    invert_fixed_point,
+    n_seq_charp_direct,
+    n_seq_recurrent,
+    verify_inverse,
+)
+from .trees import (
+    PBTree,
+    enumerate_pbtrees,
+    factorial_identity_check,
+    invert_tree,
+    reduced_factorial,
+    tree_expansion_term,
+    tree_series,
+)
+from .deformation import (
+    DeformedMap,
+    SpecialDeformation,
+    deform_invert,
+    n_sequence_via_deformation,
+    special_deformation,
+)
+from .commutative import CommPoly, abelianize, abelianize_vector
+from .parsing import format_map, format_series, parse_expression, parse_map
+
+__all__ = [
+    "QQ",
+    "IntPolyRing",
+    "PrimeField",
+    "RationalField",
+    "TQuotientRing",
+    "Derivation",
+    "FormalMap",
+    "INFINITE_ORDER",
+    "NCSeries",
+    "SeriesMatrix",
+    "compose",
+    "compose_vector",
+    "jacobian_tilde",
+    "star_action",
+    "ENGINES",
+    "NSequence",
+    "VerifyReport",
+    "assemble_inverse",
+    "c_sequence",
+    "engines_for_ring",
+    "invert",
+    "invert_charp_direct",
+    "invert_charp_lift",
+    "invert_fixed_point",
+    "n_seq_charp_direct",
+    "n_seq_recurrent",
+    "verify_inverse",
+    "PBTree",
+    "enumerate_pbtrees",
+    "factorial_identity_check",
+    "invert_tree",
+    "reduced_factorial",
+    "tree_expansion_term",
+    "tree_series",
+    "DeformedMap",
+    "SpecialDeformation",
+    "deform_invert",
+    "n_sequence_via_deformation",
+    "special_deformation",
+    "CommPoly",
+    "abelianize",
+    "abelianize_vector",
+    "format_map",
+    "format_series",
+    "parse_expression",
+    "parse_map",
+]

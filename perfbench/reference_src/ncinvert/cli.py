@@ -1,0 +1,397 @@
+"""Command-line driver: invert, verify, trees, identities, bench.
+
+Exit codes: 0 success (and verified, where applicable), 2 parse error,
+3 precondition error (bad shapes, engine/ring mismatches), 4 verification
+failure (an engine produced a non-inverse, or engines disagree).
+
+With ``--no-timings`` the JSON output contains no wall-clock fields and is
+byte-identical across runs for a fixed seed and configuration.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from fractions import Fraction
+
+from . import trees as trees_mod
+from .freealg import FormalMap
+from .inversion import (
+    ENGINES,
+    engines_for_ring,
+    invert,
+    verify_inverse,
+)
+from .parsing import MapFormError, ParseError, format_map, parse_map
+from .rings import QQ, PrimeField
+from .suite import SuiteBounds, run_identity_suite
+
+EXIT_OK = 0
+EXIT_PARSE = 2
+EXIT_PRECONDITION = 3
+EXIT_VERIFY = 4
+
+
+def parse_ring(text: str):
+    if text == "rational":
+        return QQ
+    if text.startswith("gfp:"):
+        return PrimeField(int(text[len("gfp:"):]))
+    raise ValueError(f"unknown ring {text!r}; use 'rational' or 'gfp:<p>'")
+
+
+def _check_degree(degree):
+    if degree is not None and degree < 1:
+        raise ValueError("truncation degree must be >= 1")
+
+
+def _read_source(args) -> str:
+    if getattr(args, "expr", None):
+        return args.expr
+    path = getattr(args, "mapfile", None)
+    if path in (None, "-"):
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _emit(args, text: str):
+    out = getattr(args, "output", None)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _dump_json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _split_vars(text):
+    if not text:
+        return None
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+# ---------------------------------------------------------------------------
+# invert
+# ---------------------------------------------------------------------------
+
+
+def cmd_invert(args) -> int:
+    _check_degree(args.degree)
+    ring = parse_ring(args.ring)
+    parsed = parse_map(_read_source(args), ring, args.degree, _split_vars(args.vars))
+    h_vector = parsed.f_map.h_vector()
+    engine = args.engine
+    start = time.perf_counter()
+    g_map = invert(h_vector, engine=engine, threads=args.threads)
+    invert_ms = (time.perf_counter() - start) * 1000.0
+    start = time.perf_counter()
+    report = verify_inverse(parsed.f_map, g_map)
+    verify_ms = (time.perf_counter() - start) * 1000.0
+
+    payload = {
+        "engine": engine,
+        "map": g_map.to_json_list(),
+        "verified": report.ok,
+    }
+    if args.timings:
+        payload["timings_ms"] = {
+            "invert": round(invert_ms, 3),
+            "verify": round(verify_ms, 3),
+        }
+    if args.format == "json":
+        _emit(args, _dump_json(payload))
+    else:
+        lines = [format_map(g_map, parsed.variables).rstrip("\n")]
+        lines.append(report.describe())
+        if args.timings:
+            lines.append(f"invert: {invert_ms:.1f} ms, verify: {verify_ms:.1f} ms")
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK if report.ok else EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+
+def cmd_verify(args) -> int:
+    _check_degree(args.degree)
+    ring = parse_ring(args.ring)
+    variables = _split_vars(args.vars)
+    with open(args.fmap, "r", encoding="utf-8") as fh:
+        f_parsed = parse_map(fh.read(), ring, args.degree, variables)
+    with open(args.gmap, "r", encoding="utf-8") as fh:
+        g_parsed = parse_map(fh.read(), ring, args.degree, variables)
+    report = verify_inverse(f_parsed.f_map, g_parsed.f_map)
+    if args.format == "json":
+        _emit(args, _dump_json(report.to_json_dict()))
+    else:
+        _emit(args, report.describe() + "\n")
+    return EXIT_OK if report.ok else EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
+# trees
+# ---------------------------------------------------------------------------
+
+
+def cmd_trees(args) -> int:
+    if args.invert:
+        if args.degree is None:
+            raise ValueError("--degree is required with --invert")
+        args.expr = None
+        args.mapfile = args.invert
+        args.engine = "tree"
+        return cmd_invert(args)
+    if args.identity:
+        pairs = trees_mod.factorial_identity_check(args.leaves)
+        payload = {
+            "sums": [
+                {"leaves": m, "sum": str(total), "ok": total == 1}
+                for m, total in pairs
+            ],
+            "gf_ok": trees_mod.gf_identity_check(
+                args.leaves, [total for _, total in pairs]
+            ),
+        }
+        if args.format == "json":
+            _emit(args, _dump_json(payload))
+        else:
+            lines = [
+                f"leaves={m}: sum 1/T^! = {row['sum']} {'ok' if row['ok'] else 'FAIL'}"
+                for m, row in zip(range(1, args.leaves + 1), payload["sums"])
+            ]
+            lines.append(f"generating-function check: {'ok' if payload['gf_ok'] else 'FAIL'}")
+            _emit(args, "\n".join(lines) + "\n")
+        ok = payload["gf_ok"] and all(r["ok"] for r in payload["sums"])
+        return EXIT_OK if ok else EXIT_VERIFY
+    # default: list the trees with their factorials
+    lines = [
+        f"{t.serialize()} {trees_mod.reduced_factorial(t)}"
+        for t in trees_mod.enumerate_pbtrees(args.leaves)
+    ]
+    _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# identities
+# ---------------------------------------------------------------------------
+
+
+def cmd_identities(args) -> int:
+    bounds = SuiteBounds(
+        max_arity=args.n, max_degree=args.degree, max_torder=args.torder
+    )
+    results = run_identity_suite(args.seed, trials=args.trials, bounds=bounds)
+    all_ok = all(r.ok for r in results)
+    if args.format == "json":
+        rows = [r.to_json_dict() for r in results]
+        if not args.timings:
+            for row in rows:
+                row.pop("millis")
+        payload = {
+            "seed": args.seed,
+            "trials": args.trials,
+            "identities": rows,
+            "all_ok": all_ok,
+        }
+        _emit(args, _dump_json(payload))
+    else:
+        lines = []
+        for r in results:
+            status = "PASS" if r.ok else "FAIL"
+            suffix = f" ({r.millis:.0f} ms)" if args.timings else ""
+            lines.append(f"{status} {r.name}: {r.passed}/{r.trials}{suffix}")
+        lines.append("all identities passed" if all_ok else "FAILURES present")
+        _emit(args, "\n".join(lines) + "\n")
+    return EXIT_OK if all_ok else EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
+# bench
+# ---------------------------------------------------------------------------
+
+
+def _coeff_bits(ring, g_map: FormalMap) -> int:
+    bits = 0
+    for comp in g_map.components:
+        for _, c in comp.terms():
+            if isinstance(c, Fraction):
+                bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+            elif isinstance(c, int):
+                bits = max(bits, c.bit_length())
+    return bits
+
+
+def _parse_degrees(text):
+    if ":" in text:
+        lo, hi = text.split(":", 1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(d) for d in text.split(",") if d.strip()]
+
+
+def cmd_bench(args) -> int:
+    ring = parse_ring(args.ring)
+    source = _read_source(args)
+    degrees = _parse_degrees(args.degrees)
+    for degree in degrees:
+        _check_degree(degree)
+    engines = (
+        [e.strip() for e in args.engines.split(",")]
+        if args.engines
+        else list(engines_for_ring(ring))
+    )
+    for e in engines:
+        if e not in ENGINES:
+            raise ValueError(f"unknown engine {e!r}")
+    rows = ["engine,n,D,wall_ms,term_count,max_coeff_bits"]
+    for degree in degrees:
+        parsed = parse_map(source, ring, degree, _split_vars(args.vars))
+        h_vector = parsed.f_map.h_vector()
+        outputs = {}
+        for engine in engines:
+            start = time.perf_counter()
+            g_map = invert(h_vector, engine=engine, threads=args.threads)
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            outputs[engine] = (g_map, wall_ms)
+        reference = next(iter(outputs.values()))[0]
+        for engine, (g_map, _) in outputs.items():
+            if g_map != reference:
+                sys.stderr.write(
+                    f"engine disagreement at D={degree}: {engine} differs\n"
+                )
+                return EXIT_VERIFY
+        if not verify_inverse(parsed.f_map, reference).ok:
+            sys.stderr.write(f"verification failed at D={degree}\n")
+            return EXIT_VERIFY
+        for engine in engines:
+            g_map, wall_ms = outputs[engine]
+            terms = sum(c.term_count() for c in g_map.components)
+            rows.append(
+                f"{engine},{parsed.f_map.arity},{degree},"
+                f"{wall_ms:.3f},{terms},{_coeff_bits(ring, g_map)}"
+            )
+    _emit(args, "\n".join(rows) + "\n")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# argument wiring
+# ---------------------------------------------------------------------------
+
+
+def _add_common(sub, degree_required=True):
+    sub.add_argument("--vars", help="comma-separated variable names")
+    sub.add_argument(
+        "-d", "--degree", type=int, required=degree_required,
+        help="truncation degree D",
+    )
+    sub.add_argument(
+        "--ring", default="rational", help="'rational' or 'gfp:<p>' (default rational)"
+    )
+    sub.add_argument(
+        "--format", choices=("json", "text"), default="json", help="output format"
+    )
+    sub.add_argument("--output", help="write output to this path instead of stdout")
+    sub.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="worker threads for parallelizable sums",
+    )
+    sub.add_argument(
+        "--no-timings", dest="timings", action="store_false",
+        help="omit wall-clock fields (byte-stable output)",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ncinvert",
+        description="Exact inversion of formal maps z - H(z) in noncommutative variables",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = subs.add_parser("invert", help="invert a map and verify the result")
+    p_inv.add_argument("mapfile", nargs="?", help="map file ('-' for stdin)")
+    p_inv.add_argument("--expr", help="inline map text instead of a file")
+    p_inv.add_argument(
+        "--engine", default=None,
+        help=f"one of: {', '.join(ENGINES)} (default: fixed-point)",
+    )
+    _add_common(p_inv)
+    p_inv.set_defaults(func=cmd_invert)
+
+    p_ver = subs.add_parser("verify", help="check that two maps invert each other")
+    p_ver.add_argument("fmap")
+    p_ver.add_argument("gmap")
+    _add_common(p_ver)
+    p_ver.set_defaults(func=cmd_verify)
+
+    p_tr = subs.add_parser("trees", help="planar binary trees: list, identities, engine")
+    p_tr.add_argument("--leaves", type=int, required=True, help="leaf count m")
+    group = p_tr.add_mutually_exclusive_group()
+    group.add_argument("--list", action="store_true", help="list trees and factorials")
+    group.add_argument(
+        "--identity", action="store_true", help="check sum 1/T^! = 1 up to m"
+    )
+    group.add_argument("--invert", metavar="MAPFILE", help="run the tree engine")
+    _add_common(p_tr, degree_required=False)
+    p_tr.set_defaults(func=cmd_trees)
+
+    p_id = subs.add_parser(
+        "identities", aliases=["check-identities"],
+        help="run the seeded identity suite",
+    )
+    p_id.add_argument("--n", type=int, default=3, help="max arity (default 3)")
+    p_id.add_argument("-d", "--degree", type=int, default=6, help="max z-degree")
+    p_id.add_argument("--torder", type=int, default=5, help="max t-order")
+    p_id.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    p_id.add_argument("--trials", type=int, default=20, help="instances per identity")
+    p_id.add_argument("--format", choices=("json", "text"), default="json")
+    p_id.add_argument("--output")
+    p_id.add_argument("--no-timings", dest="timings", action="store_false")
+    p_id.set_defaults(func=cmd_identities)
+
+    p_b = subs.add_parser("bench", help="time all applicable engines on one map")
+    p_b.add_argument("mapfile", nargs="?")
+    p_b.add_argument("--expr")
+    p_b.add_argument(
+        "--degrees", default="6", help="'4:8' or comma list of truncation degrees"
+    )
+    p_b.add_argument("--engines", help="comma list (default: all applicable)")
+    p_b.add_argument("--vars")
+    p_b.add_argument("--ring", default="rational")
+    p_b.add_argument("--output")
+    p_b.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_b.set_defaults(func=cmd_bench)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "engine", "skip") is None:
+        args.engine = "fixed-point"
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        sys.stderr.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    except MapFormError as exc:
+        sys.stderr.write(f"map shape error: {exc}\n")
+        return EXIT_PRECONDITION
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PRECONDITION
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,386 @@
+"""Deformations z - H_t(z) over a truncated parameter ring R[t]/(t^(K+1)).
+
+The inverse of a deformed map is z + M_t with M_t = H_t(G_t), computed here
+by the same fixed-point iteration as in the undeformed case but with
+t-quotient coefficients.  Two derivations control how compositions with F_t
+and G_t evolve in t:
+
+    h(t): z |-> (dM_t/dt)(F_t)        m(t): z |-> (dH_t/dt)(G_t)
+
+and for the special family H_t = t*H the inverse takes the shape
+z + t*N_t(z), where N_t solves the inviscid-Burgers-like Cauchy problem
+dN_t/dt = [N_t d/dz] N_t with N_0 = H.  Everything in this module is an
+executable, exact check of one of those facts.
+
+Truncation discipline: a t-derivative of a computed value is trustworthy
+only up to t-order K-1, so every identity involving one is compared after
+re-truncating both sides to K-1.  Identities without a t-derivative are
+compared at full order K.
+"""
+
+from __future__ import annotations
+
+from .freealg import Derivation, FormalMap, NCSeries, compose, compose_vector
+from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
+from .rings import TQuotientRing
+
+
+# ---------------------------------------------------------------------------
+# coefficient-level helpers
+# ---------------------------------------------------------------------------
+
+
+def embed_series(series: NCSeries, tring: TQuotientRing) -> NCSeries:
+    """Reinterpret a base-ring series as t-constant over the quotient ring."""
+    return series.map_coefficients(tring.embed, new_ring=tring)
+
+
+def embed_vector(vector, tring):
+    return tuple(embed_series(s, tring) for s in vector)
+
+
+def t_scale_series(series: NCSeries, k: int = 1) -> NCSeries:
+    """Multiply every coefficient by t^k."""
+    tring = series.ring
+    return series.map_coefficients(lambda c: tring.times_t(c, k))
+
+
+def t_derivative_series(series: NCSeries) -> NCSeries:
+    tring = series.ring
+    return series.map_coefficients(tring.t_derivative)
+
+
+def t_derivative_vector(vector):
+    return tuple(t_derivative_series(s) for s in vector)
+
+
+def t_truncate_series(series: NCSeries, torder: int) -> NCSeries:
+    """Move a series into the smaller quotient R[t]/(t^(torder+1))."""
+    tring = series.ring
+    small = TQuotientRing(tring.base, torder)
+    return series.map_coefficients(lambda c: tring.restrict(c, torder), new_ring=small)
+
+
+def t_equal(a: NCSeries, b: NCSeries, torder: int) -> bool:
+    """Equality after re-truncating both sides to the given t-order."""
+    return t_truncate_series(a, torder) == t_truncate_series(b, torder)
+
+
+def t_equal_vector(a, b, torder) -> bool:
+    return all(t_equal(x, y, torder) for x, y in zip(a, b))
+
+
+def t_residue_series(series: NCSeries, j: int) -> NCSeries:
+    """The base-ring series sitting at t^j."""
+    tring = series.ring
+    return series.map_coefficients(
+        lambda c: tring.residue_at(c, j), new_ring=tring.base
+    )
+
+
+# ---------------------------------------------------------------------------
+# general deformations
+# ---------------------------------------------------------------------------
+
+
+class DeformedMap:
+    """A deformed map F_t = z - H_t together with its computed inverse.
+
+    Attributes: ``h_t`` and ``m_t`` are vectors over the t-quotient ring,
+    ``f_t``/``g_t`` the corresponding maps, ``torder`` the t-truncation K and
+    ``degree`` the z-truncation D.  Construction verifies F_t(G_t) = id =
+    G_t(F_t) exactly at (D, K).
+    """
+
+    __slots__ = ("base_ring", "tring", "arity", "degree", "torder", "h_t", "f_t", "g_t", "m_t")
+
+    def __init__(self, h_t):
+        h_t = tuple(h_t)
+        first = h_t[0]
+        tring = first.ring
+        if not isinstance(tring, TQuotientRing):
+            raise ValueError("a deformed map needs t-quotient coefficients")
+        for i, h in enumerate(h_t):
+            if h.order() < 2:
+                raise ValueError(
+                    f"H_t component {i + 1} has z-order {h.order()}, need >= 2"
+                )
+        self.base_ring = tring.base
+        self.tring = tring
+        self.arity = first.arity
+        self.degree = first.degree
+        self.torder = tring.torder
+        self.h_t = h_t
+        self.f_t = FormalMap.f_form(h_t)
+        self.m_t = _fixed_point_displacement(h_t)
+        self.g_t = FormalMap.g_form(self.m_t)
+        report = verify_inverse(self.f_t, self.g_t)
+        if not report.ok:
+            raise AssertionError("deformed inverse failed verification: " + report.describe())
+
+    def h_derivation(self) -> Derivation:
+        """h(t): components (dM_t/dt)(F_t); t-order only valid to K-1."""
+        cache = {}
+        comps = [
+            compose(s, self.f_t, cache) for s in t_derivative_vector(self.m_t)
+        ]
+        return Derivation(comps)
+
+    def m_derivation(self) -> Derivation:
+        """m(t): components (dH_t/dt)(G_t); t-order only valid to K-1."""
+        cache = {}
+        comps = [
+            compose(s, self.g_t, cache) for s in t_derivative_vector(self.h_t)
+        ]
+        return Derivation(comps)
+
+
+def _fixed_point_displacement(h_t):
+    first = h_t[0]
+    ring, n, D = first.ring, first.arity, first.degree
+    variables = [NCSeries.variable(ring, n, D, i) for i in range(n)]
+    m_vec = tuple(NCSeries.zero(ring, n, D) for _ in range(n))
+    for _ in range(D + 1):
+        g = FormalMap([v + m for v, m in zip(variables, m_vec)])
+        new_vec = compose_vector(h_t, g)
+        if new_vec == m_vec:
+            return m_vec
+        m_vec = new_vec
+    raise AssertionError("deformed fixed-point iteration failed to stabilize")
+
+
+def deform_invert(h_t) -> DeformedMap:
+    """Invert z - H_t over the t-quotient ring; see :class:`DeformedMap`."""
+    return DeformedMap(h_t)
+
+
+class SpecialDeformation(DeformedMap):
+    """The family F_t = z - t*H for a base-ring displacement H.
+
+    Here M_t = t*N_t with a well-defined quotient N_t (the t-constant part
+    of M_t vanishes), and the t-expansion of N_t is the N-sequence: the
+    coefficient of t^(m-1) is N_[m].
+
+    Dividing by t costs one order of t-accuracy, so the inversion runs at
+    t-order K+1 internally and everything stored is restricted to K; n_t is
+    then exact at full order K.
+    """
+
+    __slots__ = ("h_base", "n_t")
+
+    def __init__(self, h_vector, torder):
+        h_vector = tuple(h_vector)
+        base = h_vector[0].ring
+        big = TQuotientRing(base, torder + 1)
+        big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
+        big_mt = _fixed_point_displacement(big_ht)
+        for s in big_mt:
+            # M_t = t * N_t: the t-constant part must vanish, or the
+            # engine itself is broken
+            if not t_residue_series(s, 0).is_zero():
+                raise AssertionError("special deformation produced a t-constant term")
+        big_nt = tuple(s.map_coefficients(big.shift_down) for s in big_mt)
+        self.base_ring = base
+        self.tring = TQuotientRing(base, torder)
+        self.arity = h_vector[0].arity
+        self.degree = h_vector[0].degree
+        self.torder = torder
+        self.h_base = h_vector
+        self.h_t = tuple(t_truncate_series(s, torder) for s in big_ht)
+        self.m_t = tuple(t_truncate_series(s, torder) for s in big_mt)
+        self.n_t = tuple(t_truncate_series(s, torder) for s in big_nt)
+        self.f_t = FormalMap.f_form(self.h_t)
+        self.g_t = FormalMap.g_form(self.m_t)
+        report = verify_inverse(self.f_t, self.g_t)
+        if not report.ok:
+            raise AssertionError(
+                "special deformation inverse failed verification: " + report.describe()
+            )
+
+    def n_term(self, m: int):
+        """N_[m] as a base-ring vector (needs m - 1 <= K)."""
+        return tuple(t_residue_series(s, m - 1) for s in self.n_t)
+
+
+def special_deformation(h_vector, torder) -> SpecialDeformation:
+    return SpecialDeformation(h_vector, torder)
+
+
+def n_sequence_via_deformation(h_vector) -> NSequence:
+    """The N-sequence read off the fixed-point inverse of z - t*H.
+
+    Independent of the recurrence engines: this is the oracle they are
+    checked against.
+    """
+    h_vector = tuple(h_vector)
+    first = h_vector[0]
+    D = first.degree
+    count = max(D - 1, 0)
+    if count == 0:
+        return NSequence(first.ring, first.arity, D, [])
+    sd = special_deformation(h_vector, torder=count - 1)
+    terms = [sd.n_term(m) for m in range(1, count + 1)]
+    return NSequence(first.ring, first.arity, D, terms)
+
+
+# ---------------------------------------------------------------------------
+# identity checks
+# ---------------------------------------------------------------------------
+
+
+def check_inverse_flow_identities(d: DeformedMap) -> bool:
+    """The four basic facts tying H_t, M_t and their t-derivatives:
+    M_t = H_t(G_t), H_t = M_t(F_t), and the two derivation transport laws
+    dH_t/dt = [dM_t/dt(F_t) d/dz] F_t and dM_t/dt = [dH_t/dt(G_t) d/dz] G_t.
+    """
+    if d.m_t != tuple(compose_vector(d.h_t, d.g_t)):
+        return False
+    if d.h_t != tuple(compose_vector(d.m_t, d.f_t)):
+        return False
+    km = d.torder - 1
+    if km < 0:
+        return True
+    lhs3 = t_derivative_vector(d.h_t)
+    rhs3 = d.h_derivation().apply_vector(d.f_t.components)
+    if not t_equal_vector(lhs3, rhs3, km):
+        return False
+    lhs4 = t_derivative_vector(d.m_t)
+    rhs4 = d.m_derivation().apply_vector(d.g_t.components)
+    return t_equal_vector(lhs4, rhs4, km)
+
+
+def check_pushforward_swap(d: DeformedMap) -> bool:
+    """Transport along the inverse pair swaps h(t) and m(t): pushing h
+    forward through G_t gives m, and pushing m through F_t gives h."""
+    from .freealg import star_action
+
+    km = d.torder - 1
+    if km < 0:
+        return True
+    h = d.h_derivation()
+    m = d.m_derivation()
+    via_g = star_action(d.f_t, d.g_t, h)  # (G_t)_* h
+    if not t_equal_vector(via_g.components, m.components, km):
+        return False
+    via_f = star_action(d.g_t, d.f_t, m)  # (F_t)_* m
+    return t_equal_vector(via_f.components, h.components, km)
+
+
+def check_substitution_flow(d: DeformedMap, u: NCSeries) -> bool:
+    """How u(F_t) and u(G_t) evolve in t, both equality chains each:
+    d/dt u(F_t) = -(m(t)u)(F_t) = -h(t) u(F_t) and
+    d/dt u(G_t) =  (h(t)u)(G_t) =  m(t) u(G_t), for base-ring u."""
+    km = d.torder - 1
+    if km < 0:
+        return True
+    tring = d.tring
+    u_t = embed_series(u, tring)
+    h = d.h_derivation()
+    m = d.m_derivation()
+
+    u_f = compose(u_t, d.f_t)
+    lhs = t_derivative_series(u_f)
+    first = -compose(m.apply(u_t), d.f_t)
+    second = -h.apply(u_f)
+    if not (t_equal(lhs, first, km) and t_equal(lhs, second, km)):
+        return False
+
+    u_g = compose(u_t, d.g_t)
+    lhs = t_derivative_series(u_g)
+    first = compose(h.apply(u_t), d.g_t)
+    second = m.apply(u_g)
+    return t_equal(lhs, first, km) and t_equal(lhs, second, km)
+
+
+def check_inversion_pde(sd: SpecialDeformation, mutate=None) -> bool:
+    """N_t solves dN_t/dt = [N_t d/dz] N_t with N_{t=0} = H.
+
+    ``mutate`` (a function on the N_t vector) exists for mutation tests:
+    a perturbed N_t must fail.
+    """
+    n_t = sd.n_t if mutate is None else mutate(sd.n_t)
+    km = sd.torder - 1
+    boundary = tuple(t_residue_series(s, 0) for s in n_t)
+    if boundary != sd.h_base:
+        return False
+    if km < 0:
+        return True
+    lhs = t_derivative_vector(n_t)
+    rhs = Derivation(n_t).apply_vector(n_t)
+    return t_equal_vector(lhs, rhs, km)
+
+
+def check_h_m_structure(sd: SpecialDeformation) -> bool:
+    """For the special family: m(t) has components N_t exactly, and h(t)
+    expands as sum_m t^(m-1) [C_m d/dz] with the iterated sequence
+    C_1 = H, C_m = [C_(m-1) d/dz] H."""
+    m = sd.m_derivation()
+    if tuple(m.components) != sd.n_t:
+        return False
+    km = sd.torder - 1
+    if km < 0:
+        return True
+    h = sd.h_derivation()
+    tring = sd.tring
+    cs = c_sequence(sd.h_base, sd.torder + 1)
+    expect = tuple(
+        NCSeries.zero(tring, sd.arity, sd.degree) for _ in range(sd.arity)
+    )
+    for mm, c_vec in enumerate(cs, start=1):
+        lifted = tuple(
+            t_scale_series(embed_series(s, tring), mm - 1) for s in c_vec
+        )
+        expect = tuple(a + b for a, b in zip(expect, lifted))
+    return t_equal_vector(h.components, expect, km)
+
+
+def check_composed_with_forward_map(sd: SpecialDeformation) -> bool:
+    """N_t(F_t) = H exactly at full t-order: composing the deformation's
+    N_t with F_t recovers the undeformed displacement."""
+    image = compose_vector(sd.n_t, sd.f_t)
+    expect = embed_vector(sd.h_base, sd.tring)
+    return tuple(image) == expect
+
+
+def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
+    """z - s*N(t) is inverted by z + s*N(t+s), where N(c) evaluates the
+    N-sequence at the scalar c: N(c) = sum_m c^(m-1) N_[m]."""
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
+    nseq = (
+        n_seq_recurrent(h_vector)
+        if ring.characteristic == 0
+        else n_seq_charp_direct(h_vector)
+    )
+
+    def evaluated(c):
+        out = tuple(
+            NCSeries.zero(ring, nseq.arity, nseq.degree) for _ in range(nseq.arity)
+        )
+        power = ring.one()
+        for vec in nseq.terms:
+            out = tuple(a + s.scale(power) for a, s in zip(out, vec))
+            power = ring.mul(power, c)
+        return out
+
+    n_at_t0 = evaluated(t0)
+    n_at_sum = evaluated(ring.add(t0, s0))
+    u_map = FormalMap.f_form(tuple(s.scale(s0) for s in n_at_t0))
+    v_map = FormalMap.g_form(tuple(s.scale(s0) for s in n_at_sum))
+    return verify_inverse(u_map, v_map).ok
+
+
+def check_transport_pde(h_vector, u: NCSeries, torder: int) -> bool:
+    """U_t := u(G_t) = u(z + t*N_t) solves dU_t/dt = [N_t d/dz] U_t with
+    U_{t=0} = u, for base-ring u."""
+    sd = special_deformation(h_vector, torder)
+    u_t = embed_series(u, sd.tring)
+    big_u = compose(u_t, sd.g_t)
+    if t_residue_series(big_u, 0) != u:
+        return False
+    km = torder - 1
+    if km < 0:
+        return True
+    lhs = t_derivative_series(big_u)
+    rhs = Derivation(sd.n_t).apply(big_u)
+    return t_equal(lhs, rhs, km)

@@ -1,0 +1,718 @@
+"""Truncated power series in noncommutative variables.
+
+A monomial is a *word*: a tuple of 0-based letter indices, so ``(0, 1)`` is
+x*y and ``(1, 0)`` is y*x, and the two are distinct.  An :class:`NCSeries`
+stores its nonzero terms in per-degree buckets and is truncated at a fixed
+degree ``D``: every product silently drops words of degree > D, which is the
+whole point — all identities in this package are graded, so a degree-D
+truncation is an exact computation in the quotient by words of degree > D.
+
+Coefficients live in a ring context from :mod:`ncinvert.rings` and commute
+with everything; all noncommutativity is carried by the words.
+
+Series values are immutable by convention: no operation mutates its inputs,
+and results may be shared freely (including across threads).
+"""
+
+from __future__ import annotations
+
+import math
+
+from .rings import Ring
+
+#: order of the zero series
+INFINITE_ORDER = math.inf
+
+
+def word_key(word):
+    """Degree-lexicographic sort key."""
+    return (len(word), word)
+
+
+class NCSeries:
+    """A degree-truncated noncommutative power series.
+
+    ``buckets`` maps a degree d to a dict {word: coefficient} holding the
+    nonzero terms of that degree; empty buckets are not stored.  Two series
+    are equal iff ring, arity, truncation degree and term mappings agree.
+    """
+
+    __slots__ = ("ring", "arity", "degree", "buckets")
+
+    def __init__(self, ring: Ring, arity: int, degree: int, buckets=None):
+        if arity < 1:
+            raise ValueError("arity must be >= 1")
+        if degree < 0:
+            raise ValueError("truncation degree must be >= 0")
+        self.ring = ring
+        self.arity = arity
+        self.degree = degree
+        self.buckets = buckets if buckets is not None else {}
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls, ring, arity, degree):
+        return cls(ring, arity, degree)
+
+    @classmethod
+    def constant(cls, ring, arity, degree, c):
+        s = cls(ring, arity, degree)
+        if not ring.is_zero(c):
+            s.buckets[0] = {(): c}
+        return s
+
+    @classmethod
+    def one(cls, ring, arity, degree):
+        return cls.constant(ring, arity, degree, ring.one())
+
+    @classmethod
+    def variable(cls, ring, arity, degree, i):
+        """The series z_i (0-based index)."""
+        if not 0 <= i < arity:
+            raise ValueError(f"variable index {i} out of range for arity {arity}")
+        s = cls(ring, arity, degree)
+        if degree >= 1:
+            s.buckets[1] = {(i,): ring.one()}
+        return s
+
+    @classmethod
+    def sum(cls, ring, arity, degree, items):
+        """Merge many series in one accumulation pass (exact, so the result
+        is independent of the order of ``items``)."""
+        add = ring.add
+        is_zero = ring.is_zero
+        buckets = {}
+        for s in items:
+            for d, b in s.buckets.items():
+                tgt = buckets.setdefault(d, {})
+                for w, c in b.items():
+                    prev = tgt.get(w)
+                    val = c if prev is None else add(prev, c)
+                    if is_zero(val):
+                        tgt.pop(w, None)
+                    else:
+                        tgt[w] = val
+        for d in [d for d, b in buckets.items() if not b]:
+            del buckets[d]
+        return cls(ring, arity, degree, buckets)
+
+    @classmethod
+    def from_terms(cls, ring, arity, degree, terms):
+        """Build from (word, coefficient) pairs, summing duplicates.
+
+        Words of degree > D are rejected: unlike arithmetic, explicit
+        construction with out-of-range words is a caller bug.
+        """
+        s = cls(ring, arity, degree)
+        add = ring.add
+        is_zero = ring.is_zero
+        buckets = s.buckets
+        for word, c in terms:
+            word = tuple(word)
+            d = len(word)
+            if d > degree:
+                raise ValueError(f"word of degree {d} exceeds truncation {degree}")
+            if any(not 0 <= i < arity for i in word):
+                raise ValueError(f"letter out of range in word {word}")
+            bucket = buckets.setdefault(d, {})
+            prev = bucket.get(word)
+            val = c if prev is None else add(prev, c)
+            if is_zero(val):
+                bucket.pop(word, None)
+            else:
+                bucket[word] = val
+        for d in [d for d, b in buckets.items() if not b]:
+            del buckets[d]
+        return s
+
+    # -- basic queries -------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.buckets
+
+    def order(self):
+        """Minimal degree of a stored term; INFINITE_ORDER for zero."""
+        if not self.buckets:
+            return INFINITE_ORDER
+        return min(self.buckets)
+
+    def poly_degree(self):
+        """Maximal degree of a stored term; -inf for zero."""
+        if not self.buckets:
+            return -math.inf
+        return max(self.buckets)
+
+    def is_homogeneous(self) -> bool:
+        return len(self.buckets) <= 1
+
+    def term_count(self) -> int:
+        return sum(len(b) for b in self.buckets.values())
+
+    def coefficient(self, word):
+        word = tuple(word)
+        bucket = self.buckets.get(len(word))
+        if bucket is None:
+            return self.ring.zero()
+        return bucket.get(word, self.ring.zero())
+
+    def terms(self):
+        """Yield (word, coefficient) in degree-lexicographic order."""
+        for d in sorted(self.buckets):
+            bucket = self.buckets[d]
+            for word in sorted(bucket):
+                yield word, bucket[word]
+
+    # -- equality ------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, NCSeries):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.arity == other.arity
+            and self.degree == other.degree
+            and self.buckets == other.buckets
+        )
+
+    def __repr__(self):
+        terms = ", ".join(
+            f"{self.ring.to_string(c)}*{''.join('z%d' % (i + 1) for i in w) or '1'}"
+            for w, c in self.terms()
+        )
+        return f"NCSeries({terms or '0'}; n={self.arity}, D={self.degree})"
+
+    def _check_compatible(self, other):
+        if self.ring != other.ring:
+            raise ValueError("coefficient rings differ")
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+        if self.degree != other.degree:
+            raise ValueError(
+                f"truncation degree mismatch: {self.degree} vs {other.degree}"
+            )
+
+    # -- arithmetic ------------------------------------------------------
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        ring = self.ring
+        add = ring.add
+        is_zero = ring.is_zero
+        buckets = {d: dict(b) for d, b in self.buckets.items()}
+        for d, b in other.buckets.items():
+            tgt = buckets.setdefault(d, {})
+            for word, c in b.items():
+                prev = tgt.get(word)
+                val = c if prev is None else add(prev, c)
+                if is_zero(val):
+                    tgt.pop(word, None)
+                else:
+                    tgt[word] = val
+            if not tgt:
+                del buckets[d]
+        return NCSeries(ring, self.arity, self.degree, buckets)
+
+    def __neg__(self):
+        neg = self.ring.neg
+        buckets = {
+            d: {w: neg(c) for w, c in b.items()} for d, b in self.buckets.items()
+        }
+        return NCSeries(self.ring, self.arity, self.degree, buckets)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Multiply by a ring element (coefficients commute)."""
+        ring = self.ring
+        if ring.is_zero(c):
+            return NCSeries(ring, self.arity, self.degree)
+        mul = ring.mul
+        is_zero = ring.is_zero
+        buckets = {}
+        for d, b in self.buckets.items():
+            tgt = {}
+            for w, x in b.items():
+                v = mul(c, x)
+                if not is_zero(v):
+                    tgt[w] = v
+            if tgt:
+                buckets[d] = tgt
+        return NCSeries(ring, self.arity, self.degree, buckets)
+
+    def scale_int(self, n: int):
+        return self.scale(self.ring.from_int(n))
+
+    def __mul__(self, other):
+        """Truncated product: words of degree > D are dropped."""
+        self._check_compatible(other)
+        ring = self.ring
+        rmul = ring.mul
+        radd = ring.add
+        is_zero = ring.is_zero
+        D = self.degree
+        out = {}
+        for d1, b1 in self.buckets.items():
+            for d2, b2 in other.buckets.items():
+                d = d1 + d2
+                if d > D:
+                    continue
+                tgt = out.setdefault(d, {})
+                for w1, c1 in b1.items():
+                    for w2, c2 in b2.items():
+                        w = w1 + w2
+                        c = rmul(c1, c2)
+                        prev = tgt.get(w)
+                        val = c if prev is None else radd(prev, c)
+                        if is_zero(val):
+                            tgt.pop(w, None)
+                        else:
+                            tgt[w] = val
+        for d in [d for d, b in out.items() if not b]:
+            del out[d]
+        return NCSeries(ring, self.arity, self.degree, out)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a series")
+        out = NCSeries.one(self.ring, self.arity, self.degree)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    # -- structural helpers ------------------------------------------------
+
+    def truncated(self, degree: int):
+        """Copy re-truncated to a smaller bound (explicit, never implicit)."""
+        if degree > self.degree:
+            raise ValueError("cannot raise the truncation degree of a series")
+        buckets = {d: dict(b) for d, b in self.buckets.items() if d <= degree}
+        return NCSeries(self.ring, self.arity, degree, buckets)
+
+    def homogeneous_part(self, d: int):
+        buckets = {}
+        if d in self.buckets:
+            buckets[d] = dict(self.buckets[d])
+        return NCSeries(self.ring, self.arity, self.degree, buckets)
+
+    def map_coefficients(self, func, new_ring=None):
+        """Apply ``func`` to every coefficient; drops values that become 0."""
+        ring = new_ring if new_ring is not None else self.ring
+        is_zero = ring.is_zero
+        buckets = {}
+        for d, b in self.buckets.items():
+            tgt = {}
+            for w, c in b.items():
+                v = func(c)
+                if not is_zero(v):
+                    tgt[w] = v
+            if tgt:
+                buckets[d] = tgt
+        return NCSeries(ring, self.arity, self.degree, buckets)
+
+    def to_json_dict(self):
+        """Interchange form; words use 1-based letters externally."""
+        return {
+            "arity": self.arity,
+            "degree": self.degree,
+            "terms": [
+                {"word": [i + 1 for i in w], "coeff": self.ring.to_string(c)}
+                for w, c in self.terms()
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, ring, data):
+        terms = [
+            (tuple(i - 1 for i in t["word"]), ring.from_string(t["coeff"]))
+            for t in data["terms"]
+        ]
+        return cls.from_terms(ring, data["arity"], data["degree"], terms)
+
+
+# ---------------------------------------------------------------------------
+# formal maps
+# ---------------------------------------------------------------------------
+
+
+class FormalMap:
+    """An n-vector of series, i.e. an endomorphism z_i -> components[i].
+
+    The ``form`` tag records a validated shape: "F" means z - H with
+    o(H) >= 2, "G" means z + M with o(M) >= 2, "general" means unchecked.
+    Both tagged forms share the same structural requirement (identity linear
+    part, no constant term); the tag documents orientation only.
+    """
+
+    __slots__ = ("ring", "arity", "degree", "components", "form")
+
+    def __init__(self, components, form="general"):
+        components = tuple(components)
+        if not components:
+            raise ValueError("a formal map needs at least one component")
+        first = components[0]
+        for c in components[1:]:
+            first._check_compatible(c)
+        if len(components) != first.arity:
+            raise ValueError(
+                f"{len(components)} components for arity {first.arity}"
+            )
+        if form not in ("F", "G", "general"):
+            raise ValueError(f"unknown form tag {form!r}")
+        self.ring = first.ring
+        self.arity = first.arity
+        self.degree = first.degree
+        self.components = components
+        self.form = form
+        if form in ("F", "G"):
+            self._validate_unitriangular()
+
+    def _validate_unitriangular(self):
+        ring = self.ring
+        for i, comp in enumerate(self.components):
+            const = comp.coefficient(())
+            if not ring.is_zero(const):
+                raise ValueError(f"component {i + 1} has a constant term")
+            lin = comp.buckets.get(1, {})
+            for (j,), c in lin.items():
+                if j == i:
+                    if not ring.is_one(c):
+                        raise ValueError(
+                            f"component {i + 1}: coefficient of z{i + 1} must be 1"
+                        )
+                else:
+                    raise ValueError(
+                        f"component {i + 1} has a stray linear term in z{j + 1}"
+                    )
+            if (i,) not in lin:
+                raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
+
+    # -- constructors --------------------------------------------------
+
+    @classmethod
+    def identity(cls, ring, arity, degree):
+        comps = [NCSeries.variable(ring, arity, degree, i) for i in range(arity)]
+        return cls(comps, form="general")
+
+    @classmethod
+    def f_form(cls, h_vector):
+        """Build z - H from the displacement vector H, o(H) >= 2 required."""
+        h_vector = tuple(h_vector)
+        _check_order_at_least(h_vector, 2, "H")
+        first = h_vector[0]
+        comps = [
+            NCSeries.variable(first.ring, first.arity, first.degree, i) - h
+            for i, h in enumerate(h_vector)
+        ]
+        return cls(comps, form="F")
+
+    @classmethod
+    def g_form(cls, m_vector):
+        """Build z + M from the displacement vector M, o(M) >= 2 required."""
+        m_vector = tuple(m_vector)
+        _check_order_at_least(m_vector, 2, "M")
+        first = m_vector[0]
+        comps = [
+            NCSeries.variable(first.ring, first.arity, first.degree, i) + m
+            for i, m in enumerate(m_vector)
+        ]
+        return cls(comps, form="G")
+
+    # -- queries ---------------------------------------------------------
+
+    def component(self, i):
+        return self.components[i]
+
+    def displacement(self):
+        """The vector V with map = z + V (so H = -displacement for F-form)."""
+        return tuple(
+            comp - NCSeries.variable(self.ring, self.arity, self.degree, i)
+            for i, comp in enumerate(self.components)
+        )
+
+    def h_vector(self):
+        """H such that the map is z - H."""
+        return tuple(-v for v in self.displacement())
+
+    def m_vector(self):
+        """M such that the map is z + M."""
+        return self.displacement()
+
+    def is_identity(self) -> bool:
+        return all(v.is_zero() for v in self.displacement())
+
+    def __eq__(self, other):
+        if not isinstance(other, FormalMap):
+            return NotImplemented
+        return self.components == other.components
+
+    def __repr__(self):
+        return f"FormalMap({list(self.components)!r}, form={self.form!r})"
+
+    # -- composition -------------------------------------------------------
+
+    def after(self, other):
+        """The composed map self(other(z)): substitute ``other`` into self."""
+        comps = compose_vector(self.components, other)
+        return FormalMap(comps, form="general")
+
+    def to_json_list(self):
+        return [c.to_json_dict() for c in self.components]
+
+
+def _check_order_at_least(vector, bound, name):
+    for i, s in enumerate(vector):
+        if s.order() < bound:
+            raise ValueError(
+                f"{name} component {i + 1} has order {s.order()}, need >= {bound}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# substitution
+# ---------------------------------------------------------------------------
+
+
+def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
+    """Substitute the map into the series: each word z_i1...z_im of ``u``
+    becomes the ordered product F_i1 * ... * F_im.
+
+    Requires every component of the map to have order >= 1 (a constant term
+    would make substitution non-convergent degree by degree).  ``cache`` may
+    be a dict shared between calls composing with the *same* map: it memoizes
+    word-prefix products.
+    """
+    if u.arity != f_map.arity or u.degree != f_map.degree or u.ring != f_map.ring:
+        raise ValueError("series/map arity, degree or ring mismatch")
+    for i, comp in enumerate(f_map.components):
+        if comp.order() < 1:
+            raise ValueError(f"map component {i + 1} has a constant term")
+    if cache is None:
+        cache = {}
+    if () not in cache:
+        cache[()] = NCSeries.one(u.ring, u.arity, u.degree)
+    out = NCSeries.zero(u.ring, u.arity, u.degree)
+    for word, c in u.terms():
+        prod = _word_product(word, f_map.components, cache)
+        if not prod.is_zero():
+            out = out + prod.scale(c)
+    return out
+
+
+def _word_product(word, components, cache):
+    got = cache.get(word)
+    if got is not None:
+        return got
+    # find the longest cached prefix, then extend letter by letter
+    k = len(word) - 1
+    while k > 0 and word[:k] not in cache:
+        k -= 1
+    prod = cache[word[:k]]
+    for j in range(k, len(word)):
+        prod = prod * components[word[j]]
+        cache[word[: j + 1]] = prod
+        if prod.is_zero():
+            # every extension of a vanished prefix vanishes too
+            for jj in range(j + 1, len(word)):
+                cache[word[: jj + 1]] = prod
+            break
+    return cache[word]
+
+
+def compose_vector(vector, f_map: FormalMap, cache=None):
+    """Componentwise substitution sharing one prefix cache."""
+    if cache is None:
+        cache = {}
+    return tuple(compose(u, f_map, cache) for u in vector)
+
+
+# ---------------------------------------------------------------------------
+# derivations
+# ---------------------------------------------------------------------------
+
+
+class Derivation:
+    """The coefficient-linear derivation sending z_i to components[i].
+
+    Application follows the Leibniz rule letter by letter: the image of a
+    word z_i1...z_im is the sum over positions j of
+    z_i1...z_i(j-1) * u_ij * z_i(j+1)...z_im.  This is substitution at each
+    letter position, *not* left multiplication: applying the derivation that
+    sends x to u (and y to 0) to the word yx yields y*u, not u*y.
+    """
+
+    __slots__ = ("ring", "arity", "degree", "components")
+
+    def __init__(self, components):
+        components = tuple(components)
+        first = components[0]
+        for c in components[1:]:
+            first._check_compatible(c)
+        if len(components) != first.arity:
+            raise ValueError(
+                f"{len(components)} derivation components for arity {first.arity}"
+            )
+        self.ring = first.ring
+        self.arity = first.arity
+        self.degree = first.degree
+        self.components = components
+
+    @classmethod
+    def coordinate(cls, ring, arity, degree, i):
+        """The derivation z_i -> 1, z_j -> 0: a bare partial-slot derivation."""
+        comps = [NCSeries.zero(ring, arity, degree) for _ in range(arity)]
+        comps[i] = NCSeries.one(ring, arity, degree)
+        return cls(comps)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
+
+    def __eq__(self, other):
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        return self.components == other.components
+
+    def apply(self, f: NCSeries) -> NCSeries:
+        """Apply to a series, truncating at its degree bound."""
+        if f.arity != self.arity or f.degree != self.degree or f.ring != self.ring:
+            raise ValueError("derivation/series arity, degree or ring mismatch")
+        ring = self.ring
+        radd = ring.add
+        rmul = ring.mul
+        is_zero = ring.is_zero
+        D = self.degree
+        # letter -> [(degree, [(word, coeff), ...]), ...] or None when zero
+        prepared = [
+            [(du, list(b.items())) for du, b in sorted(u.buckets.items())] or None
+            for u in self.components
+        ]
+        out = {}
+        for d, bucket in f.buckets.items():
+            room = D - (d - 1)
+            for word, c in bucket.items():
+                for j, letter in enumerate(word):
+                    payload = prepared[letter]
+                    if payload is None:
+                        continue
+                    head = word[:j]
+                    tail = word[j + 1 :]
+                    for du, pairs in payload:
+                        if du > room:
+                            break
+                        tgt = out.setdefault(d - 1 + du, {})
+                        for uw, uc in pairs:
+                            w = head + uw + tail
+                            v = rmul(c, uc)
+                            prev = tgt.get(w)
+                            val = v if prev is None else radd(prev, v)
+                            if is_zero(val):
+                                tgt.pop(w, None)
+                            else:
+                                tgt[w] = val
+        for d in [d for d, b in out.items() if not b]:
+            del out[d]
+        return NCSeries(ring, self.arity, D, out)
+
+    def apply_vector(self, vector):
+        return tuple(self.apply(f) for f in vector)
+
+
+# ---------------------------------------------------------------------------
+# Jacobian-style matrices
+# ---------------------------------------------------------------------------
+
+
+class SeriesMatrix:
+    """A rectangular array of series sharing ring, arity and truncation."""
+
+    __slots__ = ("ring", "arity", "degree", "rows")
+
+    def __init__(self, rows):
+        rows = tuple(tuple(r) for r in rows)
+        if not rows or not rows[0]:
+            raise ValueError("matrix must be nonempty")
+        width = len(rows[0])
+        first = rows[0][0]
+        for r in rows:
+            if len(r) != width:
+                raise ValueError("ragged matrix")
+            for entry in r:
+                first._check_compatible(entry)
+        self.ring = first.ring
+        self.arity = first.arity
+        self.degree = first.degree
+        self.rows = rows
+
+    @property
+    def shape(self):
+        return (len(self.rows), len(self.rows[0]))
+
+    def entry(self, i, j):
+        return self.rows[i][j]
+
+    def row(self, i):
+        return self.rows[i]
+
+    def compose(self, f_map: FormalMap):
+        cache = {}
+        return SeriesMatrix(
+            [[compose(e, f_map, cache) for e in row] for row in self.rows]
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        return self.rows == other.rows
+
+    @classmethod
+    def identity(cls, ring, arity, degree, n):
+        one = NCSeries.one(ring, arity, degree)
+        zero = NCSeries.zero(ring, arity, degree)
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def jacobian_tilde(vector_or_map) -> SeriesMatrix:
+    """The transposed Jacobian: entry (i, j) applies the z_i slot derivation
+    to component j.  For the identity map this is the identity matrix."""
+    if isinstance(vector_or_map, FormalMap):
+        vector = vector_or_map.components
+    else:
+        vector = tuple(vector_or_map)
+    first = vector[0]
+    ring, n, D = first.ring, first.arity, first.degree
+    rows = []
+    for i in range(n):
+        delta = Derivation.coordinate(ring, n, D, i)
+        rows.append([delta.apply(u) for u in vector])
+    return SeriesMatrix(rows)
+
+
+def matrix_derivation_apply(matrix: SeriesMatrix, vector):
+    """Row i of the matrix acts as a derivation on each vector entry,
+    producing the matrix (delta_i applied to vector[j])."""
+    rows = []
+    for i in range(matrix.shape[0]):
+        delta = Derivation(matrix.row(i))
+        rows.append([delta.apply(v) for v in vector])
+    return SeriesMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# induced action on derivations
+# ---------------------------------------------------------------------------
+
+
+def star_action(f_map: FormalMap, f_inv: FormalMap, delta: Derivation) -> Derivation:
+    """The action of the *inverse* of ``f_map`` on ``delta``: the derivation
+    with components (delta F_i)(F_inv).
+
+    ``f_inv`` is caller-supplied and verified: f_map(f_inv) must be the
+    identity to the shared truncation degree.
+    """
+    check = f_map.after(f_inv)
+    if not check.is_identity():
+        raise ValueError("supplied inverse fails f(g) = id at this truncation")
+    cache = {}
+    comps = [compose(delta.apply(c), f_inv, cache) for c in f_map.components]
+    return Derivation(comps)

@@ -1,0 +1,438 @@
+"""Inversion engines for maps z - H(z) with o(H) >= 2.
+
+Four routes to the same inverse, kept deliberately independent so they can
+check each other:
+
+* fixed-point substitution M <- H(z + M), the characteristic-free baseline;
+* the characteristic-0 recurrence
+  N_[1] = H,  (m-1) N_[m] = sum_{k+l=m} [N_[k] d/dz] N_[l];
+* a residue-extraction step that computes N_[m] from N_[1..m-1] without any
+  division, used to bridge the recurrence's blind spots m = kp+1 over GF(p);
+* a symbolic lift for GF(p): replace the coefficients of H by fresh integer
+  variables, invert in characteristic 0, then reduce the result mod p.
+
+The inverse of z - H is z + sum_m N_[m]; more generally z + sum_m t0^m N_[m]
+inverts z - t0*H for any scalar t0.  Since o(N_[m]) >= m+1, the terms with
+m >= D are invisible at truncation degree D, so engines compute D-1 of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .freealg import (
+    Derivation,
+    FormalMap,
+    NCSeries,
+    compose_vector,
+    word_key,
+)
+from .rings import IntPolyRing, PrimeField, TQuotientRing
+
+ENGINE_FIXED_POINT = "fixed-point"
+ENGINE_RECURRENT = "recurrent"
+ENGINE_TREE = "tree"
+ENGINE_CHARP_DIRECT = "charp-direct"
+ENGINE_CHARP_LIFT = "charp-lift"
+
+ENGINES = (
+    ENGINE_FIXED_POINT,
+    ENGINE_RECURRENT,
+    ENGINE_TREE,
+    ENGINE_CHARP_DIRECT,
+    ENGINE_CHARP_LIFT,
+)
+
+
+def engines_for_ring(ring):
+    """Engine names applicable over the given coefficient ring."""
+    if ring.characteristic == 0:
+        return (ENGINE_FIXED_POINT, ENGINE_RECURRENT, ENGINE_TREE)
+    return (ENGINE_FIXED_POINT, ENGINE_CHARP_DIRECT, ENGINE_CHARP_LIFT)
+
+
+def _vector_meta(h_vector):
+    h_vector = tuple(h_vector)
+    first = h_vector[0]
+    for other in h_vector[1:]:
+        first._check_compatible(other)
+    if len(h_vector) != first.arity:
+        raise ValueError(f"{len(h_vector)} components for arity {first.arity}")
+    for i, h in enumerate(h_vector):
+        if h.order() < 2:
+            raise ValueError(f"H component {i + 1} has order {h.order()}, need >= 2")
+    return h_vector, first.ring, first.arity, first.degree
+
+
+def _zero_vector(ring, n, D):
+    return tuple(NCSeries.zero(ring, n, D) for _ in range(n))
+
+
+def _vector_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# fixed point
+# ---------------------------------------------------------------------------
+
+
+def invert_fixed_point(h_vector) -> FormalMap:
+    """Invert z - H by iterating M <- H(z + M) from M = 0.
+
+    Each pass freezes one more degree, so at truncation D the iteration
+    reaches its fixed point within D steps; works over any coefficient ring.
+    """
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    m_vec = _zero_vector(ring, n, D)
+    variables = [NCSeries.variable(ring, n, D, i) for i in range(n)]
+    for _ in range(D + 1):
+        g = FormalMap([v + m for v, m in zip(variables, m_vec)])
+        new_vec = compose_vector(h_vector, g)
+        if new_vec == m_vec:
+            break
+        m_vec = new_vec
+    else:
+        raise AssertionError("fixed-point iteration failed to stabilize")
+    return FormalMap.g_form(m_vec)
+
+
+# ---------------------------------------------------------------------------
+# the N-sequence
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NSequence:
+    """Terms N_[1..M] of the inverse expansion; terms[m-1] is N_[m]."""
+
+    ring: object
+    arity: int
+    degree: int
+    terms: list
+
+    def __len__(self):
+        return len(self.terms)
+
+    def term(self, m):
+        """N_[m] (1-based)."""
+        return self.terms[m - 1]
+
+    def assemble(self, t0) -> FormalMap:
+        """The map z + sum_m t0^m N_[m]; at t0 = 1 the inverse of z - H."""
+        ring, n, D = self.ring, self.arity, self.degree
+        m_vec = _zero_vector(ring, n, D)
+        power = t0
+        for vec in self.terms:
+            m_vec = _vector_add(m_vec, tuple(s.scale(power) for s in vec))
+            power = ring.mul(power, t0)
+        return FormalMap.g_form(m_vec)
+
+    def validate_bounds(self, h_vector):
+        """Check the order / degree / homogeneity bounds of every term.
+
+        Raises AssertionError on the first violated bound; used by tests and
+        the engines' own sanity hooks.
+        """
+        h_deg = max(h.poly_degree() for h in h_vector)
+        homogeneous = all(h.is_homogeneous() for h in h_vector) and len(
+            {h.poly_degree() for h in h_vector if not h.is_zero()}
+        ) <= 1
+        for m, vec in enumerate(self.terms, start=1):
+            for s in vec:
+                assert s.order() >= m + 1, f"o(N_[{m}]) = {s.order()} < {m + 1}"
+                if h_deg != -float("inf"):
+                    bound = m * (h_deg - 1) + 1
+                    assert (
+                        s.is_zero() or s.poly_degree() <= bound
+                    ), f"deg N_[{m}] = {s.poly_degree()} > {bound}"
+                if homogeneous and not s.is_zero():
+                    d = int(h_deg)
+                    assert s.is_homogeneous() and s.poly_degree() == (d - 1) * m + 1
+
+
+def assemble_inverse(nseq: NSequence, t0) -> FormalMap:
+    return nseq.assemble(t0)
+
+
+def convolution_sum(terms, m):
+    """sum_{k+l=m, k,l>=1} [N_[k] d/dz] N_[l] from terms[0..m-2]."""
+    first = terms[0][0]
+    out = _zero_vector(first.ring, first.arity, first.degree)
+    for k in range(1, m):
+        delta = Derivation(terms[k - 1])
+        out = _vector_add(out, delta.apply_vector(terms[m - k - 1]))
+    return out
+
+
+def c_sequence(h_vector, count: int):
+    """C_1 = H, C_m = [C_(m-1) d/dz] H: the iterated-derivation sequence
+    whose abelianization is (JH)^(m-1) H; returns ``count`` terms."""
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    out = []
+    if count >= 1:
+        out.append(h_vector)
+    for _ in range(2, count + 1):
+        out.append(Derivation(out[-1]).apply_vector(h_vector))
+    return out
+
+
+def n_seq_recurrent(h_vector) -> NSequence:
+    """The characteristic-0 recurrence for N_[1..D-1]."""
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    if ring.characteristic != 0:
+        raise ValueError(
+            "the recurrence divides by m-1, which fails in characteristic "
+            f"{ring.characteristic}; use the charp-direct or charp-lift engine"
+        )
+    terms = []
+    if D >= 2:
+        terms.append(h_vector)
+    for m in range(2, D):
+        conv = convolution_sum(terms, m)
+        terms.append(
+            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, m - 1)) for s in conv)
+        )
+    return NSequence(ring, n, D, terms)
+
+
+# ---------------------------------------------------------------------------
+# residue extraction (division-free step)
+# ---------------------------------------------------------------------------
+
+
+def _embed_t_constant(series, tring):
+    return series.map_coefficients(tring.embed, new_ring=tring)
+
+
+def _embed_t_linear(series, tring):
+    return series.map_coefficients(
+        lambda c: tring.times_t(tring.embed(c), 1), new_ring=tring
+    )
+
+
+def alt_recurrent_step(prev_terms, h_vector, m):
+    """Compute N_[m] from N_[1..m-1] by coefficient extraction.
+
+    Substituting z -> z - t*H into the lower terms and reading off t-powers
+    gives, for m >= 2,
+
+        N_[m](z) = - sum_{l=1..m-1}  [t^(m-l)]  N_[l](z - t*H),
+
+    which uses no division at all and therefore works in any characteristic.
+    """
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    if m < 2:
+        raise ValueError("residue step starts at m = 2")
+    if len(prev_terms) < m - 1:
+        raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
+    tring = TQuotientRing(ring, m - 1)
+    th = [_embed_t_linear(h, tring) for h in h_vector]
+    variables = [NCSeries.variable(tring, n, D, i) for i in range(n)]
+    shifted = FormalMap([v - h for v, h in zip(variables, th)])
+    cache = {}
+    acc = _zero_vector(ring, n, D)
+    for l in range(1, m):
+        nl = tuple(_embed_t_constant(s, tring) for s in prev_terms[l - 1])
+        image = compose_vector(nl, shifted, cache)
+        j = m - l
+        extracted = tuple(
+            s.map_coefficients(lambda c: tring.residue_at(c, j), new_ring=ring)
+            for s in image
+        )
+        acc = _vector_add(acc, extracted)
+    return tuple(-s for s in acc)
+
+
+def n_seq_charp_direct(h_vector) -> NSequence:
+    """The GF(p) sequence: the recurrence where m-1 is invertible, the
+    residue step at the layers m = kp + 1 where it is not."""
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    if not isinstance(ring, PrimeField):
+        raise ValueError("charp-direct requires PrimeField coefficients")
+    p = ring.p
+    terms = []
+    if D >= 2:
+        terms.append(h_vector)
+    for m in range(2, D):
+        if (m - 1) % p == 0:
+            terms.append(alt_recurrent_step(terms, h_vector, m))
+        else:
+            conv = convolution_sum(terms, m)
+            terms.append(
+                tuple(
+                    s.map_coefficients(lambda c: ring.div_by_int(c, m - 1))
+                    for s in conv
+                )
+            )
+    return NSequence(ring, n, D, terms)
+
+
+def invert_charp_direct(h_vector) -> FormalMap:
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
+    return n_seq_charp_direct(h_vector).assemble(ring.one())
+
+
+# ---------------------------------------------------------------------------
+# symbolic lift
+# ---------------------------------------------------------------------------
+
+
+def lift_displacement(h_vector, lift_integers=False):
+    """Step 1 of the lift: replace each nonzero coefficient of H by a fresh
+    commuting integer variable, interned by (component, word).
+
+    With ``lift_integers`` the optimization of lifting a residue to its least
+    non-negative integer preimage is applied instead, leaving no variables.
+    Returns (H over the lift ring, assignment variable-key -> residue, ring).
+    """
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    if not isinstance(ring, PrimeField):
+        raise ValueError("the lift starts from PrimeField coefficients")
+    lift_ring = IntPolyRing()
+    assignment = {}
+    lifted = []
+    for i, h in enumerate(h_vector):
+        terms = []
+        for word, a in h.terms():
+            if lift_integers:
+                coeff = lift_ring.from_int(a)
+            else:
+                key = (i, word)
+                coeff = lift_ring.variable(key)
+                assignment[key] = a
+            terms.append((word, coeff))
+        lifted.append(NCSeries.from_terms(lift_ring, n, D, terms))
+    return tuple(lifted), assignment, lift_ring
+
+
+def invert_charp_lift(h_vector, lift_integers=False) -> FormalMap:
+    """Invert over GF(p) by lifting to Z[A], running the characteristic-0
+    recurrence there, and reducing every coefficient mod p."""
+    h_vector = tuple(h_vector)
+    field = h_vector[0].ring
+    lifted, assignment, lift_ring = lift_displacement(h_vector, lift_integers)
+    nseq = n_seq_recurrent(lifted)
+    g_tilde = nseq.assemble(lift_ring.one())
+    comps = [
+        c.map_coefficients(
+            lambda q: lift_ring.evaluate_mod_p(q, assignment, field), new_ring=field
+        )
+        for c in g_tilde.components
+    ]
+    return FormalMap(comps, form="G")
+
+
+# ---------------------------------------------------------------------------
+# verification
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class VerifyReport:
+    """Outcome of checking F(G) = id = G(F) to the truncation degree.
+
+    On failure, the fields point at the degree-lexicographically first
+    nonzero residual term (word letters reported 1-based).
+    """
+
+    ok: bool
+    side: str = None
+    component: int = None
+    word: tuple = None
+    degree: int = None
+    coefficient: str = None
+
+    def __bool__(self):
+        return self.ok
+
+    def describe(self) -> str:
+        if self.ok:
+            return "verified: both compositions equal the identity"
+        letters = "".join(f"z{i}" for i in self.word) if self.word else "1"
+        return (
+            f"residual in {self.side}, component {self.component}: "
+            f"{self.coefficient} * {letters} at degree {self.degree}"
+        )
+
+    def to_json_dict(self):
+        if self.ok:
+            return {"verified": True}
+        return {
+            "verified": False,
+            "side": self.side,
+            "component": self.component,
+            "word": list(self.word),
+            "degree": self.degree,
+            "coefficient": self.coefficient,
+        }
+
+
+def _first_residual(composed: FormalMap):
+    best = None
+    for i, residual in enumerate(composed.displacement()):
+        for word, c in residual.terms():
+            cand = (word_key(word), i, word, c)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+            break  # terms() is degree-lex sorted: first term is minimal
+    return best
+
+
+def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
+    """Check both compositions against the identity; exact, no tolerance."""
+    if (
+        f_map.arity != g_map.arity
+        or f_map.degree != g_map.degree
+        or f_map.ring != g_map.ring
+    ):
+        raise ValueError("maps disagree in arity, degree or ring")
+    failures = []
+    for side, left, right in (("F(G)", f_map, g_map), ("G(F)", g_map, f_map)):
+        hit = _first_residual(left.after(right))
+        if hit is not None:
+            key, i, word, c = hit
+            failures.append((key, side, i, word, c))
+    if not failures:
+        return VerifyReport(ok=True)
+    key, side, i, word, c = min(failures, key=lambda t: t[0])
+    ring = f_map.ring
+    return VerifyReport(
+        ok=False,
+        side=side,
+        component=i + 1,
+        word=tuple(j + 1 for j in word),
+        degree=len(word),
+        coefficient=ring.to_string(c),
+    )
+
+
+# ---------------------------------------------------------------------------
+# engine dispatch
+# ---------------------------------------------------------------------------
+
+
+def invert(h_vector, engine=ENGINE_FIXED_POINT, threads=1) -> FormalMap:
+    """Run the selected engine on the displacement vector H of z - H."""
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
+    valid = engines_for_ring(ring)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    if engine not in valid:
+        raise ValueError(
+            f"engine {engine!r} does not apply to this coefficient ring; "
+            f"valid engines: {', '.join(valid)}"
+        )
+    if engine == ENGINE_FIXED_POINT:
+        return invert_fixed_point(h_vector)
+    if engine == ENGINE_RECURRENT:
+        return n_seq_recurrent(h_vector).assemble(ring.one())
+    if engine == ENGINE_TREE:
+        from . import trees
+
+        return trees.invert_tree(h_vector, threads=threads)
+    if engine == ENGINE_CHARP_DIRECT:
+        return invert_charp_direct(h_vector)
+    return invert_charp_lift(h_vector)

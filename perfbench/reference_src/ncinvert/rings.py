@@ -1,0 +1,497 @@
+"""Exact coefficient rings.
+
+Every algorithm in this package is exact: coefficients are big rationals,
+prime-field residues, truncated polynomials in a central parameter t, or
+integer polynomials in commuting lift variables.  A ring is a context object
+that owns the arithmetic; ring *values* are plain Python data (Fraction, int,
+tuple, dict) so that tight loops stay cheap.  Values are never mutated after
+construction.
+
+Every ring knows its characteristic (0 or a prime) and supports exact
+division by integers through ``div_by_int``; there is no floating point
+anywhere.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _is_prime(p: int) -> bool:
+    # trial division; moduli here are small by design
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class Ring:
+    """Common interface of all coefficient rings.
+
+    Subclasses define ``zero()``, ``one()``, ``add``, ``neg``, ``mul``,
+    ``from_int``, ``div_by_int``, ``to_string``/``from_string`` and a
+    ``characteristic`` attribute.  Values are compared with ``==``.
+    """
+
+    characteristic = None  # type: int
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def is_zero(self, a) -> bool:
+        return a == self.zero()
+
+    def is_one(self, a) -> bool:
+        return a == self.one()
+
+    def mul_int(self, a, n: int):
+        return self.mul(a, self.from_int(n))
+
+    def pow(self, a, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out = self.one()
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+
+class RationalField(Ring):
+    """Arbitrary-precision rationals; characteristic 0.
+
+    Values are ``int`` or ``fractions.Fraction``; both are exact, mix freely
+    in arithmetic, and compare equal when they denote the same number.
+    Integer-only computations stay on machine-fast int ops and Fractions
+    appear only once a division actually produces one.
+    """
+
+    characteristic = 0
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a) -> bool:
+        return a == 0
+
+    def from_int(self, n: int):
+        return n
+
+    def mul_int(self, a, n: int):
+        return a * n
+
+    def div_by_int(self, a, m: int):
+        if m == 0:
+            raise ZeroDivisionError("division by zero")
+        if isinstance(a, int):
+            q, r = divmod(a, m)
+            return q if r == 0 else Fraction(a, m)
+        return a / m
+
+    def to_string(self, a) -> str:
+        return str(a)
+
+    def from_string(self, s: str):
+        f = Fraction(s)
+        return f.numerator if f.denominator == 1 else f
+
+    def __eq__(self, other):
+        return type(other) is RationalField
+
+    def __hash__(self):
+        return hash(RationalField)
+
+    def __repr__(self):
+        return "RationalField()"
+
+
+#: shared instance; the ring is stateless
+QQ = RationalField()
+
+
+class PrimeField(Ring):
+    """GF(p) with values stored as ints in [0, p)."""
+
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
+        self.characteristic = p
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def is_zero(self, a):
+        return a == 0
+
+    def from_int(self, n: int):
+        return n % self.p
+
+    def div_by_int(self, a, m: int):
+        if m % self.p == 0:
+            raise ZeroDivisionError(f"{m} is not invertible mod {self.p}")
+        return (a * pow(m, -1, self.p)) % self.p
+
+    def to_string(self, a) -> str:
+        return str(a)
+
+    def from_string(self, s: str):
+        return int(s) % self.p
+
+    def __eq__(self, other):
+        return type(other) is PrimeField and other.p == self.p
+
+    def __hash__(self):
+        return hash((PrimeField, self.p))
+
+    def __repr__(self):
+        return f"PrimeField({self.p})"
+
+
+class TQuotientRing(Ring):
+    """R[t]/(t^(K+1)) over a base ring R; t is central.
+
+    Values are tuples ``(c_0, ..., c_K)`` of base-ring values.  The bound K
+    is part of the ring identity: values of different bounds never meet, so
+    a truncation mismatch is a structural error rather than a silent loss.
+    """
+
+    def __init__(self, base: Ring, torder: int):
+        if torder < 0:
+            raise ValueError("t-order must be >= 0")
+        self.base = base
+        self.torder = torder
+        self.characteristic = base.characteristic
+        self._zero = (base.zero(),) * (torder + 1)
+        self._one = (base.one(),) + (base.zero(),) * torder
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
+
+    def _check(self, a):
+        if len(a) != self.torder + 1:
+            raise ValueError(
+                f"t-order mismatch: value has {len(a) - 1}, ring has {self.torder}"
+            )
+
+    def add(self, a, b):
+        self._check(a)
+        self._check(b)
+        badd = self.base.add
+        return tuple(badd(x, y) for x, y in zip(a, b))
+
+    def neg(self, a):
+        self._check(a)
+        bneg = self.base.neg
+        return tuple(bneg(x) for x in a)
+
+    def mul(self, a, b):
+        self._check(a)
+        self._check(b)
+        base = self.base
+        bzero = base.zero()
+        out = [bzero] * (self.torder + 1)
+        for i, x in enumerate(a):
+            if x == bzero:
+                continue
+            for j in range(self.torder + 1 - i):
+                y = b[j]
+                if y == bzero:
+                    continue
+                out[i + j] = base.add(out[i + j], base.mul(x, y))
+        return tuple(out)
+
+    def is_zero(self, a):
+        return a == self._zero
+
+    def from_int(self, n: int):
+        return (self.base.from_int(n),) + self._zero[1:]
+
+    def embed(self, c):
+        """Lift a base-ring value to a t-constant."""
+        return (c,) + self._zero[1:]
+
+    def times_t(self, a, k: int = 1):
+        """Multiply by t^k (shifting coefficients up, truncating at K)."""
+        self._check(a)
+        if k == 0:
+            return a
+        if k > self.torder:
+            return self._zero
+        return self._zero[:k] + a[: self.torder + 1 - k]
+
+    def t_power(self, k: int):
+        if k > self.torder:
+            return self._zero
+        return self._zero[:k] + (self.base.one(),) + self._zero[k + 1 :]
+
+    def t_derivative(self, a):
+        """d/dt on a truncated polynomial; the top coefficient becomes 0."""
+        self._check(a)
+        base = self.base
+        out = [base.mul_int(a[j + 1], j + 1) for j in range(self.torder)]
+        out.append(base.zero())
+        return tuple(out)
+
+    def residue_at(self, a, j: int):
+        """The base-ring coefficient of t^j."""
+        self._check(a)
+        if not 0 <= j <= self.torder:
+            raise ValueError(f"t-exponent {j} out of range [0, {self.torder}]")
+        return a[j]
+
+    def shift_down(self, a, k: int = 1):
+        """Divide by t^k; requires the k lowest coefficients to vanish."""
+        self._check(a)
+        bzero = self.base.zero()
+        for j in range(k):
+            if a[j] != bzero:
+                raise ValueError(f"coefficient of t^{j} is nonzero, cannot divide by t^{k}")
+        return a[k:] + (bzero,) * k
+
+    def restrict(self, a, torder: int):
+        """Re-truncate a value into TQuotientRing(base, torder), torder <= K."""
+        self._check(a)
+        if torder > self.torder:
+            raise ValueError("cannot extend the t-order of a truncated value")
+        return a[: torder + 1]
+
+    def div_by_int(self, a, m: int):
+        self._check(a)
+        bdiv = self.base.div_by_int
+        return tuple(bdiv(x, m) for x in a)
+
+    def to_string(self, a) -> str:
+        return "[" + ", ".join(self.base.to_string(x) for x in a) + "]"
+
+    def from_string(self, s: str):
+        s = s.strip()
+        if not (s.startswith("[") and s.endswith("]")):
+            raise ValueError(f"bad t-quotient literal: {s!r}")
+        parts = [p.strip() for p in s[1:-1].split(",")]
+        if len(parts) != self.torder + 1:
+            raise ValueError("t-quotient literal has wrong length")
+        return tuple(self.base.from_string(p) for p in parts)
+
+    def __eq__(self, other):
+        return (
+            type(other) is TQuotientRing
+            and other.base == self.base
+            and other.torder == self.torder
+        )
+
+    def __hash__(self):
+        return hash((TQuotientRing, self.base, self.torder))
+
+    def __repr__(self):
+        return f"TQuotientRing({self.base!r}, {self.torder})"
+
+
+class IntPolyRing(Ring):
+    """Multivariate integer polynomials in dynamically interned variables.
+
+    Values are dicts mapping a monomial to a nonzero int coefficient, where
+    a monomial is a tuple of (variable index, exponent) pairs sorted by
+    index with all exponents positive; the empty tuple is the constant
+    monomial.  The zero polynomial is the empty dict.
+
+    Variables are interned by an arbitrary hashable key (here: a component
+    index and a word), so that repeated lifts of the same source coefficient
+    reuse the same variable, bit-exactly.  Two ring instances have separate
+    registries and are never equal.
+    """
+
+    characteristic = 0
+
+    def __init__(self):
+        self._index_by_key = {}
+        self._keys = []
+
+    def variable(self, key):
+        """The polynomial for the variable interned under ``key``."""
+        idx = self._index_by_key.get(key)
+        if idx is None:
+            idx = len(self._keys)
+            self._index_by_key[key] = idx
+            self._keys.append(key)
+        return {((idx, 1),): 1}
+
+    def variable_count(self) -> int:
+        return len(self._keys)
+
+    def variable_key(self, idx: int):
+        return self._keys[idx]
+
+    def variable_name(self, idx: int) -> str:
+        return f"A{idx + 1}"
+
+    def zero(self):
+        return {}
+
+    def one(self):
+        return {(): 1}
+
+    def add(self, a, b):
+        out = dict(a)
+        for mono, c in b.items():
+            s = out.get(mono, 0) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        return out
+
+    def neg(self, a):
+        return {mono: -c for mono, c in a.items()}
+
+    def mul(self, a, b):
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mono = _merge_monomials(m1, m2)
+                s = out.get(mono, 0) + c1 * c2
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return out
+
+    def is_zero(self, a):
+        return not a
+
+    def from_int(self, n: int):
+        return {(): n} if n else {}
+
+    def mul_int(self, a, n: int):
+        if n == 0:
+            return {}
+        return {mono: c * n for mono, c in a.items()}
+
+    def div_by_int(self, a, m: int):
+        """Exact division: every integer coefficient must be divisible by m."""
+        if m == 0:
+            raise ZeroDivisionError("division by zero")
+        out = {}
+        for mono, c in a.items():
+            q, r = divmod(c, m)
+            if r:
+                raise ZeroDivisionError(f"coefficient {c} not divisible by {m}")
+            out[mono] = q
+        return out
+
+    def evaluate_mod_p(self, a, assignment: dict, field: PrimeField):
+        """Evaluate under variable-key -> GF(p) value, reducing integers mod p.
+
+        Raises KeyError naming the variable if the assignment misses one that
+        actually occurs in ``a``.
+        """
+        out = 0
+        p = field.p
+        for mono, c in a.items():
+            term = c % p
+            for idx, exp in mono:
+                key = self._keys[idx]
+                if key not in assignment:
+                    raise KeyError(f"no assignment for lift variable {self.variable_name(idx)} (key {key!r})")
+                term = (term * pow(assignment[key], exp, p)) % p
+            out = (out + term) % p
+        return out
+
+    def to_string(self, a) -> str:
+        if not a:
+            return "0"
+        parts = []
+        for mono, c in sorted(a.items()):
+            factors = [
+                self.variable_name(i) if e == 1 else f"{self.variable_name(i)}^{e}"
+                for i, e in mono
+            ]
+            if not factors:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append("*".join(factors))
+            elif c == -1:
+                parts.append("-" + "*".join(factors))
+            else:
+                parts.append(str(c) + "*" + "*".join(factors))
+        out = parts[0]
+        for part in parts[1:]:
+            if part.startswith("-"):
+                out += " - " + part[1:]
+            else:
+                out += " + " + part
+        return out
+
+    def __eq__(self, other):
+        return self is other
+
+    def __hash__(self):
+        return id(self)
+
+    def __repr__(self):
+        return f"IntPolyRing(<{len(self._keys)} vars>)"
+
+
+def _merge_monomials(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)

@@ -1,0 +1,282 @@
+"""Planar binary rooted trees and the tree-expansion inversion engine.
+
+A planar binary rooted tree is a leaf or an ordered pair of subtrees grafted
+under a new root.  A tree with m leaves has 2m-1 vertices; deleting all
+leaves gives the reduced tree with m-1 vertices, whose Kreimer factorial
+written T^! below weights the expansion
+
+    N_[m] = sum over trees T with m leaves of  N_T / T^!
+
+where N_leaf = H and N_(T1,T2) = [N_T1 d/dz] N_T2.  The reciprocal weights
+are exact rationals summing to 1 in every leaf count, which is one of the
+testable identities shipped here.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+from .freealg import Derivation, FormalMap, NCSeries
+
+
+class PBTree:
+    """A planar binary rooted tree; immutable, leaves counted eagerly."""
+
+    __slots__ = ("left", "right", "leaves", "_serial", "_rfact")
+
+    def __init__(self, left=None, right=None):
+        if (left is None) != (right is None):
+            raise ValueError("a node needs both subtrees, a leaf neither")
+        self.left = left
+        self.right = right
+        self._rfact = None
+        if left is None:
+            self.leaves = 1
+            self._serial = "o"
+        else:
+            self.leaves = left.leaves + right.leaves
+            self._serial = "(" + left._serial + right._serial + ")"
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    @property
+    def vertices(self) -> int:
+        return 2 * self.leaves - 1
+
+    @property
+    def reduced_vertices(self) -> int:
+        return self.leaves - 1
+
+    def serialize(self) -> str:
+        return self._serial
+
+    def __eq__(self, other):
+        if not isinstance(other, PBTree):
+            return NotImplemented
+        return self._serial == other._serial
+
+    def __hash__(self):
+        return hash(self._serial)
+
+    def __repr__(self):
+        return f"PBTree({self._serial})"
+
+
+LEAF = PBTree()
+
+
+def graft(left: PBTree, right: PBTree) -> PBTree:
+    """Join two trees under a new root (the binary grafting operator)."""
+    return PBTree(left, right)
+
+
+def enumerate_pbtrees(m: int):
+    """All planar binary trees with m leaves, in a fixed deterministic order
+    (left leaf count ascending, then recursively); Catalan(m-1) of them."""
+    if m < 1:
+        raise ValueError("leaf count must be >= 1")
+    out = [[], [LEAF]]
+    for size in range(2, m + 1):
+        out.append(
+            [
+                graft(a, b)
+                for k in range(1, size)
+                for a in out[k]
+                for b in out[size - k]
+            ]
+        )
+    return out[m]
+
+
+def reduced_factorial(tree: PBTree) -> int:
+    """T^! of the reduced tree: 1 on a leaf, else (leaves-1) * left^! * right^!.
+
+    Cached on the tree; enumeration shares subtree objects, so each distinct
+    subtree is priced once.
+    """
+    got = tree._rfact
+    if got is None:
+        if tree.is_leaf:
+            got = 1
+        else:
+            got = (
+                (tree.leaves - 1)
+                * reduced_factorial(tree.left)
+                * reduced_factorial(tree.right)
+            )
+        tree._rfact = got
+    return got
+
+
+# ---------------------------------------------------------------------------
+# general rooted trees (nested tuples of children) and the Kreimer factorial
+# ---------------------------------------------------------------------------
+
+
+def rooted_factorial(tree) -> int:
+    """Kreimer factorial of a planar rooted tree given as nested tuples:
+    () is the singleton, (c1, ..., cd) a root with d child trees.
+    Defined by T! = |T| * c1! * ... * cd!; the chain with m vertices gives m!.
+    """
+    total = rooted_vertices(tree)
+    for child in tree:
+        total *= rooted_factorial(child)
+    return total
+
+
+def rooted_vertices(tree) -> int:
+    return 1 + sum(rooted_vertices(c) for c in tree)
+
+
+def chain_tree(m: int):
+    """The chain with m vertices (height m-1)."""
+    if m < 1:
+        raise ValueError("chain needs >= 1 vertices")
+    t = ()
+    for _ in range(m - 1):
+        t = (t,)
+    return t
+
+
+def reduced_tree(tree: PBTree):
+    """Delete all leaves of a binary tree; returns nested tuples or None
+    for the empty tree (the reduction of a single leaf)."""
+    if tree.is_leaf:
+        return None
+    children = [c for c in (reduced_tree(tree.left), reduced_tree(tree.right)) if c is not None]
+    return tuple(children)
+
+
+# ---------------------------------------------------------------------------
+# the tree expansion
+# ---------------------------------------------------------------------------
+
+
+def tree_series(tree: PBTree, h_vector, memo=None):
+    """N_T: the leaf carries H, grafting applies [N_T1 d/dz] N_T2.
+
+    ``memo`` maps tree serializations to computed vectors; structurally equal
+    subtrees share one evaluation, which collapses the Catalan blowup.
+    """
+    h_vector = tuple(h_vector)
+    if memo is None:
+        memo = {}
+    return _tree_series(tree, h_vector, memo)
+
+
+def _tree_series(tree, h_vector, memo):
+    got = memo.get(tree._serial)
+    if got is not None:
+        return got
+    if tree.is_leaf:
+        result = h_vector
+    else:
+        left = _tree_series(tree.left, h_vector, memo)
+        right = _tree_series(tree.right, h_vector, memo)
+        result = Derivation(left).apply_vector(right)
+    memo[tree._serial] = result
+    return result
+
+
+def tree_expansion_term(h_vector, m: int, memo=None, threads: int = 1):
+    """N_[m] as the weighted sum over all trees with m leaves.
+
+    Trees sharing a factorial are summed first and divided once per group;
+    exact arithmetic makes every grouping and reduction order equivalent,
+    and groups are processed in sorted order so output is deterministic.
+    """
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
+    if ring.characteristic != 0:
+        raise ValueError(
+            "tree weights 1/T^! need characteristic 0; "
+            "use the charp-direct or charp-lift engine"
+        )
+    n, D = h_vector[0].arity, h_vector[0].degree
+    if memo is None:
+        memo = {}
+    groups = {}
+    for tree in enumerate_pbtrees(m):
+        groups.setdefault(reduced_factorial(tree), []).append(tree)
+
+    def group_sum(trees):
+        vecs = [_tree_series(t, h_vector, memo) for t in trees]
+        return tuple(
+            NCSeries.sum(ring, n, D, [v[i] for v in vecs]) for i in range(n)
+        )
+
+    items = sorted(groups.items())
+    if threads > 1 and len(items) > 1:
+        # group sums are pure; the shared memo may be filled concurrently
+        # with identical values, which is harmless
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            summed = list(pool.map(lambda kv: group_sum(kv[1]), items))
+    else:
+        summed = [group_sum(trees) for _, trees in items]
+    weighted = []
+    for (w, _), vec in zip(items, summed):
+        weighted.append(
+            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in vec)
+        )
+    return tuple(
+        NCSeries.sum(ring, n, D, [vec[i] for vec in weighted]) for i in range(n)
+    )
+
+
+def invert_tree(h_vector, threads: int = 1) -> FormalMap:
+    """The tree-expansion engine: z + sum_m N_[m] with N_[m] summed over
+    trees; equals the other characteristic-0 engines term for term."""
+    h_vector = tuple(h_vector)
+    first = h_vector[0]
+    ring, n, D = first.ring, first.arity, first.degree
+    for i, h in enumerate(h_vector):
+        if h.order() < 2:
+            raise ValueError(f"H component {i + 1} has order {h.order()}, need >= 2")
+    m_vec = tuple(NCSeries.zero(ring, n, D) for _ in range(n))
+    memo = {}
+    for m in range(1, D):
+        term = tree_expansion_term(h_vector, m, memo=memo, threads=threads)
+        m_vec = tuple(a + b for a, b in zip(m_vec, term))
+    return FormalMap.g_form(m_vec)
+
+
+# ---------------------------------------------------------------------------
+# factorial identities
+# ---------------------------------------------------------------------------
+
+
+def factorial_reciprocal_sum(m: int) -> Fraction:
+    """sum over trees with m leaves of 1/T^!, as an exact rational."""
+    return sum(
+        (Fraction(1, reduced_factorial(t)) for t in enumerate_pbtrees(m)),
+        Fraction(0),
+    )
+
+
+def factorial_identity_check(m_max: int):
+    """[(m, sum of 1/T^!)] for m = 1..m_max; every sum should be exactly 1."""
+    if m_max < 1:
+        raise ValueError("need m_max >= 1")
+    return [(m, factorial_reciprocal_sum(m)) for m in range(1, m_max + 1)]
+
+
+def gf_identity_check(m_max: int, sums=None) -> bool:
+    """Check the generating function a(s) = sum a_m s^(m-1) of the reciprocal
+    sums against its defining ODE a' = a^2, a(0) = 1, coefficientwise:
+    (m-1) a_m = sum_{k+l=m} a_k a_l for every m <= m_max."""
+    if sums is None:
+        sums = [factorial_reciprocal_sum(m) for m in range(1, m_max + 1)]
+    if len(sums) < m_max:
+        raise ValueError("need one sum per leaf count")
+    if sums[0] != 1:
+        return False
+    for m in range(2, m_max + 1):
+        conv = sum(
+            (sums[k - 1] * sums[m - k - 1] for k in range(1, m)), Fraction(0)
+        )
+        if (m - 1) * sums[m - 1] != conv:
+            return False
+    return True
