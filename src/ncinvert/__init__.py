@@ -23,7 +23,6 @@ from .inversion import (
     ENGINES,
     NSequence,
     VerifyReport,
-    assemble_inverse,
     c_sequence,
     engines_for_ring,
     invert,
@@ -46,9 +45,7 @@ from .trees import (
 from .deformation import (
     DeformedMap,
     SpecialDeformation,
-    deform_invert,
     n_sequence_via_deformation,
-    special_deformation,
 )
 from .commutative import CommPoly, abelianize, abelianize_vector
 from .parsing import format_map, format_series, parse_expression, parse_map
@@ -71,7 +68,6 @@ __all__ = [
     "ENGINES",
     "NSequence",
     "VerifyReport",
-    "assemble_inverse",
     "c_sequence",
     "engines_for_ring",
     "invert",
@@ -90,9 +86,7 @@ __all__ = [
     "tree_series",
     "DeformedMap",
     "SpecialDeformation",
-    "deform_invert",
     "n_sequence_via_deformation",
-    "special_deformation",
     "CommPoly",
     "abelianize",
     "abelianize_vector",

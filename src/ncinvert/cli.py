@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -21,6 +20,7 @@ from . import trees as trees_mod
 from .freealg import FormalMap
 from .inversion import (
     ENGINES,
+    _first_residual,
     engines_for_ring,
     invert,
     verify_inverse,
@@ -89,7 +89,7 @@ def cmd_invert(args) -> int:
     h_vector = parsed.f_map.h_vector()
     engine = args.engine
     start = time.perf_counter()
-    g_map = invert(h_vector, engine=engine, threads=args.threads)
+    g_map = invert(h_vector, engine=engine)
     invert_ms = (time.perf_counter() - start) * 1000.0
     start = time.perf_counter()
     report = verify_inverse(parsed.f_map, g_map)
@@ -234,8 +234,26 @@ def _coeff_bits(ring, g_map: FormalMap) -> int:
 def _parse_degrees(text):
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(d) for d in text.split(",") if d.strip()]
+        degrees = list(range(int(lo), int(hi) + 1))
+    else:
+        degrees = [int(d) for d in text.split(",") if d.strip()]
+    if not degrees:
+        raise ValueError(f"--degrees {text!r} names no truncation degree")
+    return degrees
+
+
+def _describe_difference(ref_engine, ref_map, engine, g_map) -> str:
+    """Where two engines' maps first differ, in degree-lex order."""
+    ring = ref_map.ring
+    _, i, word, _ = _first_residual(
+        [b - a for a, b in zip(ref_map.components, g_map.components)]
+    )
+    letters = "".join(f"z{j + 1}" for j in word) or "1"
+    return (
+        f"component {i + 1}, word {letters}: {ref_engine} has "
+        f"{ring.to_string(ref_map.components[i].coefficient(word))}, {engine} has "
+        f"{ring.to_string(g_map.components[i].coefficient(word))}"
+    )
 
 
 def cmd_bench(args) -> int:
@@ -259,14 +277,15 @@ def cmd_bench(args) -> int:
         outputs = {}
         for engine in engines:
             start = time.perf_counter()
-            g_map = invert(h_vector, engine=engine, threads=args.threads)
+            g_map = invert(h_vector, engine=engine)
             wall_ms = (time.perf_counter() - start) * 1000.0
             outputs[engine] = (g_map, wall_ms)
-        reference = next(iter(outputs.values()))[0]
+        ref_engine, (reference, _) = next(iter(outputs.items()))
         for engine, (g_map, _) in outputs.items():
             if g_map != reference:
+                where = _describe_difference(ref_engine, reference, engine, g_map)
                 sys.stderr.write(
-                    f"engine disagreement at D={degree}: {engine} differs\n"
+                    f"engine disagreement at D={degree}: {engine} differs; {where}\n"
                 )
                 return EXIT_VERIFY
         if not verify_inverse(parsed.f_map, reference).ok:
@@ -301,10 +320,6 @@ def _add_common(sub, degree_required=True):
         "--format", choices=("json", "text"), default="json", help="output format"
     )
     sub.add_argument("--output", help="write output to this path instead of stdout")
-    sub.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for parallelizable sums",
-    )
     sub.add_argument(
         "--no-timings", dest="timings", action="store_false",
         help="omit wall-clock fields (byte-stable output)",
@@ -369,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--vars")
     p_b.add_argument("--ring", default="rational")
     p_b.add_argument("--output")
-    p_b.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_b.set_defaults(func=cmd_bench)
 
     return parser

@@ -10,7 +10,7 @@ and the inverse-flow PDE becomes dN_t/dt = (J N_t) N_t.
 
 from __future__ import annotations
 
-from .freealg import NCSeries
+from .freealg import NCSeries, _accumulate, _fixed_point
 from .rings import TQuotientRing
 
 
@@ -54,20 +54,13 @@ class CommPoly:
     @classmethod
     def from_terms(cls, ring, arity, degree, pairs):
         p = cls(ring, arity, degree)
-        add = ring.add
-        is_zero = ring.is_zero
         for expo, c in pairs:
             expo = tuple(expo)
             if len(expo) != arity:
                 raise ValueError("exponent vector has wrong length")
             if sum(expo) > degree:
                 raise ValueError("total degree exceeds truncation")
-            prev = p.terms.get(expo)
-            val = c if prev is None else add(prev, c)
-            if is_zero(val):
-                p.terms.pop(expo, None)
-            else:
-                p.terms[expo] = val
+            _accumulate(p.terms, ((expo, c),), ring.add, ring.is_zero)
         return p
 
     def _check_compatible(self, other):
@@ -104,16 +97,7 @@ class CommPoly:
     def __add__(self, other):
         self._check_compatible(other)
         ring = self.ring
-        add = ring.add
-        is_zero = ring.is_zero
-        terms = dict(self.terms)
-        for expo, c in other.terms.items():
-            prev = terms.get(expo)
-            val = c if prev is None else add(prev, c)
-            if is_zero(val):
-                terms.pop(expo, None)
-            else:
-                terms[expo] = val
+        terms = _accumulate(dict(self.terms), other.terms.items(), ring.add, ring.is_zero)
         return CommPoly(ring, self.arity, self.degree, terms)
 
     def __neg__(self):
@@ -146,52 +130,42 @@ class CommPoly:
         self._check_compatible(other)
         ring = self.ring
         mul = ring.mul
-        add = ring.add
-        is_zero = ring.is_zero
         D = self.degree
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > D:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = mul(c1, c2)
-                prev = out.get(e)
-                val = c if prev is None else add(prev, c)
-                if is_zero(val):
-                    out.pop(e, None)
-                else:
-                    out[e] = val
-        return CommPoly(ring, self.arity, self.degree, out)
+        pairs = (
+            (tuple(a + b for a, b in zip(e1, e2)), mul(c1, c2))
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+            if sum(e1) + sum(e2) <= D
+        )
+        return CommPoly(ring, self.arity, D, _accumulate({}, pairs, ring.add, ring.is_zero))
 
     def __pow__(self, k):
+        """Square-and-multiply; zero at once when order * k exceeds D."""
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        if k and self.order() * k > self.degree:
+            return CommPoly.zero(self.ring, self.arity, self.degree)
         out = CommPoly.one(self.ring, self.arity, self.degree)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def partial(self, i):
         """d/dx_i with the classical power rule."""
         ring = self.ring
-        is_zero = ring.is_zero
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            v = ring.mul_int(c, e[i])
-            if is_zero(v):
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            key = tuple(ne)
-            prev = terms.get(key)
-            val = v if prev is None else ring.add(prev, v)
-            if is_zero(val):
-                terms.pop(key, None)
-            else:
-                terms[key] = val
-        return CommPoly(ring, self.arity, self.degree, terms)
+        pairs = (
+            (e[:i] + (e[i] - 1,) + e[i + 1 :], ring.mul_int(c, e[i]))
+            for e, c in self.terms.items()
+            if e[i]
+        )
+        return CommPoly(
+            ring, self.arity, self.degree, _accumulate({}, pairs, ring.add, ring.is_zero)
+        )
 
     def map_coefficients(self, func, new_ring=None):
         ring = new_ring if new_ring is not None else self.ring
@@ -218,21 +192,12 @@ def abelianize(series: NCSeries) -> CommPoly:
     """Project a noncommutative series to the commutative quotient: each
     word contributes its coefficient at its exponent vector."""
     ring = series.ring
-    out = CommPoly(ring, series.arity, series.degree)
-    add = ring.add
-    is_zero = ring.is_zero
-    for word, c in series.terms():
-        expo = [0] * series.arity
-        for letter in word:
-            expo[letter] += 1
-        key = tuple(expo)
-        prev = out.terms.get(key)
-        val = c if prev is None else add(prev, c)
-        if is_zero(val):
-            out.terms.pop(key, None)
-        else:
-            out.terms[key] = val
-    return out
+    pairs = (
+        (tuple(word.count(i) for i in range(series.arity)), c)
+        for word, c in series.terms()
+    )
+    terms = _accumulate({}, pairs, ring.add, ring.is_zero)
+    return CommPoly(ring, series.arity, series.degree, terms)
 
 
 def abelianize_vector(vector):
@@ -248,7 +213,7 @@ def substitute(poly: CommPoly, vector) -> CommPoly:
         if v.order() < 1:
             raise ValueError(f"substitution component {i + 1} has a constant term")
     ring = poly.ring
-    out = CommPoly.zero(ring, poly.arity, poly.degree)
+    out = {}
     power_cache = {}
 
     def power(i, k):
@@ -263,8 +228,8 @@ def substitute(poly: CommPoly, vector) -> CommPoly:
         for i, k in enumerate(expo):
             if k:
                 prod = prod * power(i, k)
-        out = out + prod
-    return out
+        _accumulate(out, prod.terms.items(), ring.add, ring.is_zero)
+    return CommPoly(ring, poly.arity, poly.degree, out)
 
 
 def substitute_vector(polys, vector):
@@ -304,10 +269,11 @@ def jacobian_power_apply(h_vec, m: int):
 
 
 def _dot_row(row, vec):
-    acc = CommPoly.zero(row[0].ring, row[0].arity, row[0].degree)
+    ring = row[0].ring
+    terms = {}
     for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
+        _accumulate(terms, (a * b).terms.items(), ring.add, ring.is_zero)
+    return CommPoly(ring, row[0].arity, row[0].degree, terms)
 
 
 def inversion_pde_check(h_vec, torder: int) -> bool:
@@ -327,7 +293,7 @@ def inversion_pde_check(h_vec, torder: int) -> bool:
         h.map_coefficients(lambda c: big.times_t(big.embed(c), 1), new_ring=big)
         for h in h_vec
     )
-    m_t = _comm_fixed_point(th)
+    m_t = _fixed_point(th, lambda g: substitute_vector(th, g))
     small = TQuotientRing(ring, torder)
     n_t = tuple(
         s.map_coefficients(big.shift_down).map_coefficients(
@@ -352,17 +318,3 @@ def inversion_pde_check(h_vec, torder: int) -> bool:
         return s.map_coefficients(lambda c: small.restrict(c, torder - 1), new_ring=tiny)
 
     return all(cut(a) == cut(b) for a, b in zip(lhs, rhs))
-
-
-def _comm_fixed_point(h_t):
-    first = h_t[0]
-    ring, n, D = first.ring, first.arity, first.degree
-    variables = [CommPoly.variable(ring, n, D, i) for i in range(n)]
-    m_vec = tuple(CommPoly.zero(ring, n, D) for _ in range(n))
-    for _ in range(D + 1):
-        g = tuple(v + m for v, m in zip(variables, m_vec))
-        new_vec = substitute_vector(h_t, g)
-        if new_vec == m_vec:
-            return m_vec
-        m_vec = new_vec
-    raise AssertionError("commutative fixed point failed to stabilize")

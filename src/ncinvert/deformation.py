@@ -20,7 +20,9 @@ compared at full order K.
 
 from __future__ import annotations
 
-from .freealg import Derivation, FormalMap, NCSeries, compose, compose_vector
+from itertools import accumulate
+
+from .freealg import Derivation, FormalMap, NCSeries, _fixed_point, compose, compose_vector
 from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
 from .rings import TQuotientRing
 
@@ -112,7 +114,7 @@ class DeformedMap:
         self.torder = tring.torder
         self.h_t = h_t
         self.f_t = FormalMap.f_form(h_t)
-        self.m_t = _fixed_point_displacement(h_t)
+        self.m_t = _fixed_point(h_t, lambda g: compose_vector(h_t, FormalMap(g)))
         self.g_t = FormalMap.g_form(self.m_t)
         report = verify_inverse(self.f_t, self.g_t)
         if not report.ok:
@@ -135,25 +137,6 @@ class DeformedMap:
         return Derivation(comps)
 
 
-def _fixed_point_displacement(h_t):
-    first = h_t[0]
-    ring, n, D = first.ring, first.arity, first.degree
-    variables = [NCSeries.variable(ring, n, D, i) for i in range(n)]
-    m_vec = tuple(NCSeries.zero(ring, n, D) for _ in range(n))
-    for _ in range(D + 1):
-        g = FormalMap([v + m for v, m in zip(variables, m_vec)])
-        new_vec = compose_vector(h_t, g)
-        if new_vec == m_vec:
-            return m_vec
-        m_vec = new_vec
-    raise AssertionError("deformed fixed-point iteration failed to stabilize")
-
-
-def deform_invert(h_t) -> DeformedMap:
-    """Invert z - H_t over the t-quotient ring; see :class:`DeformedMap`."""
-    return DeformedMap(h_t)
-
-
 class SpecialDeformation(DeformedMap):
     """The family F_t = z - t*H for a base-ring displacement H.
 
@@ -173,7 +156,7 @@ class SpecialDeformation(DeformedMap):
         base = h_vector[0].ring
         big = TQuotientRing(base, torder + 1)
         big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
-        big_mt = _fixed_point_displacement(big_ht)
+        big_mt = _fixed_point(big_ht, lambda g: compose_vector(big_ht, FormalMap(g)))
         for s in big_mt:
             # M_t = t * N_t: the t-constant part must vanish, or the
             # engine itself is broken
@@ -202,10 +185,6 @@ class SpecialDeformation(DeformedMap):
         return tuple(t_residue_series(s, m - 1) for s in self.n_t)
 
 
-def special_deformation(h_vector, torder) -> SpecialDeformation:
-    return SpecialDeformation(h_vector, torder)
-
-
 def n_sequence_via_deformation(h_vector) -> NSequence:
     """The N-sequence read off the fixed-point inverse of z - t*H.
 
@@ -218,7 +197,7 @@ def n_sequence_via_deformation(h_vector) -> NSequence:
     count = max(D - 1, 0)
     if count == 0:
         return NSequence(first.ring, first.arity, D, [])
-    sd = special_deformation(h_vector, torder=count - 1)
+    sd = SpecialDeformation(h_vector, torder=count - 1)
     terms = [sd.n_term(m) for m in range(1, count + 1)]
     return NSequence(first.ring, first.arity, D, terms)
 
@@ -324,13 +303,12 @@ def check_h_m_structure(sd: SpecialDeformation) -> bool:
     tring = sd.tring
     cs = c_sequence(sd.h_base, sd.torder + 1)
     expect = tuple(
-        NCSeries.zero(tring, sd.arity, sd.degree) for _ in range(sd.arity)
-    )
-    for mm, c_vec in enumerate(cs, start=1):
-        lifted = tuple(
-            t_scale_series(embed_series(s, tring), mm - 1) for s in c_vec
+        NCSeries.sum(
+            tring, sd.arity, sd.degree,
+            (t_scale_series(embed_series(c_vec[i], tring), mm) for mm, c_vec in enumerate(cs)),
         )
-        expect = tuple(a + b for a, b in zip(expect, lifted))
+        for i in range(sd.arity)
+    )
     return t_equal_vector(h.components, expect, km)
 
 
@@ -354,14 +332,14 @@ def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
     )
 
     def evaluated(c):
-        out = tuple(
-            NCSeries.zero(ring, nseq.arity, nseq.degree) for _ in range(nseq.arity)
+        powers = list(accumulate([c] * (len(nseq) - 1), ring.mul, initial=ring.one()))
+        return tuple(
+            NCSeries.sum(
+                ring, nseq.arity, nseq.degree,
+                (vec[i].scale(p) for vec, p in zip(nseq.terms, powers)),
+            )
+            for i in range(nseq.arity)
         )
-        power = ring.one()
-        for vec in nseq.terms:
-            out = tuple(a + s.scale(power) for a, s in zip(out, vec))
-            power = ring.mul(power, c)
-        return out
 
     n_at_t0 = evaluated(t0)
     n_at_sum = evaluated(ring.add(t0, s0))
@@ -373,7 +351,7 @@ def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
 def check_transport_pde(h_vector, u: NCSeries, torder: int) -> bool:
     """U_t := u(G_t) = u(z + t*N_t) solves dU_t/dt = [N_t d/dz] U_t with
     U_{t=0} = u, for base-ring u."""
-    sd = special_deformation(h_vector, torder)
+    sd = SpecialDeformation(h_vector, torder)
     u_t = embed_series(u, sd.tring)
     big_u = compose(u_t, sd.g_t)
     if t_residue_series(big_u, 0) != u:

@@ -11,7 +11,7 @@ Coefficients live in a ring context from :mod:`ncinvert.rings` and commute
 with everything; all noncommutativity is carried by the words.
 
 Series values are immutable by convention: no operation mutates its inputs,
-and results may be shared freely (including across threads).
+and results may be shared freely.
 """
 
 from __future__ import annotations
@@ -27,6 +27,25 @@ INFINITE_ORDER = math.inf
 def word_key(word):
     """Degree-lexicographic sort key."""
     return (len(word), word)
+
+
+def _accumulate(tgt, pairs, add, is_zero):
+    """Add each (key, coefficient) pair into the dict ``tgt``, dropping keys
+    whose coefficient cancels to zero; returns ``tgt``.  Keys are any
+    hashable: words here, exponent vectors in :mod:`ncinvert.commutative`."""
+    for key, c in pairs:
+        prev = tgt.get(key)
+        val = c if prev is None else add(prev, c)
+        if is_zero(val):
+            tgt.pop(key, None)
+        else:
+            tgt[key] = val
+    return tgt
+
+
+def _pruned(buckets):
+    """The degree buckets that still hold terms."""
+    return {d: b for d, b in buckets.items() if b}
 
 
 class NCSeries:
@@ -85,17 +104,8 @@ class NCSeries:
         buckets = {}
         for s in items:
             for d, b in s.buckets.items():
-                tgt = buckets.setdefault(d, {})
-                for w, c in b.items():
-                    prev = tgt.get(w)
-                    val = c if prev is None else add(prev, c)
-                    if is_zero(val):
-                        tgt.pop(w, None)
-                    else:
-                        tgt[w] = val
-        for d in [d for d, b in buckets.items() if not b]:
-            del buckets[d]
-        return cls(ring, arity, degree, buckets)
+                _accumulate(buckets.setdefault(d, {}), b.items(), add, is_zero)
+        return cls(ring, arity, degree, _pruned(buckets))
 
     @classmethod
     def from_terms(cls, ring, arity, degree, terms):
@@ -104,10 +114,7 @@ class NCSeries:
         Words of degree > D are rejected: unlike arithmetic, explicit
         construction with out-of-range words is a caller bug.
         """
-        s = cls(ring, arity, degree)
-        add = ring.add
-        is_zero = ring.is_zero
-        buckets = s.buckets
+        buckets = {}
         for word, c in terms:
             word = tuple(word)
             d = len(word)
@@ -115,16 +122,8 @@ class NCSeries:
                 raise ValueError(f"word of degree {d} exceeds truncation {degree}")
             if any(not 0 <= i < arity for i in word):
                 raise ValueError(f"letter out of range in word {word}")
-            bucket = buckets.setdefault(d, {})
-            prev = bucket.get(word)
-            val = c if prev is None else add(prev, c)
-            if is_zero(val):
-                bucket.pop(word, None)
-            else:
-                bucket[word] = val
-        for d in [d for d, b in buckets.items() if not b]:
-            del buckets[d]
-        return s
+            _accumulate(buckets.setdefault(d, {}), ((word, c),), ring.add, ring.is_zero)
+        return cls(ring, arity, degree, _pruned(buckets))
 
     # -- basic queries -------------------------------------------------
 
@@ -197,21 +196,10 @@ class NCSeries:
     def __add__(self, other):
         self._check_compatible(other)
         ring = self.ring
-        add = ring.add
-        is_zero = ring.is_zero
         buckets = {d: dict(b) for d, b in self.buckets.items()}
         for d, b in other.buckets.items():
-            tgt = buckets.setdefault(d, {})
-            for word, c in b.items():
-                prev = tgt.get(word)
-                val = c if prev is None else add(prev, c)
-                if is_zero(val):
-                    tgt.pop(word, None)
-                else:
-                    tgt[word] = val
-            if not tgt:
-                del buckets[d]
-        return NCSeries(ring, self.arity, self.degree, buckets)
+            _accumulate(buckets.setdefault(d, {}), b.items(), ring.add, ring.is_zero)
+        return NCSeries(ring, self.arity, self.degree, _pruned(buckets))
 
     def __neg__(self):
         neg = self.ring.neg
@@ -258,27 +246,26 @@ class NCSeries:
                 d = d1 + d2
                 if d > D:
                     continue
-                tgt = out.setdefault(d, {})
-                for w1, c1 in b1.items():
-                    for w2, c2 in b2.items():
-                        w = w1 + w2
-                        c = rmul(c1, c2)
-                        prev = tgt.get(w)
-                        val = c if prev is None else radd(prev, c)
-                        if is_zero(val):
-                            tgt.pop(w, None)
-                        else:
-                            tgt[w] = val
-        for d in [d for d, b in out.items() if not b]:
-            del out[d]
-        return NCSeries(ring, self.arity, self.degree, out)
+                pairs = [
+                    (w1 + w2, rmul(c1, c2)) for w1, c1 in b1.items() for w2, c2 in b2.items()
+                ]
+                _accumulate(out.setdefault(d, {}), pairs, radd, is_zero)
+        return NCSeries(ring, self.arity, self.degree, _pruned(out))
 
     def __pow__(self, k: int):
+        """Square-and-multiply; zero at once when order * k exceeds D."""
         if k < 0:
             raise ValueError("negative power of a series")
+        if k and self.order() * k > self.degree:
+            return NCSeries.zero(self.ring, self.arity, self.degree)
         out = NCSeries.one(self.ring, self.arity, self.degree)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- structural helpers ------------------------------------------------
@@ -492,12 +479,15 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
         cache = {}
     if () not in cache:
         cache[()] = NCSeries.one(u.ring, u.arity, u.degree)
-    out = NCSeries.zero(u.ring, u.arity, u.degree)
+    ring = u.ring
+    rmul = ring.mul
+    out = {}
     for word, c in u.terms():
         prod = _word_product(word, f_map.components, cache)
-        if not prod.is_zero():
-            out = out + prod.scale(c)
-    return out
+        for d, b in prod.buckets.items():
+            pairs = [(w, rmul(c, x)) for w, x in b.items()]
+            _accumulate(out.setdefault(d, {}), pairs, ring.add, ring.is_zero)
+    return NCSeries(ring, u.arity, u.degree, _pruned(out))
 
 
 def _word_product(word, components, cache):
@@ -525,6 +515,26 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     if cache is None:
         cache = {}
     return tuple(compose(u, f_map, cache) for u in vector)
+
+
+def _fixed_point(h_vector, substitute):
+    """Iterate M <- substitute(z + M) from M = 0 until M stops changing.
+
+    ``h_vector`` fixes the kind (NCSeries or commutative polynomials), ring,
+    arity and truncation D of M; ``substitute`` maps the tuple of components
+    of z + M to the next M.  When o(H) >= 2 each pass freezes one more
+    degree, so the loop settles within D + 1 passes.
+    """
+    first = h_vector[0]
+    kind, ring, n, D = type(first), first.ring, first.arity, first.degree
+    variables = [kind.variable(ring, n, D, i) for i in range(n)]
+    m_vec = tuple(kind.zero(ring, n, D) for _ in range(n))
+    for _ in range(D + 1):
+        new_vec = substitute(tuple(v + m for v, m in zip(variables, m_vec)))
+        if new_vec == m_vec:
+            return m_vec
+        m_vec = new_vec
+    raise AssertionError("fixed-point iteration failed to stabilize")
 
 
 # ---------------------------------------------------------------------------
@@ -578,41 +588,29 @@ class Derivation:
         if f.arity != self.arity or f.degree != self.degree or f.ring != self.ring:
             raise ValueError("derivation/series arity, degree or ring mismatch")
         ring = self.ring
-        radd = ring.add
         rmul = ring.mul
-        is_zero = ring.is_zero
         D = self.degree
-        # letter -> [(degree, [(word, coeff), ...]), ...] or None when zero
+        # letter -> {degree: [(word, coeff), ...]}
         prepared = [
-            [(du, list(b.items())) for du, b in sorted(u.buckets.items())] or None
+            {du: list(b.items()) for du, b in u.buckets.items()}
             for u in self.components
         ]
+        degrees = sorted({du for u in self.components for du in u.buckets})
         out = {}
+        # one pass per (degree of f, degree of the components) pair, feeding
+        # every letter position of every word of that degree
         for d, bucket in f.buckets.items():
-            room = D - (d - 1)
-            for word, c in bucket.items():
-                for j, letter in enumerate(word):
-                    payload = prepared[letter]
-                    if payload is None:
-                        continue
-                    head = word[:j]
-                    tail = word[j + 1 :]
-                    for du, pairs in payload:
-                        if du > room:
-                            break
-                        tgt = out.setdefault(d - 1 + du, {})
-                        for uw, uc in pairs:
-                            w = head + uw + tail
-                            v = rmul(c, uc)
-                            prev = tgt.get(w)
-                            val = v if prev is None else radd(prev, v)
-                            if is_zero(val):
-                                tgt.pop(w, None)
-                            else:
-                                tgt[w] = val
-        for d in [d for d, b in out.items() if not b]:
-            del out[d]
-        return NCSeries(ring, self.arity, D, out)
+            for du in degrees:
+                if d - 1 + du > D:
+                    break
+                pairs = [
+                    (word[:j] + uw + word[j + 1 :], rmul(c, uc))
+                    for word, c in bucket.items()
+                    for j, letter in enumerate(word)
+                    for uw, uc in prepared[letter].get(du, ())
+                ]
+                _accumulate(out.setdefault(d - 1 + du, {}), pairs, ring.add, ring.is_zero)
+        return NCSeries(ring, self.arity, D, _pruned(out))
 
     def apply_vector(self, vector):
         return tuple(self.apply(f) for f in vector)

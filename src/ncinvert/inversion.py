@@ -19,11 +19,14 @@ m >= D are invisible at truncation degree D, so engines compute D-1 of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .freealg import (
     Derivation,
     FormalMap,
     NCSeries,
+    _fixed_point,
+    compose,
     compose_vector,
     word_key,
 )
@@ -64,14 +67,6 @@ def _vector_meta(h_vector):
     return h_vector, first.ring, first.arity, first.degree
 
 
-def _zero_vector(ring, n, D):
-    return tuple(NCSeries.zero(ring, n, D) for _ in range(n))
-
-
-def _vector_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
@@ -83,17 +78,8 @@ def invert_fixed_point(h_vector) -> FormalMap:
     Each pass freezes one more degree, so at truncation D the iteration
     reaches its fixed point within D steps; works over any coefficient ring.
     """
-    h_vector, ring, n, D = _vector_meta(h_vector)
-    m_vec = _zero_vector(ring, n, D)
-    variables = [NCSeries.variable(ring, n, D, i) for i in range(n)]
-    for _ in range(D + 1):
-        g = FormalMap([v + m for v, m in zip(variables, m_vec)])
-        new_vec = compose_vector(h_vector, g)
-        if new_vec == m_vec:
-            break
-        m_vec = new_vec
-    else:
-        raise AssertionError("fixed-point iteration failed to stabilize")
+    h_vector = _vector_meta(h_vector)[0]
+    m_vec = _fixed_point(h_vector, lambda g: compose_vector(h_vector, FormalMap(g)))
     return FormalMap.g_form(m_vec)
 
 
@@ -121,12 +107,11 @@ class NSequence:
     def assemble(self, t0) -> FormalMap:
         """The map z + sum_m t0^m N_[m]; at t0 = 1 the inverse of z - H."""
         ring, n, D = self.ring, self.arity, self.degree
-        m_vec = _zero_vector(ring, n, D)
-        power = t0
-        for vec in self.terms:
-            m_vec = _vector_add(m_vec, tuple(s.scale(power) for s in vec))
-            power = ring.mul(power, t0)
-        return FormalMap.g_form(m_vec)
+        powers = list(accumulate([t0] * len(self.terms), ring.mul))
+        return FormalMap.g_form(
+            NCSeries.sum(ring, n, D, (vec[i].scale(p) for vec, p in zip(self.terms, powers)))
+            for i in range(n)
+        )
 
     def validate_bounds(self, h_vector):
         """Check the order / degree / homogeneity bounds of every term.
@@ -151,18 +136,17 @@ class NSequence:
                     assert s.is_homogeneous() and s.poly_degree() == (d - 1) * m + 1
 
 
-def assemble_inverse(nseq: NSequence, t0) -> FormalMap:
-    return nseq.assemble(t0)
-
-
 def convolution_sum(terms, m):
     """sum_{k+l=m, k,l>=1} [N_[k] d/dz] N_[l] from terms[0..m-2]."""
     first = terms[0][0]
-    out = _zero_vector(first.ring, first.arity, first.degree)
-    for k in range(1, m):
-        delta = Derivation(terms[k - 1])
-        out = _vector_add(out, delta.apply_vector(terms[m - k - 1]))
-    return out
+    ring, n, D = first.ring, first.arity, first.degree
+    deltas = [Derivation(terms[k - 1]) for k in range(1, m)]
+    return tuple(
+        NCSeries.sum(
+            ring, n, D, (deltas[k - 1].apply(terms[m - k - 1][i]) for k in range(1, m))
+        )
+        for i in range(n)
+    )
 
 
 def c_sequence(h_vector, count: int):
@@ -231,17 +215,15 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     variables = [NCSeries.variable(tring, n, D, i) for i in range(n)]
     shifted = FormalMap([v - h for v, h in zip(variables, th)])
     cache = {}
-    acc = _zero_vector(ring, n, D)
-    for l in range(1, m):
-        nl = tuple(_embed_t_constant(s, tring) for s in prev_terms[l - 1])
-        image = compose_vector(nl, shifted, cache)
-        j = m - l
-        extracted = tuple(
-            s.map_coefficients(lambda c: tring.residue_at(c, j), new_ring=ring)
-            for s in image
-        )
-        acc = _vector_add(acc, extracted)
-    return tuple(-s for s in acc)
+
+    def extracted(i, l):
+        image = compose(_embed_t_constant(prev_terms[l - 1][i], tring), shifted, cache)
+        return image.map_coefficients(lambda c: tring.residue_at(c, m - l), new_ring=ring)
+
+    return tuple(
+        -NCSeries.sum(ring, n, D, (extracted(i, l) for l in range(1, m)))
+        for i in range(n)
+    )
 
 
 def n_seq_charp_direct(h_vector) -> NSequence:
@@ -369,9 +351,12 @@ class VerifyReport:
         }
 
 
-def _first_residual(composed: FormalMap):
+def _first_residual(residuals):
+    """(sort key, component index, word, coefficient) of the
+    degree-lexicographically first nonzero term of a vector of series, the
+    lower component first on a tie; None if every series is zero."""
     best = None
-    for i, residual in enumerate(composed.displacement()):
+    for i, residual in enumerate(residuals):
         for word, c in residual.terms():
             cand = (word_key(word), i, word, c)
             if best is None or cand[:2] < best[:2]:
@@ -390,7 +375,7 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
         raise ValueError("maps disagree in arity, degree or ring")
     failures = []
     for side, left, right in (("F(G)", f_map, g_map), ("G(F)", g_map, f_map)):
-        hit = _first_residual(left.after(right))
+        hit = _first_residual(left.after(right).displacement())
         if hit is not None:
             key, i, word, c = hit
             failures.append((key, side, i, word, c))
@@ -413,7 +398,7 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def invert(h_vector, engine=ENGINE_FIXED_POINT, threads=1) -> FormalMap:
+def invert(h_vector, engine=ENGINE_FIXED_POINT) -> FormalMap:
     """Run the selected engine on the displacement vector H of z - H."""
     h_vector = tuple(h_vector)
     ring = h_vector[0].ring
@@ -432,7 +417,7 @@ def invert(h_vector, engine=ENGINE_FIXED_POINT, threads=1) -> FormalMap:
     if engine == ENGINE_TREE:
         from . import trees
 
-        return trees.invert_tree(h_vector, threads=threads)
+        return trees.invert_tree(h_vector)
     if engine == ENGINE_CHARP_DIRECT:
         return invert_charp_direct(h_vector)
     return invert_charp_lift(h_vector)

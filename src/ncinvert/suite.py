@@ -16,6 +16,8 @@ from fractions import Fraction
 from . import trees
 from .commutative import abelianize_vector, inversion_pde_check, jacobian_power_apply
 from .deformation import (
+    DeformedMap,
+    SpecialDeformation,
     check_composed_with_forward_map,
     check_h_m_structure,
     check_inverse_flow_identities,
@@ -24,10 +26,8 @@ from .deformation import (
     check_shifted_inverse_family,
     check_substitution_flow,
     check_transport_pde,
-    deform_invert,
     embed_series,
     n_sequence_via_deformation,
-    special_deformation,
     t_derivative_series,
     t_derivative_vector,
     t_equal,
@@ -155,7 +155,7 @@ def _parameter_chain_rule(rng, bounds):
     # d/dt of u_t(F_t) = (du_t/dt)(F_t) + ([dF_t/dt(G_t) d/dz] u_t)(F_t)
     n, D, K = bounds.draw(rng)
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     tring = d.tring
     u_t = embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), tring)
     u_t = u_t + t_scale_series(
@@ -173,14 +173,14 @@ def _parameter_chain_rule(rng, bounds):
 def _inverse_flow(rng, bounds):
     n, D, K = bounds.draw(rng)
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
-    return check_inverse_flow_identities(deform_invert(h_t))
+    return check_inverse_flow_identities(DeformedMap(h_t))
 
 
 @register("pushforward-swap")
 def _pushforward_swap(rng, bounds):
     n, D, K = bounds.draw(rng)
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
-    return check_pushforward_swap(deform_invert(h_t))
+    return check_pushforward_swap(DeformedMap(h_t))
 
 
 @register("substitution-flow")
@@ -188,7 +188,7 @@ def _substitution_flow(rng, bounds):
     n, D, K = bounds.draw(rng)
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
     u = random_series(rng, QQ, n, D, 0, 3, terms=3)
-    return check_substitution_flow(deform_invert(h_t), u)
+    return check_substitution_flow(DeformedMap(h_t), u)
 
 
 @register("inversion-pde")
@@ -196,7 +196,7 @@ def _inversion_pde(rng, bounds):
     n, D, K = bounds.draw(rng)
     ring = QQ if rng.random() < 0.7 else PrimeField(rng.choice([2, 3, 5]))
     h = random_displacement(rng, ring, n, D)
-    return check_inversion_pde(special_deformation(h, K))
+    return check_inversion_pde(SpecialDeformation(h, K))
 
 
 @register("special-composition-readback")
@@ -204,14 +204,14 @@ def _special_composition(rng, bounds):
     # N_t composed with the forward map returns H, exactly at t-order D
     n, D, _ = bounds.draw(rng)
     h = random_displacement(rng, QQ, n, D)
-    return check_composed_with_forward_map(special_deformation(h, D))
+    return check_composed_with_forward_map(SpecialDeformation(h, D))
 
 
 @register("deformation-generators")
 def _deformation_generators(rng, bounds):
     n, D, K = bounds.draw(rng)
     h = random_displacement(rng, QQ, n, D)
-    return check_h_m_structure(special_deformation(h, K))
+    return check_h_m_structure(SpecialDeformation(h, K))
 
 
 @register("abelianized-iterates")

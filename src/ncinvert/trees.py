@@ -14,7 +14,6 @@ testable identities shipped here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .freealg import Derivation, FormalMap, NCSeries
@@ -68,11 +67,6 @@ class PBTree:
 LEAF = PBTree()
 
 
-def graft(left: PBTree, right: PBTree) -> PBTree:
-    """Join two trees under a new root (the binary grafting operator)."""
-    return PBTree(left, right)
-
-
 def enumerate_pbtrees(m: int):
     """All planar binary trees with m leaves, in a fixed deterministic order
     (left leaf count ascending, then recursively); Catalan(m-1) of them."""
@@ -82,7 +76,7 @@ def enumerate_pbtrees(m: int):
     for size in range(2, m + 1):
         out.append(
             [
-                graft(a, b)
+                PBTree(a, b)
                 for k in range(1, size)
                 for a in out[k]
                 for b in out[size - k]
@@ -181,7 +175,7 @@ def _tree_series(tree, h_vector, memo):
     return result
 
 
-def tree_expansion_term(h_vector, m: int, memo=None, threads: int = 1):
+def tree_expansion_term(h_vector, m: int, memo=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
     Trees sharing a factorial are summed first and divided once per group;
@@ -202,31 +196,23 @@ def tree_expansion_term(h_vector, m: int, memo=None, threads: int = 1):
     for tree in enumerate_pbtrees(m):
         groups.setdefault(reduced_factorial(tree), []).append(tree)
 
-    def group_sum(trees):
-        vecs = [_tree_series(t, h_vector, memo) for t in trees]
-        return tuple(
-            NCSeries.sum(ring, n, D, [v[i] for v in vecs]) for i in range(n)
-        )
-
-    items = sorted(groups.items())
-    if threads > 1 and len(items) > 1:
-        # group sums are pure; the shared memo may be filled concurrently
-        # with identical values, which is harmless
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            summed = list(pool.map(lambda kv: group_sum(kv[1]), items))
-    else:
-        summed = [group_sum(trees) for _, trees in items]
     weighted = []
-    for (w, _), vec in zip(items, summed):
+    for w, trees in sorted(groups.items()):
+        vecs = [_tree_series(t, h_vector, memo) for t in trees]
         weighted.append(
-            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in vec)
+            tuple(
+                NCSeries.sum(ring, n, D, [v[i] for v in vecs]).map_coefficients(
+                    lambda c: ring.div_by_int(c, w)
+                )
+                for i in range(n)
+            )
         )
     return tuple(
         NCSeries.sum(ring, n, D, [vec[i] for vec in weighted]) for i in range(n)
     )
 
 
-def invert_tree(h_vector, threads: int = 1) -> FormalMap:
+def invert_tree(h_vector) -> FormalMap:
     """The tree-expansion engine: z + sum_m N_[m] with N_[m] summed over
     trees; equals the other characteristic-0 engines term for term."""
     h_vector = tuple(h_vector)
@@ -235,12 +221,11 @@ def invert_tree(h_vector, threads: int = 1) -> FormalMap:
     for i, h in enumerate(h_vector):
         if h.order() < 2:
             raise ValueError(f"H component {i + 1} has order {h.order()}, need >= 2")
-    m_vec = tuple(NCSeries.zero(ring, n, D) for _ in range(n))
     memo = {}
-    for m in range(1, D):
-        term = tree_expansion_term(h_vector, m, memo=memo, threads=threads)
-        m_vec = tuple(a + b for a, b in zip(m_vec, term))
-    return FormalMap.g_form(m_vec)
+    terms = [tree_expansion_term(h_vector, m, memo=memo) for m in range(1, D)]
+    return FormalMap.g_form(
+        NCSeries.sum(ring, n, D, (term[i] for term in terms)) for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

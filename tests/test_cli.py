@@ -4,8 +4,12 @@ import io
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
+import ncinvert.cli as cli
 from ncinvert.cli import main
+from ncinvert.freealg import FormalMap, NCSeries
 
 PAPER_MAP = "x - (y*x - x*y); y"
 
@@ -201,6 +205,54 @@ def test_bench_csv_shape_and_monotone_terms(capsys):
         assert counts == sorted(counts)
     # equal term counts across engines at each degree
     assert per_engine["fixed-point"] == per_engine["recurrent"]
+
+
+def test_bench_rejects_an_empty_degree_list(capsys):
+    for degrees in ("5:3", ","):
+        code, out, err = run_cli(
+            capsys, "bench", "--expr", PAPER_MAP, "--vars", "x,y", "--degrees", degrees,
+        )
+        assert code == 3
+        assert out == ""
+        assert "no truncation degree" in err
+
+
+def test_bench_reports_where_engines_differ(capsys, monkeypatch):
+    real_invert = cli.invert
+
+    def skewed_invert(h_vector, engine):
+        g_map = real_invert(h_vector, engine=engine)
+        if engine != "recurrent":
+            return g_map
+        first = g_map.components[0]
+        bump = NCSeries.from_terms(
+            first.ring, first.arity, first.degree, [((1, 0), Fraction(1, 7))]
+        )
+        return FormalMap((first + bump,) + g_map.components[1:])
+
+    monkeypatch.setattr(cli, "invert", skewed_invert)
+    code, _, err = run_cli(
+        capsys, "bench", "--expr", PAPER_MAP, "--vars", "x,y", "--degrees", "4",
+        "--engines", "fixed-point,recurrent",
+    )
+    assert code == 4
+    assert err == (
+        "engine disagreement at D=4: recurrent differs; "
+        "component 1, word z2z1: fixed-point has 1, recurrent has 8/7\n"
+    )
+
+
+def test_huge_power_inverts_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "invert", "--expr", "x - x^1000000000", "--vars", "x", "-d", "4",
+        "--no-timings",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["map"][0]["terms"] == [{"word": [1], "coeff": "1"}]
 
 
 def test_check_identities_alias(capsys):

@@ -96,6 +96,21 @@ def test_substitution_truncates():
     out = substitute(p, (x + x * x,))
     # (z + z^2)^2 = z^2 + 2 z^3 + ... truncated at 3
     assert out.terms == {(2,): Fraction(1), (3,): Fraction(2)}
+    # terms of different monomials that cancel after substitution
+    y = CommPoly.variable(QQ, 2, 3, 1)
+    x2 = CommPoly.variable(QQ, 2, 3, 0)
+    assert substitute(x2 * x2 - y, (x2, x2 * x2)).terms == {}
+
+
+def test_power_equals_repeated_product():
+    x = CommPoly.variable(QQ, 2, 5, 0)
+    one = CommPoly.one(QQ, 2, 5)
+    p = one + x + CommPoly.variable(QQ, 2, 5, 1).scale_int(-2)
+    prod = one
+    for k in range(8):
+        assert p ** k == prod
+        prod = prod * p
+    assert (x ** (10**9)).is_zero()
 
 
 def test_commutative_pde_zero_and_catalan():

@@ -7,6 +7,7 @@ import pytest
 
 from ncinvert.deformation import (
     DeformedMap,
+    SpecialDeformation,
     check_composed_with_forward_map,
     check_h_m_structure,
     check_inverse_flow_identities,
@@ -15,10 +16,8 @@ from ncinvert.deformation import (
     check_shifted_inverse_family,
     check_substitution_flow,
     check_transport_pde,
-    deform_invert,
     embed_series,
     n_sequence_via_deformation,
-    special_deformation,
     t_derivative_series,
     t_derivative_vector,
     t_equal,
@@ -44,14 +43,14 @@ def commutator_displacement(ring, degree):
 def test_zero_deformation_inverts_to_identity():
     tring = TQuotientRing(QQ, 3)
     h_t = (NCSeries.zero(tring, 2, 4), NCSeries.zero(tring, 2, 4))
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     assert d.g_t.is_identity()
 
 
 def test_deformed_inverse_is_verified_on_construction():
     rng = random.Random(4)
     h_t = random_deformed_displacement(rng, QQ, 2, 5, 3)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     assert verify_inverse(d.f_t, d.g_t).ok
     assert all(s.order() >= 2 for s in d.m_t)
 
@@ -66,7 +65,7 @@ def test_special_deformation_matches_sequence_readout():
     # M_t = t * N_t and the t-coefficients of N_t are the N-sequence
     D = 6
     h = commutator_displacement(QQ, D)
-    sd = special_deformation(h, torder=4)
+    sd = SpecialDeformation(h, torder=4)
     assert sd.n_term(1) == h
     nseq = n_seq_recurrent(h)
     for m in range(1, 6):
@@ -79,7 +78,7 @@ def test_squared_parameter_shifts_orders():
     h = commutator_displacement(QQ, D)
     tring = TQuotientRing(QQ, K)
     h_t = tuple(t_scale_series(embed_series(s, tring), 2) for s in h)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     for s in d.m_t:
         for j in (0, 1):
             assert t_residue_series(s, j).is_zero()
@@ -90,20 +89,20 @@ def test_inverse_flow_identities_random():
     for _ in range(4):
         n = rng.choice([1, 2, 3])
         h_t = random_deformed_displacement(rng, QQ, n, 5, 4)
-        assert check_inverse_flow_identities(deform_invert(h_t))
+        assert check_inverse_flow_identities(DeformedMap(h_t))
 
 
 def test_pushforward_swap_random():
     rng = random.Random(22)
     for _ in range(3):
         h_t = random_deformed_displacement(rng, QQ, 2, 5, 3)
-        assert check_pushforward_swap(deform_invert(h_t))
+        assert check_pushforward_swap(DeformedMap(h_t))
 
 
 def test_substitution_flow_random_and_edge_cases():
     rng = random.Random(23)
     h_t = random_deformed_displacement(rng, QQ, 2, 6, 4)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     # u = z_i reduces to the basic flow identities
     assert check_substitution_flow(d, NCSeries.variable(QQ, 2, 6, 0))
     # constants are annihilated on both sides
@@ -115,7 +114,7 @@ def test_composition_flow_pdes_directly():
     # dU_t/dt = -h(t) U_t for U_t = u(F_t); dV_t/dt = m(t) V_t for V_t = u(G_t)
     rng = random.Random(24)
     h_t = random_deformed_displacement(rng, QQ, 2, 5, 4)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     u = random_series(rng, QQ, 2, 5, 0, 3, terms=3)
     u_t = embed_series(u, d.tring)
     big_u = compose(u_t, d.f_t)
@@ -132,7 +131,7 @@ def test_parameter_chain_rule():
     rng = random.Random(25)
     n, D, K = 2, 5, 4
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
-    d = deform_invert(h_t)
+    d = DeformedMap(h_t)
     u_t = embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), d.tring)
     u_t = u_t + t_scale_series(
         embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), d.tring), 2
@@ -149,13 +148,13 @@ def test_inversion_pde_and_boundary():
     rng = random.Random(26)
     for ring in (QQ, PrimeField(5)):
         h = random_displacement(rng, ring, 2, 5)
-        sd = special_deformation(h, torder=4)
+        sd = SpecialDeformation(h, torder=4)
         assert check_inversion_pde(sd)
 
 
 def test_inversion_pde_rejects_mutation():
     h = commutator_displacement(QQ, 5)
-    sd = special_deformation(h, torder=3)
+    sd = SpecialDeformation(h, torder=3)
 
     def mutate(n_t):
         bump = NCSeries.from_terms(
@@ -169,13 +168,13 @@ def test_inversion_pde_rejects_mutation():
 def test_h_m_structure():
     rng = random.Random(27)
     h = random_displacement(rng, QQ, 2, 5)
-    assert check_h_m_structure(special_deformation(h, torder=4))
+    assert check_h_m_structure(SpecialDeformation(h, torder=4))
 
 
 def test_composed_with_forward_map_full_order():
     rng = random.Random(28)
     h = random_displacement(rng, QQ, 2, 5)
-    assert check_composed_with_forward_map(special_deformation(h, torder=5))
+    assert check_composed_with_forward_map(SpecialDeformation(h, torder=5))
 
 
 def test_shifted_inverse_family_cases():
@@ -206,5 +205,5 @@ def test_oracle_sequence_equals_recurrent_sequence():
 
 def test_star_action_swap_over_special_family():
     h = commutator_displacement(QQ, 4)
-    sd = special_deformation(h, torder=3)
+    sd = SpecialDeformation(h, torder=3)
     assert check_pushforward_swap(sd)

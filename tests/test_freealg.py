@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncinvert.commutative import CommPoly, abelianize, abelianize_vector, substitute
 from ncinvert.freealg import (
     Derivation,
     FormalMap,
     INFINITE_ORDER,
     NCSeries,
     SeriesMatrix,
+    _word_product,
     compose,
     compose_vector,
     jacobian_tilde,
@@ -313,3 +315,74 @@ def test_tquotient_coefficients_supported():
     tx = x.scale(tring.t_power(1))
     prod = tx * tx
     assert prod.coefficient((0, 0)) == tring.t_power(2)
+
+
+def test_power_equals_repeated_product():
+    rng = random.Random(8)
+    for ring in (QQ, PrimeField(3)):
+        # terms of degree 0 keep high powers nonzero
+        s = random_series(rng, ring, 2, 6, 0, 2, terms=3)
+        prod = NCSeries.one(ring, 2, 6)
+        for k in range(9):
+            assert s ** k == prod
+            prod = prod * s
+
+
+def test_power_past_the_truncation_is_zero_at_once():
+    x = NCSeries.variable(QQ, 2, 4, 0)
+    assert (x ** (10**9)).is_zero()
+    assert (x ** 4).coefficient((0, 0, 0, 0)) == 1
+    assert (NCSeries.zero(QQ, 2, 4) ** 0) == NCSeries.one(QQ, 2, 4)
+
+
+# rings in which sums cancel (QQ, GF(3)) and in which products of nonzero
+# coefficients vanish too (t * t^2 = 0 in QQ[t]/(t^3))
+KERNEL_RINGS = (QQ, PrimeField(3), TQuotientRing(QQ, 2))
+
+
+@st.composite
+def coefficients(draw, ring, min_t):
+    c = ring.from_int(draw(st.integers(-2, 2)))
+    if isinstance(ring, TQuotientRing):
+        c = ring.times_t(c, draw(st.integers(min_t, ring.torder)))
+    return c
+
+
+@st.composite
+def sparse_series(draw, ring, n, D, min_deg):
+    # over the t-quotient the map's coefficients are multiples of t, so that
+    # most products of two or three of them vanish
+    words = st.lists(st.integers(0, n - 1), min_size=min_deg, max_size=D).map(tuple)
+    terms = draw(st.lists(st.tuples(words, coefficients(ring, min_deg)), max_size=6))
+    return NCSeries.from_terms(ring, n, D, terms)
+
+
+def _substitute_copy_per_term(poly, vector):
+    """commutative.substitute as a fold with +, one product per term."""
+    ring, n, D = poly.ring, poly.arity, poly.degree
+    out = CommPoly.zero(ring, n, D)
+    for expo, c in poly.sorted_terms():
+        prod = CommPoly.constant(ring, n, D, c)
+        for i, k in enumerate(expo):
+            for _ in range(k):
+                prod = prod * vector[i]
+        out = out + prod
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_compose_matches_word_by_word_reference(data):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    n = data.draw(st.integers(1, 2))
+    D = data.draw(st.integers(1, 4))
+    u = data.draw(sparse_series(ring, n, D, 0))
+    f_map = FormalMap([data.draw(sparse_series(ring, n, D, 1)) for _ in range(n)])
+    one = NCSeries.one(ring, n, D)
+    expect = NCSeries.sum(
+        ring, n, D,
+        (_word_product(w, f_map.components, {(): one}).scale(c) for w, c in u.terms()),
+    )
+    assert compose(u, f_map) == expect
+    poly, vector = abelianize(u), abelianize_vector(f_map.components)
+    assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)

@@ -9,7 +9,6 @@ from ncinvert.deformation import n_sequence_via_deformation
 from ncinvert.freealg import FormalMap, NCSeries
 from ncinvert.inversion import (
     alt_recurrent_step,
-    assemble_inverse,
     c_sequence,
     convolution_sum,
     engines_for_ring,
@@ -113,7 +112,7 @@ def test_recurrent_refuses_prime_characteristic():
 def test_assemble_at_zero_is_identity():
     h = commutator_displacement(QQ, 5)
     nseq = n_seq_recurrent(h)
-    assert assemble_inverse(nseq, QQ.zero()).is_identity()
+    assert nseq.assemble(QQ.zero()).is_identity()
 
 
 def test_assemble_at_one_matches_geometric_sum():

@@ -93,6 +93,29 @@ def test_prime_field_rejects_composite_modulus():
         PrimeField(1)
 
 
+def test_prime_field_modulus_check_matches_trial_division():
+    def trial(p):
+        return p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    for p in range(3000):
+        if trial(p):
+            assert PrimeField(p).p == p
+        else:
+            with pytest.raises(ValueError):
+                PrimeField(p)
+
+
+def test_prime_field_large_moduli():
+    assert PrimeField(2**61 - 1).characteristic == 2**61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(2147483647 * 2147483629)
+    # a strong pseudoprime to every prime base up to 37
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(3317044064679887385961981)
+
+
 @pytest.mark.parametrize("a", range(5))
 def test_gf5_fermat(a):
     assert GF5.pow(a, 5) == a

@@ -17,7 +17,6 @@ from ncinvert.trees import (
     factorial_identity_check,
     factorial_reciprocal_sum,
     gf_identity_check,
-    graft,
     invert_tree,
     reduced_factorial,
     reduced_tree,
@@ -87,7 +86,7 @@ def test_malformed_node_rejected():
 
 def test_reduced_factorial_base_cases():
     assert reduced_factorial(LEAF) == 1
-    assert reduced_factorial(graft(LEAF, LEAF)) == 1
+    assert reduced_factorial(PBTree(LEAF, LEAF)) == 1
     assert [reduced_factorial(t) for t in enumerate_pbtrees(3)] == [2, 2]
 
 
@@ -182,12 +181,6 @@ def test_expansion_needs_characteristic_zero():
         tree_expansion_term(h, 2)
     with pytest.raises(ValueError):
         invert_tree(h)
-
-
-def test_threaded_sum_is_identical():
-    rng = random.Random(99)
-    h = random_displacement(rng, QQ, 2, 7)
-    assert invert_tree(h, threads=4) == invert_tree(h, threads=1)
 
 
 def test_engine_completes_through_429_trees():
