@@ -1,7 +1,7 @@
 """Exact inversion of formal maps z - H(z) in noncommutative variables.
 
 The package provides truncated noncommutative power series over exact
-coefficient rings, four mutually checking inversion engines (fixed-point
+coefficient rings, five mutually checking inversion engines (fixed-point
 substitution, the characteristic-0 recurrence, the characteristic-p
 direct/lift pair, and the planar-binary-tree expansion), the t-deformation
 machinery behind them, the commutative quotient, and a CLI front end.

@@ -10,8 +10,9 @@ and the inverse-flow PDE becomes dN_t/dt = (J N_t) N_t.
 
 from __future__ import annotations
 
-from .freealg import NCSeries, _accumulate, _fixed_point
-from .rings import TQuotientRing
+from .deformation import solves_cauchy_problem, special_inverse
+from .freealg import NCSeries
+from .rings import _accumulate
 
 
 class CommPoly:
@@ -281,40 +282,10 @@ def inversion_pde_check(h_vec, torder: int) -> bool:
     inverting z - t*H in commuting variables, dN_t/dt = (J N_t) N_t.
 
     N_t is produced by an independent fixed-point inversion over the
-    t-quotient ring, so this check does not assume the PDE anywhere.
+    t-quotient ring, and the right-hand side by the Jacobian calculus of this
+    module, so this check does not assume the PDE anywhere.
     """
     h_vec = tuple(h_vec)
-    first = h_vec[0]
-    ring, n, D = first.ring, first.arity, first.degree
-    if any(h.order() < 2 for h in h_vec):
-        raise ValueError("displacement must have order >= 2")
-    big = TQuotientRing(ring, torder + 1)
-    th = tuple(
-        h.map_coefficients(lambda c: big.times_t(big.embed(c), 1), new_ring=big)
-        for h in h_vec
-    )
-    m_t = _fixed_point(th, lambda g: substitute_vector(th, g))
-    small = TQuotientRing(ring, torder)
-    n_t = tuple(
-        s.map_coefficients(big.shift_down).map_coefficients(
-            lambda c: big.restrict(c, torder), new_ring=small
-        )
-        for s in m_t
-    )
-    boundary = tuple(
-        s.map_coefficients(lambda c: small.residue_at(c, 0), new_ring=ring)
-        for s in n_t
-    )
-    if list(boundary) != list(h_vec):
-        return False
-    if torder == 0:
-        return True
-    lhs = tuple(s.map_coefficients(small.t_derivative) for s in n_t)
-    jn = jacobian(n_t)
-    rhs = tuple(_dot_row(jn[i], n_t) for i in range(n))
-    tiny = TQuotientRing(ring, torder - 1)
-
-    def cut(s):
-        return s.map_coefficients(lambda c: small.restrict(c, torder - 1), new_ring=tiny)
-
-    return all(cut(a) == cut(b) for a, b in zip(lhs, rhs))
+    _, _, n_t = special_inverse(h_vec, torder, substitute_vector)
+    # (J N_t) N_t is the m = 2 term of (J N)^(m-1) N
+    return solves_cauchy_problem(n_t, h_vec, lambda v: jacobian_power_apply(v, 2))

@@ -12,6 +12,11 @@ z + t*N_t(z), where N_t solves the inviscid-Burgers-like Cauchy problem
 dN_t/dt = [N_t d/dz] N_t with N_0 = H.  Everything in this module is an
 executable, exact check of one of those facts.
 
+Two helpers serve the noncommutative and the commutative side alike, since
+NCSeries and CommPoly share ``map_coefficients``, ``order`` and ``==``:
+``special_inverse`` solves z - t*H once, returning (t*H, M_t, N_t), and
+``solves_cauchy_problem`` checks u_t(0) = u_0 and du_t/dt = rhs(u_t).
+
 Truncation discipline: a t-derivative of a computed value is trustworthy
 only up to t-order K-1, so every identity involving one is compared after
 re-truncating both sides to K-1.  Identities without a t-derivative are
@@ -22,7 +27,15 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .freealg import Derivation, FormalMap, NCSeries, _fixed_point, compose, compose_vector
+from .freealg import (
+    Derivation,
+    FormalMap,
+    NCSeries,
+    _check_order_at_least,
+    _fixed_point,
+    compose,
+    compose_vector,
+)
 from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
 from .rings import TQuotientRing
 
@@ -81,6 +94,54 @@ def t_residue_series(series: NCSeries, j: int) -> NCSeries:
 
 
 # ---------------------------------------------------------------------------
+# the special inverse and Cauchy problems, for NCSeries and CommPoly alike
+# ---------------------------------------------------------------------------
+
+
+def _substitute(vector, point):
+    """vector(point) for NCSeries: the substitution of the fixed-point loop."""
+    return compose_vector(vector, FormalMap(point))
+
+
+def special_inverse(h_vector, torder: int, substitute):
+    """Solve z - t*H: returns (t*H, M_t, N_t) over R[t]/(t^(K+1)), K = torder.
+
+    ``substitute(vector, point)`` evaluates a vector of series (NCSeries or
+    commutative polynomials) at a point.  M_t comes from the fixed-point loop
+    at t-order K+1, since dividing M_t = t*N_t by t costs one order; a
+    t-constant term in M_t means the loop itself is broken.
+    """
+    h_vector = tuple(h_vector)
+    _check_order_at_least(h_vector, 2, "H")
+    big = TQuotientRing(h_vector[0].ring, torder + 1)
+    big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
+    big_mt = _fixed_point(big_ht, lambda g: substitute(big_ht, g))
+    if any(not t_residue_series(s, 0).is_zero() for s in big_mt):
+        raise AssertionError("special deformation produced a t-constant term")
+    big_nt = tuple(s.map_coefficients(big.shift_down) for s in big_mt)
+    return tuple(
+        tuple(t_truncate_series(s, torder) for s in vector)
+        for vector in (big_ht, big_mt, big_nt)
+    )
+
+
+def solves_cauchy_problem(u_t, initial, rhs) -> bool:
+    """Does the vector u_t over R[t]/(t^(K+1)) solve du_t/dt = rhs(u_t)
+    with u_t = initial at t = 0?
+
+    The boundary is compared at full order, the equation at t-order K-1; at
+    K = 0 there is no equation to check and ``rhs`` is not called.
+    """
+    u_t = tuple(u_t)
+    if tuple(t_residue_series(s, 0) for s in u_t) != tuple(initial):
+        return False
+    km = u_t[0].ring.torder - 1
+    if km < 0:
+        return True
+    return t_equal_vector(t_derivative_vector(u_t), rhs(u_t), km)
+
+
+# ---------------------------------------------------------------------------
 # general deformations
 # ---------------------------------------------------------------------------
 
@@ -90,23 +151,20 @@ class DeformedMap:
 
     Attributes: ``h_t`` and ``m_t`` are vectors over the t-quotient ring,
     ``f_t``/``g_t`` the corresponding maps, ``torder`` the t-truncation K and
-    ``degree`` the z-truncation D.  Construction verifies F_t(G_t) = id =
-    G_t(F_t) exactly at (D, K).
+    ``degree`` the z-truncation D.  ``m_t`` is computed by the fixed-point
+    loop unless it is passed in; either way construction verifies
+    F_t(G_t) = id = G_t(F_t) exactly at (D, K).
     """
 
     __slots__ = ("base_ring", "tring", "arity", "degree", "torder", "h_t", "f_t", "g_t", "m_t")
 
-    def __init__(self, h_t):
+    def __init__(self, h_t, m_t=None):
         h_t = tuple(h_t)
         first = h_t[0]
         tring = first.ring
         if not isinstance(tring, TQuotientRing):
             raise ValueError("a deformed map needs t-quotient coefficients")
-        for i, h in enumerate(h_t):
-            if h.order() < 2:
-                raise ValueError(
-                    f"H_t component {i + 1} has z-order {h.order()}, need >= 2"
-                )
+        _check_order_at_least(h_t, 2, "H_t")
         self.base_ring = tring.base
         self.tring = tring
         self.arity = first.arity
@@ -114,7 +172,9 @@ class DeformedMap:
         self.torder = tring.torder
         self.h_t = h_t
         self.f_t = FormalMap.f_form(h_t)
-        self.m_t = _fixed_point(h_t, lambda g: compose_vector(h_t, FormalMap(g)))
+        if m_t is None:
+            m_t = _fixed_point(h_t, lambda g: _substitute(h_t, g))
+        self.m_t = tuple(m_t)
         self.g_t = FormalMap.g_form(self.m_t)
         report = verify_inverse(self.f_t, self.g_t)
         if not report.ok:
@@ -152,33 +212,9 @@ class SpecialDeformation(DeformedMap):
     __slots__ = ("h_base", "n_t")
 
     def __init__(self, h_vector, torder):
-        h_vector = tuple(h_vector)
-        base = h_vector[0].ring
-        big = TQuotientRing(base, torder + 1)
-        big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
-        big_mt = _fixed_point(big_ht, lambda g: compose_vector(big_ht, FormalMap(g)))
-        for s in big_mt:
-            # M_t = t * N_t: the t-constant part must vanish, or the
-            # engine itself is broken
-            if not t_residue_series(s, 0).is_zero():
-                raise AssertionError("special deformation produced a t-constant term")
-        big_nt = tuple(s.map_coefficients(big.shift_down) for s in big_mt)
-        self.base_ring = base
-        self.tring = TQuotientRing(base, torder)
-        self.arity = h_vector[0].arity
-        self.degree = h_vector[0].degree
-        self.torder = torder
-        self.h_base = h_vector
-        self.h_t = tuple(t_truncate_series(s, torder) for s in big_ht)
-        self.m_t = tuple(t_truncate_series(s, torder) for s in big_mt)
-        self.n_t = tuple(t_truncate_series(s, torder) for s in big_nt)
-        self.f_t = FormalMap.f_form(self.h_t)
-        self.g_t = FormalMap.g_form(self.m_t)
-        report = verify_inverse(self.f_t, self.g_t)
-        if not report.ok:
-            raise AssertionError(
-                "special deformation inverse failed verification: " + report.describe()
-            )
+        self.h_base = tuple(h_vector)
+        h_t, m_t, self.n_t = special_inverse(self.h_base, torder, _substitute)
+        super().__init__(h_t, m_t)
 
     def n_term(self, m: int):
         """N_[m] as a base-ring vector (needs m - 1 <= K)."""
@@ -271,22 +307,9 @@ def check_substitution_flow(d: DeformedMap, u: NCSeries) -> bool:
     return t_equal(lhs, first, km) and t_equal(lhs, second, km)
 
 
-def check_inversion_pde(sd: SpecialDeformation, mutate=None) -> bool:
-    """N_t solves dN_t/dt = [N_t d/dz] N_t with N_{t=0} = H.
-
-    ``mutate`` (a function on the N_t vector) exists for mutation tests:
-    a perturbed N_t must fail.
-    """
-    n_t = sd.n_t if mutate is None else mutate(sd.n_t)
-    km = sd.torder - 1
-    boundary = tuple(t_residue_series(s, 0) for s in n_t)
-    if boundary != sd.h_base:
-        return False
-    if km < 0:
-        return True
-    lhs = t_derivative_vector(n_t)
-    rhs = Derivation(n_t).apply_vector(n_t)
-    return t_equal_vector(lhs, rhs, km)
+def check_inversion_pde(n_t, h_base) -> bool:
+    """N_t solves dN_t/dt = [N_t d/dz] N_t with N_{t=0} = H."""
+    return solves_cauchy_problem(n_t, h_base, lambda v: Derivation(v).apply_vector(v))
 
 
 def check_h_m_structure(sd: SpecialDeformation) -> bool:
@@ -352,13 +375,5 @@ def check_transport_pde(h_vector, u: NCSeries, torder: int) -> bool:
     """U_t := u(G_t) = u(z + t*N_t) solves dU_t/dt = [N_t d/dz] U_t with
     U_{t=0} = u, for base-ring u."""
     sd = SpecialDeformation(h_vector, torder)
-    u_t = embed_series(u, sd.tring)
-    big_u = compose(u_t, sd.g_t)
-    if t_residue_series(big_u, 0) != u:
-        return False
-    km = torder - 1
-    if km < 0:
-        return True
-    lhs = t_derivative_series(big_u)
-    rhs = Derivation(sd.n_t).apply(big_u)
-    return t_equal(lhs, rhs, km)
+    big_u = compose(embed_series(u, sd.tring), sd.g_t)
+    return solves_cauchy_problem((big_u,), (u,), Derivation(sd.n_t).apply_vector)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .rings import Ring
+from .rings import Ring, _accumulate
 
 #: order of the zero series
 INFINITE_ORDER = math.inf
@@ -27,20 +27,6 @@ INFINITE_ORDER = math.inf
 def word_key(word):
     """Degree-lexicographic sort key."""
     return (len(word), word)
-
-
-def _accumulate(tgt, pairs, add, is_zero):
-    """Add each (key, coefficient) pair into the dict ``tgt``, dropping keys
-    whose coefficient cancels to zero; returns ``tgt``.  Keys are any
-    hashable: words here, exponent vectors in :mod:`ncinvert.commutative`."""
-    for key, c in pairs:
-        prev = tgt.get(key)
-        val = c if prev is None else add(prev, c)
-        if is_zero(val):
-            tgt.pop(key, None)
-        else:
-            tgt[key] = val
-    return tgt
 
 
 def _pruned(buckets):
@@ -276,12 +262,6 @@ class NCSeries:
             raise ValueError("cannot raise the truncation degree of a series")
         buckets = {d: dict(b) for d, b in self.buckets.items() if d <= degree}
         return NCSeries(self.ring, self.arity, degree, buckets)
-
-    def homogeneous_part(self, d: int):
-        buckets = {}
-        if d in self.buckets:
-            buckets[d] = dict(self.buckets[d])
-        return NCSeries(self.ring, self.arity, self.degree, buckets)
 
     def map_coefficients(self, func, new_ring=None):
         """Apply ``func`` to every coefficient; drops values that become 0."""

@@ -25,6 +25,7 @@ from .freealg import (
     Derivation,
     FormalMap,
     NCSeries,
+    _check_order_at_least,
     _fixed_point,
     compose,
     compose_vector,
@@ -61,9 +62,7 @@ def _vector_meta(h_vector):
         first._check_compatible(other)
     if len(h_vector) != first.arity:
         raise ValueError(f"{len(h_vector)} components for arity {first.arity}")
-    for i, h in enumerate(h_vector):
-        if h.order() < 2:
-            raise ValueError(f"H component {i + 1} has order {h.order()}, need >= 2")
+    _check_order_at_least(h_vector, 2, "H")
     return h_vector, first.ring, first.arity, first.degree
 
 
@@ -261,12 +260,10 @@ def invert_charp_direct(h_vector) -> FormalMap:
 # ---------------------------------------------------------------------------
 
 
-def lift_displacement(h_vector, lift_integers=False):
+def lift_displacement(h_vector):
     """Step 1 of the lift: replace each nonzero coefficient of H by a fresh
     commuting integer variable, interned by (component, word).
 
-    With ``lift_integers`` the optimization of lifting a residue to its least
-    non-negative integer preimage is applied instead, leaving no variables.
     Returns (H over the lift ring, assignment variable-key -> residue, ring).
     """
     h_vector, ring, n, D = _vector_meta(h_vector)
@@ -278,23 +275,19 @@ def lift_displacement(h_vector, lift_integers=False):
     for i, h in enumerate(h_vector):
         terms = []
         for word, a in h.terms():
-            if lift_integers:
-                coeff = lift_ring.from_int(a)
-            else:
-                key = (i, word)
-                coeff = lift_ring.variable(key)
-                assignment[key] = a
-            terms.append((word, coeff))
+            key = (i, word)
+            assignment[key] = a
+            terms.append((word, lift_ring.variable(key)))
         lifted.append(NCSeries.from_terms(lift_ring, n, D, terms))
     return tuple(lifted), assignment, lift_ring
 
 
-def invert_charp_lift(h_vector, lift_integers=False) -> FormalMap:
+def invert_charp_lift(h_vector) -> FormalMap:
     """Invert over GF(p) by lifting to Z[A], running the characteristic-0
     recurrence there, and reducing every coefficient mod p."""
     h_vector = tuple(h_vector)
     field = h_vector[0].ring
-    lifted, assignment, lift_ring = lift_displacement(h_vector, lift_integers)
+    lifted, assignment, lift_ring = lift_displacement(h_vector)
     nseq = n_seq_recurrent(lifted)
     g_tilde = nseq.assemble(lift_ring.one())
     comps = [

@@ -14,6 +14,7 @@ anywhere.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -48,6 +49,21 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _accumulate(tgt, pairs, add, is_zero):
+    """Add each (key, coefficient) pair into the dict ``tgt``, dropping keys
+    whose coefficient cancels to zero; returns ``tgt``.  Keys are any
+    hashable: words in :mod:`ncinvert.freealg`, exponent vectors in
+    :mod:`ncinvert.commutative`, monomials in :class:`IntPolyRing`."""
+    for key, c in pairs:
+        prev = tgt.get(key)
+        val = c if prev is None else add(prev, c)
+        if is_zero(val):
+            tgt.pop(key, None)
+        else:
+            tgt[key] = val
+    return tgt
 
 
 class Ring:
@@ -376,9 +392,6 @@ class IntPolyRing(Ring):
     def variable_count(self) -> int:
         return len(self._keys)
 
-    def variable_key(self, idx: int):
-        return self._keys[idx]
-
     def variable_name(self, idx: int) -> str:
         return f"A{idx + 1}"
 
@@ -389,29 +402,18 @@ class IntPolyRing(Ring):
         return {(): 1}
 
     def add(self, a, b):
-        out = dict(a)
-        for mono, c in b.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return out
+        return _accumulate(dict(a), b.items(), operator.add, operator.not_)
 
     def neg(self, a):
         return {mono: -c for mono, c in a.items()}
 
     def mul(self, a, b):
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = _merge_monomials(m1, m2)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return out
+        pairs = [
+            (_merge_monomials(m1, m2), c1 * c2)
+            for m1, c1 in a.items()
+            for m2, c2 in b.items()
+        ]
+        return _accumulate({}, pairs, operator.add, operator.not_)
 
     def is_zero(self, a):
         return not a

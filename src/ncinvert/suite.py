@@ -64,6 +64,15 @@ class SuiteBounds:
     max_degree: int = 6
     max_torder: int = 5
 
+    def __post_init__(self):
+        for option, value, least in (
+            ("--n (max arity)", self.max_arity, 1),
+            ("-d/--degree (max z-degree)", self.max_degree, 2),
+            ("--torder (max t-order)", self.max_torder, 1),
+        ):
+            if value < least:
+                raise ValueError(f"{option} must be >= {least}, got {value}")
+
     def draw(self, rng):
         n = rng.randint(1, self.max_arity)
         degree = rng.randint(min(4, self.max_degree), self.max_degree)
@@ -196,7 +205,8 @@ def _inversion_pde(rng, bounds):
     n, D, K = bounds.draw(rng)
     ring = QQ if rng.random() < 0.7 else PrimeField(rng.choice([2, 3, 5]))
     h = random_displacement(rng, ring, n, D)
-    return check_inversion_pde(SpecialDeformation(h, K))
+    sd = SpecialDeformation(h, K)
+    return check_inversion_pde(sd.n_t, sd.h_base)
 
 
 @register("special-composition-readback")
@@ -326,6 +336,8 @@ def _commutative_pde(rng, bounds):
 
 def run_identity_suite(seed: int, trials: int = 20, bounds: SuiteBounds = None, names=None):
     """Run every registered identity on fresh seeded instances."""
+    if trials < 1:
+        raise ValueError(f"--trials (instances per identity) must be >= 1, got {trials}")
     bounds = bounds or SuiteBounds()
     results = []
     for name, fn in CHECKS.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freealg import Derivation, FormalMap, NCSeries
+from .freealg import Derivation, FormalMap, NCSeries, _check_order_at_least
 
 
 class PBTree:
@@ -218,9 +218,7 @@ def invert_tree(h_vector) -> FormalMap:
     h_vector = tuple(h_vector)
     first = h_vector[0]
     ring, n, D = first.ring, first.arity, first.degree
-    for i, h in enumerate(h_vector):
-        if h.order() < 2:
-            raise ValueError(f"H component {i + 1} has order {h.order()}, need >= 2")
+    _check_order_at_least(h_vector, 2, "H")
     memo = {}
     terms = [tree_expansion_term(h_vector, m, memo=memo) for m in range(1, D)]
     return FormalMap.g_form(

@@ -7,6 +7,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 import ncinvert.cli as cli
 from ncinvert.cli import main
 from ncinvert.freealg import FormalMap, NCSeries
@@ -262,6 +264,23 @@ def test_check_identities_alias(capsys):
     )
     assert code == 0
     assert "all identities passed" in out
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--n", "0", "--n (max arity) must be >= 1, got 0"),
+        ("-d", "1", "-d/--degree (max z-degree) must be >= 2, got 1"),
+        ("--torder", "0", "--torder (max t-order) must be >= 1, got 0"),
+        ("--trials", "-1", "--trials (instances per identity) must be >= 1, got -1"),
+        ("--trials", "0", "--trials (instances per identity) must be >= 1, got 0"),
+    ],
+)
+def test_identities_rejects_out_of_range_options(capsys, option, value, message):
+    code, out, err = run_cli(capsys, "identities", option, value, "--no-timings")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_console_script_entry_point():

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ncinvert.commutative import (
     CommPoly,
     abelianize,
@@ -12,7 +14,9 @@ from ncinvert.commutative import (
     jacobian,
     jacobian_power_apply,
     substitute,
+    substitute_vector,
 )
+from ncinvert.deformation import embed_series, solves_cauchy_problem, special_inverse
 from ncinvert.freealg import Derivation, FormalMap, NCSeries
 from ncinvert.inversion import c_sequence, invert_fixed_point
 from ncinvert.randmaps import random_displacement, random_series
@@ -125,6 +129,49 @@ def test_commutative_pde_random_symmetric_words():
     for _ in range(3):
         h = abelianize_vector(random_displacement(rng, QQ, 2, 6))
         assert inversion_pde_check(h, torder=4)
+
+
+def comm_flow(n_t):
+    # the right-hand side (J N_t) N_t of the commutative inversion PDE
+    return jacobian_power_apply(n_t, 2)
+
+
+def catalan_case(torder):
+    x = CommPoly.variable(QQ, 1, 8, 0)
+    h = (x * x,)
+    _, _, n_t = special_inverse(h, torder, substitute_vector)
+    return x, h, n_t
+
+
+def test_commutative_pde_at_torder_zero_is_the_boundary():
+    _, h, n_t = catalan_case(0)
+    assert inversion_pde_check(h, torder=0)
+    assert n_t[0].ring.torder == 0
+
+    def never(_):
+        raise AssertionError("no equation to check at t-order 0")
+
+    assert solves_cauchy_problem(n_t, h, never)
+
+
+def test_commutative_pde_rejects_extra_t_constant_term():
+    # N_t + x^3 starts at H + x^3 but does not follow (J N) N from there
+    x, h, n_t = catalan_case(4)
+    assert solves_cauchy_problem(n_t, h, comm_flow)
+    bump = embed_series(x ** 3, n_t[0].ring)
+    assert not solves_cauchy_problem((n_t[0] + bump,), (h[0] + x ** 3,), comm_flow)
+
+
+def test_commutative_pde_rejects_wrong_boundary():
+    x, h, n_t = catalan_case(4)
+    assert not solves_cauchy_problem(n_t, (h[0].scale_int(2),), comm_flow)
+    assert not solves_cauchy_problem(n_t, (h[0] + x ** 3,), comm_flow)
+
+
+def test_commutative_pde_needs_order_two():
+    x = CommPoly.variable(QQ, 1, 4, 0)
+    with pytest.raises(ValueError, match="H component 1 has order 1, need >= 2"):
+        inversion_pde_check((x + x * x,), torder=2)
 
 
 def test_commpoly_json_schema():

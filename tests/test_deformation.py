@@ -18,6 +18,7 @@ from ncinvert.deformation import (
     check_transport_pde,
     embed_series,
     n_sequence_via_deformation,
+    solves_cauchy_problem,
     t_derivative_series,
     t_derivative_vector,
     t_equal,
@@ -149,20 +150,16 @@ def test_inversion_pde_and_boundary():
     for ring in (QQ, PrimeField(5)):
         h = random_displacement(rng, ring, 2, 5)
         sd = SpecialDeformation(h, torder=4)
-        assert check_inversion_pde(sd)
+        assert check_inversion_pde(sd.n_t, sd.h_base)
 
 
 def test_inversion_pde_rejects_mutation():
     h = commutator_displacement(QQ, 5)
     sd = SpecialDeformation(h, torder=3)
 
-    def mutate(n_t):
-        bump = NCSeries.from_terms(
-            sd.tring, 2, 5, [((0, 0), sd.tring.one())]
-        )
-        return (n_t[0] + bump, n_t[1])
-
-    assert not check_inversion_pde(sd, mutate=mutate)
+    bump = NCSeries.from_terms(sd.tring, 2, 5, [((0, 0), sd.tring.one())])
+    mutated = (sd.n_t[0] + bump, sd.n_t[1])
+    assert not check_inversion_pde(mutated, sd.h_base)
 
 
 def test_h_m_structure():
@@ -195,6 +192,20 @@ def test_transport_pde_cases():
     # constants transport trivially
     assert check_transport_pde(h, NCSeries.one(QQ, 2, 5), 4)
     assert check_transport_pde(h, random_series(rng, QQ, 2, 5, 0, 3, terms=3), 4)
+
+
+def test_transport_pde_rejects_perturbed_solution():
+    # U_t + t*w keeps the boundary u but adds w to dU_t/dt at t^0
+    rng = random.Random(32)
+    h = random_displacement(rng, QQ, 2, 5)
+    sd = SpecialDeformation(h, torder=4)
+    u = random_series(rng, QQ, 2, 5, 0, 3, terms=3)
+    big_u = compose(embed_series(u, sd.tring), sd.g_t)
+    flow = Derivation(sd.n_t).apply_vector
+    assert solves_cauchy_problem((big_u,), (u,), flow)
+    w = NCSeries.variable(QQ, 2, 5, 1) * NCSeries.variable(QQ, 2, 5, 0)
+    perturbed = big_u + t_scale_series(embed_series(w, sd.tring))
+    assert not solves_cauchy_problem((perturbed,), (u,), flow)
 
 
 def test_oracle_sequence_equals_recurrent_sequence():

@@ -293,15 +293,6 @@ def test_lift_interns_one_variable_per_term():
     assert assignment[(0, (0, 1))] == 1  # -4 mod 5
 
 
-def test_integer_preimage_lift_option():
-    field = PrimeField(5)
-    h = commutator_displacement(field, 6, scale=4)
-    assert invert_charp_lift(h, lift_integers=True) == invert_charp_lift(h)
-    # no variables at all on this path
-    _, assignment, lift_ring = lift_displacement(h, lift_integers=True)
-    assert lift_ring.variable_count() == 0 and not assignment
-
-
 # -- dispatch -------------------------------------------------------------------
 
 
