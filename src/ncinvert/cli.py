@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and verified, where applicable), 2 parse error,
 3 precondition error (bad shapes, engine/ring mismatches), 4 verification
-failure (an engine produced a non-inverse, or engines disagree).
+failure (an engine produced a non-inverse, engines disagree, or an internal
+consistency check of an engine or identity failed).
 
 With ``--no-timings`` the JSON output contains no wall-clock fields and is
 byte-identical across runs for a fixed seed and configuration.
@@ -220,7 +221,7 @@ def cmd_identities(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_bits(ring, g_map: FormalMap) -> int:
+def _coeff_bits(g_map: FormalMap) -> int:
     bits = 0
     for comp in g_map.components:
         for _, c in comp.terms():
@@ -296,7 +297,7 @@ def cmd_bench(args) -> int:
             terms = sum(c.term_count() for c in g_map.components)
             rows.append(
                 f"{engine},{parsed.f_map.arity},{degree},"
-                f"{wall_ms:.3f},{terms},{_coeff_bits(ring, g_map)}"
+                f"{wall_ms:.3f},{terms},{_coeff_bits(g_map)}"
             )
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -337,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("mapfile", nargs="?", help="map file ('-' for stdin)")
     p_inv.add_argument("--expr", help="inline map text instead of a file")
     p_inv.add_argument(
-        "--engine", default=None,
-        help=f"one of: {', '.join(ENGINES)} (default: fixed-point)",
+        "--engine", default="fixed-point",
+        help=f"one of: {', '.join(ENGINES)} (default: %(default)s)",
     )
     _add_common(p_inv)
     p_inv.set_defaults(func=cmd_invert)
@@ -392,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "engine", "skip") is None:
-        args.engine = "fixed-point"
     try:
         return args.func(args)
     except ParseError as exc:
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
+    except AssertionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ dN_t/dt = [N_t d/dz] N_t with N_0 = H.  Everything in this module is an
 executable, exact check of one of those facts.
 
 Two helpers serve the noncommutative and the commutative side alike, since
-NCSeries and CommPoly share ``map_coefficients``, ``order`` and ``==``:
+CommPoly is an NCSeries keyed by exponent vectors and inherits
+``map_coefficients``, ``order`` and ``==``:
 ``special_inverse`` solves z - t*H once, returning (t*H, M_t, N_t), and
 ``solves_cauchy_problem`` checks u_t(0) = u_0 and du_t/dt = rhs(u_t).
 
@@ -35,6 +36,9 @@ from .freealg import (
     _fixed_point,
     compose,
     compose_vector,
+    embed_series,
+    t_residue_series,
+    t_scale_series,
 )
 from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
 from .rings import TQuotientRing
@@ -44,20 +48,12 @@ from .rings import TQuotientRing
 # coefficient-level helpers
 # ---------------------------------------------------------------------------
 
-
-def embed_series(series: NCSeries, tring: TQuotientRing) -> NCSeries:
-    """Reinterpret a base-ring series as t-constant over the quotient ring."""
-    return series.map_coefficients(tring.embed, new_ring=tring)
+# embed_series, t_scale_series and t_residue_series live in freealg, next to
+# the series they act on, and are imported above.
 
 
 def embed_vector(vector, tring):
     return tuple(embed_series(s, tring) for s in vector)
-
-
-def t_scale_series(series: NCSeries, k: int = 1) -> NCSeries:
-    """Multiply every coefficient by t^k."""
-    tring = series.ring
-    return series.map_coefficients(lambda c: tring.times_t(c, k))
 
 
 def t_derivative_series(series: NCSeries) -> NCSeries:
@@ -83,14 +79,6 @@ def t_equal(a: NCSeries, b: NCSeries, torder: int) -> bool:
 
 def t_equal_vector(a, b, torder) -> bool:
     return all(t_equal(x, y, torder) for x, y in zip(a, b))
-
-
-def t_residue_series(series: NCSeries, j: int) -> NCSeries:
-    """The base-ring series sitting at t^j."""
-    tring = series.ring
-    return series.map_coefficients(
-        lambda c: tring.residue_at(c, j), new_ring=tring.base
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,14 @@ class NCSeries:
 
     ``buckets`` maps a degree d to a dict {word: coefficient} holding the
     nonzero terms of that degree; empty buckets are not stored.  Two series
-    are equal iff ring, arity, truncation degree and term mappings agree.
+    are equal iff type, ring, arity, truncation degree and term mappings
+    agree.
+
+    Only ``constant``, ``variable``, ``from_terms``, ``coefficient``,
+    ``__mul__``, ``__repr__`` and the JSON methods read a key; everything else works on the buckets as they
+    are, so a subclass keyed by other graded monomials
+    (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
+    just those.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -151,7 +158,8 @@ class NCSeries:
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, NCSeries):
+        # exact types: a word and an exponent vector may share a bucket
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.ring == other.ring
@@ -168,6 +176,10 @@ class NCSeries:
         return f"NCSeries({terms or '0'}; n={self.arity}, D={self.degree})"
 
     def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise ValueError(
+                f"cannot mix {type(self).__name__} with {type(other).__name__}"
+            )
         if self.ring != other.ring:
             raise ValueError("coefficient rings differ")
         if self.arity != other.arity:
@@ -185,14 +197,14 @@ class NCSeries:
         buckets = {d: dict(b) for d, b in self.buckets.items()}
         for d, b in other.buckets.items():
             _accumulate(buckets.setdefault(d, {}), b.items(), ring.add, ring.is_zero)
-        return NCSeries(ring, self.arity, self.degree, _pruned(buckets))
+        return type(self)(ring, self.arity, self.degree, _pruned(buckets))
 
     def __neg__(self):
         neg = self.ring.neg
         buckets = {
             d: {w: neg(c) for w, c in b.items()} for d, b in self.buckets.items()
         }
-        return NCSeries(self.ring, self.arity, self.degree, buckets)
+        return type(self)(self.ring, self.arity, self.degree, buckets)
 
     def __sub__(self, other):
         return self + (-other)
@@ -201,7 +213,7 @@ class NCSeries:
         """Multiply by a ring element (coefficients commute)."""
         ring = self.ring
         if ring.is_zero(c):
-            return NCSeries(ring, self.arity, self.degree)
+            return type(self)(ring, self.arity, self.degree)
         mul = ring.mul
         is_zero = ring.is_zero
         buckets = {}
@@ -213,7 +225,7 @@ class NCSeries:
                     tgt[w] = v
             if tgt:
                 buckets[d] = tgt
-        return NCSeries(ring, self.arity, self.degree, buckets)
+        return type(self)(ring, self.arity, self.degree, buckets)
 
     def scale_int(self, n: int):
         return self.scale(self.ring.from_int(n))
@@ -243,8 +255,8 @@ class NCSeries:
         if k < 0:
             raise ValueError("negative power of a series")
         if k and self.order() * k > self.degree:
-            return NCSeries.zero(self.ring, self.arity, self.degree)
-        out = NCSeries.one(self.ring, self.arity, self.degree)
+            return type(self).zero(self.ring, self.arity, self.degree)
+        out = type(self).one(self.ring, self.arity, self.degree)
         base = self
         while k:
             if k & 1:
@@ -261,7 +273,7 @@ class NCSeries:
         if degree > self.degree:
             raise ValueError("cannot raise the truncation degree of a series")
         buckets = {d: dict(b) for d, b in self.buckets.items() if d <= degree}
-        return NCSeries(self.ring, self.arity, degree, buckets)
+        return type(self)(self.ring, self.arity, degree, buckets)
 
     def map_coefficients(self, func, new_ring=None):
         """Apply ``func`` to every coefficient; drops values that become 0."""
@@ -276,7 +288,7 @@ class NCSeries:
                     tgt[w] = v
             if tgt:
                 buckets[d] = tgt
-        return NCSeries(ring, self.arity, self.degree, buckets)
+        return type(self)(ring, self.arity, self.degree, buckets)
 
     def to_json_dict(self):
         """Interchange form; words use 1-based letters externally."""
@@ -296,6 +308,25 @@ class NCSeries:
             for t in data["terms"]
         ]
         return cls.from_terms(ring, data["arity"], data["degree"], terms)
+
+
+def embed_series(series: NCSeries, tring) -> NCSeries:
+    """Reinterpret a base-ring series as t-constant over the quotient ring."""
+    return series.map_coefficients(tring.embed, new_ring=tring)
+
+
+def t_scale_series(series: NCSeries, k: int = 1) -> NCSeries:
+    """Multiply every coefficient by t^k."""
+    tring = series.ring
+    return series.map_coefficients(lambda c: tring.times_t(c, k))
+
+
+def t_residue_series(series: NCSeries, j: int) -> NCSeries:
+    """The base-ring series sitting at t^j."""
+    tring = series.ring
+    return series.map_coefficients(
+        lambda c: tring.residue_at(c, j), new_ring=tring.base
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from .freealg import (
     _fixed_point,
     compose,
     compose_vector,
+    embed_series,
+    t_residue_series,
+    t_scale_series,
     word_key,
 )
 from .rings import IntPolyRing, PrimeField, TQuotientRing
@@ -184,16 +187,6 @@ def n_seq_recurrent(h_vector) -> NSequence:
 # ---------------------------------------------------------------------------
 
 
-def _embed_t_constant(series, tring):
-    return series.map_coefficients(tring.embed, new_ring=tring)
-
-
-def _embed_t_linear(series, tring):
-    return series.map_coefficients(
-        lambda c: tring.times_t(tring.embed(c), 1), new_ring=tring
-    )
-
-
 def alt_recurrent_step(prev_terms, h_vector, m):
     """Compute N_[m] from N_[1..m-1] by coefficient extraction.
 
@@ -210,14 +203,14 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     if len(prev_terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
     tring = TQuotientRing(ring, m - 1)
-    th = [_embed_t_linear(h, tring) for h in h_vector]
+    th = [t_scale_series(embed_series(h, tring)) for h in h_vector]
     variables = [NCSeries.variable(tring, n, D, i) for i in range(n)]
     shifted = FormalMap([v - h for v, h in zip(variables, th)])
     cache = {}
 
     def extracted(i, l):
-        image = compose(_embed_t_constant(prev_terms[l - 1][i], tring), shifted, cache)
-        return image.map_coefficients(lambda c: tring.residue_at(c, m - l), new_ring=ring)
+        image = compose(embed_series(prev_terms[l - 1][i], tring), shifted, cache)
+        return t_residue_series(image, m - l)
 
     return tuple(
         -NCSeries.sum(ring, n, D, (extracted(i, l) for l in range(1, m)))

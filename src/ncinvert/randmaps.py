@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .freealg import NCSeries
+from .freealg import NCSeries, embed_series, t_scale_series
 from .rings import TQuotientRing
-
-from .deformation import embed_series, t_scale_series
 
 
 def random_coefficient(rng: random.Random, ring, bound: int = 3):

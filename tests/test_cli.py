@@ -244,6 +244,29 @@ def test_bench_reports_where_engines_differ(capsys, monkeypatch):
     )
 
 
+def test_internal_assertion_exits_4_with_a_message(capsys, monkeypatch):
+    def broken_invert(h_vector, engine):
+        raise AssertionError("fixed-point iteration failed to stabilize")
+
+    monkeypatch.setattr(cli, "invert", broken_invert)
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4"
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: fixed-point iteration failed to stabilize\n"
+    assert "Traceback" not in err
+
+
+def test_unknown_engine_exits_3(capsys):
+    code, _, err = run_cli(
+        capsys, "invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4",
+        "--engine", "bogus",
+    )
+    assert code == 3
+    assert err.startswith("error: unknown engine 'bogus'; choose from fixed-point,")
+
+
 def test_huge_power_inverts_at_once(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Abelianization and the commutative specializations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from ncinvert.commutative import (
 from ncinvert.deformation import embed_series, solves_cauchy_problem, special_inverse
 from ncinvert.freealg import Derivation, FormalMap, NCSeries
 from ncinvert.inversion import c_sequence, invert_fixed_point
-from ncinvert.randmaps import random_displacement, random_series
-from ncinvert.rings import QQ
+from ncinvert.randmaps import random_coefficient, random_displacement, random_series
+from ncinvert.rings import QQ, PrimeField, TQuotientRing
 
 
 def nc(n, degree, *terms):
@@ -35,7 +36,7 @@ def test_commutators_die():
 def test_multidegree_collapse():
     s = nc(2, 3, ((0, 0), 1), ((0, 1), 2))
     ab = abelianize(s)
-    assert ab.terms == {(2, 0): Fraction(1), (1, 1): Fraction(2)}
+    assert dict(ab.terms()) == {(2, 0): Fraction(1), (1, 1): Fraction(2)}
 
 
 def test_iterated_commutator_dies():
@@ -44,12 +45,45 @@ def test_iterated_commutator_dies():
 
 
 def test_abelianize_is_ring_homomorphism():
+    # abelianize commutes with CommPoly's own product and with the arithmetic
+    # it inherits from NCSeries
     rng = random.Random(6)
-    for _ in range(5):
-        a = random_series(rng, QQ, 2, 6, 0, 3, terms=4)
-        b = random_series(rng, QQ, 2, 6, 0, 3, terms=4)
-        assert abelianize(a * b) == abelianize(a) * abelianize(b)
-        assert abelianize(a + b) == abelianize(a) + abelianize(b)
+    for ring, _ in itertools.product((QQ, PrimeField(3)), range(5)):
+        tring = TQuotientRing(ring, 2)
+        a = random_series(rng, ring, 2, 6, 0, 3, terms=4)
+        b = random_series(rng, ring, 2, 6, 0, 3, terms=4)
+        ab_a, ab_b = abelianize(a), abelianize(b)
+        assert abelianize(a * b) == ab_a * ab_b
+        assert abelianize(a + b) == ab_a + ab_b
+        assert abelianize(a - b) == ab_a - ab_b
+        c = random_coefficient(rng, ring)
+        assert abelianize(a.scale(c)) == ab_a.scale(c)
+        # 3 is zero in GF(3)
+        assert abelianize(a.scale_int(3)) == ab_a.scale_int(3)
+        for k in range(4):
+            assert abelianize(a ** k) == ab_a ** k
+        assert abelianize(
+            a.map_coefficients(tring.embed, new_ring=tring)
+        ) == ab_a.map_coefficients(tring.embed, new_ring=tring)
+
+
+def test_equality_needs_the_same_kind():
+    # y*y as a word and x*y as an exponent vector are both (1, 1) in degree 2
+    yy = nc(2, 3, ((1, 1), 1))
+    xy = CommPoly.from_terms(QQ, 2, 3, [((1, 1), Fraction(1))])
+    assert yy.buckets == xy.buckets
+    assert yy != xy
+    assert xy != yy
+
+
+def test_arithmetic_refuses_mixed_kinds():
+    yy = nc(2, 3, ((1, 1), 1))
+    xy = CommPoly.from_terms(QQ, 2, 3, [((1, 1), Fraction(1))])
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(yy, xy)
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(xy, yy)
 
 
 def test_abelianize_commutes_with_slot_derivations():
@@ -72,7 +106,7 @@ def test_jacobian_power_single_variable():
     h = CommPoly.from_terms(QQ, 1, D, [((2,), Fraction(1))])
     for m in range(1, 6):
         out = jacobian_power_apply((h,), m)[0]
-        assert out.terms == {(m + 1,): Fraction(2 ** (m - 1))}
+        assert dict(out.terms()) == {(m + 1,): Fraction(2 ** (m - 1))}
 
 
 def test_jacobian_power_matches_abelianized_iterates():
@@ -99,11 +133,11 @@ def test_substitution_truncates():
     p = x * x
     out = substitute(p, (x + x * x,))
     # (z + z^2)^2 = z^2 + 2 z^3 + ... truncated at 3
-    assert out.terms == {(2,): Fraction(1), (3,): Fraction(2)}
+    assert dict(out.terms()) == {(2,): Fraction(1), (3,): Fraction(2)}
     # terms of different monomials that cancel after substitution
     y = CommPoly.variable(QQ, 2, 3, 1)
     x2 = CommPoly.variable(QQ, 2, 3, 0)
-    assert substitute(x2 * x2 - y, (x2, x2 * x2)).terms == {}
+    assert dict(substitute(x2 * x2 - y, (x2, x2 * x2)).terms()) == {}
 
 
 def test_power_equals_repeated_product():
@@ -184,6 +218,12 @@ def test_commpoly_json_schema():
         {"exponents": [2, 0], "coeff": "1"},
         {"exponents": [1, 2], "coeff": "-3/7"},
     ]
+    assert p.coefficient((1, 2)) == Fraction(-3, 7)
+    assert p.coefficient([2, 0]) == Fraction(1)
+    assert p.coefficient((0, 1)) == 0
+    back = CommPoly.from_json_dict(QQ, data)
+    assert back == p
+    assert back.to_json_dict() == data
 
 
 def test_jacobian_entries():
@@ -191,7 +231,7 @@ def test_jacobian_entries():
     y = CommPoly.variable(QQ, 2, 4, 1)
     vec = (x * x + y, x * y)
     j = jacobian(vec)
-    assert j[0][0].terms == {(1, 0): Fraction(2)}
-    assert j[0][1].terms == {(0, 0): Fraction(1)}
-    assert j[1][0].terms == {(0, 1): Fraction(1)}
-    assert j[1][1].terms == {(1, 0): Fraction(1)}
+    assert dict(j[0][0].terms()) == {(1, 0): Fraction(2)}
+    assert dict(j[0][1].terms()) == {(0, 0): Fraction(1)}
+    assert dict(j[1][0].terms()) == {(0, 1): Fraction(1)}
+    assert dict(j[1][1].terms()) == {(1, 0): Fraction(1)}

@@ -361,7 +361,7 @@ def _substitute_copy_per_term(poly, vector):
     """commutative.substitute as a fold with +, one product per term."""
     ring, n, D = poly.ring, poly.arity, poly.degree
     out = CommPoly.zero(ring, n, D)
-    for expo, c in poly.sorted_terms():
+    for expo, c in poly.terms():
         prod = CommPoly.constant(ring, n, D, c)
         for i, k in enumerate(expo):
             for _ in range(k):
