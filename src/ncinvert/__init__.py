@@ -20,10 +20,10 @@ from .freealg import (
     star_action,
 )
 from .inversion import (
-    ENGINES,
     NSequence,
     VerifyReport,
     c_sequence,
+    check_engine,
     engines_for_ring,
     invert,
     invert_charp_direct,
@@ -65,10 +65,10 @@ __all__ = [
     "compose_vector",
     "jacobian_tilde",
     "star_action",
-    "ENGINES",
     "NSequence",
     "VerifyReport",
     "c_sequence",
+    "check_engine",
     "engines_for_ring",
     "invert",
     "invert_charp_direct",

@@ -1,5 +1,10 @@
 """Command-line driver: invert, verify, trees, identities, bench.
 
+``invert --engine NAME`` is the one route to each of the five engines, and
+``bench`` times several of them on one map; both check engine names with
+``inversion.check_engine``.  ``trees`` lists planar binary trees with their
+factorials and checks the identity sum 1/T^! = 1.
+
 Exit codes: 0 success (and verified, where applicable), 2 parse error,
 3 precondition error (bad shapes, engine/ring mismatches), 4 verification
 failure (an engine produced a non-inverse, engines disagree, or an internal
@@ -20,8 +25,9 @@ from fractions import Fraction
 from . import trees as trees_mod
 from .freealg import FormalMap
 from .inversion import (
-    ENGINES,
+    _engine_table,
     _first_residual,
+    check_engine,
     engines_for_ring,
     invert,
     verify_inverse,
@@ -50,9 +56,9 @@ def _check_degree(degree):
 
 
 def _read_source(args) -> str:
-    if getattr(args, "expr", None):
+    if args.expr:
         return args.expr
-    path = getattr(args, "mapfile", None)
+    path = args.mapfile
     if path in (None, "-"):
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
@@ -60,9 +66,8 @@ def _read_source(args) -> str:
 
 
 def _emit(args, text: str):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -144,13 +149,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trees(args) -> int:
-    if args.invert:
-        if args.degree is None:
-            raise ValueError("--degree is required with --invert")
-        args.expr = None
-        args.mapfile = args.invert
-        args.engine = "tree"
-        return cmd_invert(args)
     if args.identity:
         pairs = trees_mod.factorial_identity_check(args.leaves)
         payload = {
@@ -269,8 +267,7 @@ def cmd_bench(args) -> int:
         else list(engines_for_ring(ring))
     )
     for e in engines:
-        if e not in ENGINES:
-            raise ValueError(f"unknown engine {e!r}")
+        check_engine(e, ring)
     rows = ["engine,n,D,wall_ms,term_count,max_coeff_bits"]
     for degree in degrees:
         parsed = parse_map(source, ring, degree, _split_vars(args.vars))
@@ -308,23 +305,23 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, degree_required=True):
+def _add_output(sub):
+    sub.add_argument(
+        "--format", choices=("json", "text"), default="json", help="output format"
+    )
+    sub.add_argument("--output", help="write output to this path instead of stdout")
+
+
+def _add_common(sub):
     sub.add_argument("--vars", help="comma-separated variable names")
     sub.add_argument(
-        "-d", "--degree", type=int, required=degree_required,
+        "-d", "--degree", type=int, required=True,
         help="truncation degree D",
     )
     sub.add_argument(
         "--ring", default="rational", help="'rational' or 'gfp:<p>' (default rational)"
     )
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    sub.add_argument("--output", help="write output to this path instead of stdout")
-    sub.add_argument(
-        "--no-timings", dest="timings", action="store_false",
-        help="omit wall-clock fields (byte-stable output)",
-    )
+    _add_output(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,9 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--expr", help="inline map text instead of a file")
     p_inv.add_argument(
         "--engine", default="fixed-point",
-        help=f"one of: {', '.join(ENGINES)} (default: %(default)s)",
+        help=f"one of: {', '.join(_engine_table())} (default: %(default)s)",
     )
     _add_common(p_inv)
+    p_inv.add_argument(
+        "--no-timings", dest="timings", action="store_false",
+        help="omit wall-clock fields (byte-stable output)",
+    )
     p_inv.set_defaults(func=cmd_invert)
 
     p_ver = subs.add_parser("verify", help="check that two maps invert each other")
@@ -350,15 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_tr = subs.add_parser("trees", help="planar binary trees: list, identities, engine")
+    p_tr = subs.add_parser("trees", help="planar binary trees: list and identities")
     p_tr.add_argument("--leaves", type=int, required=True, help="leaf count m")
     group = p_tr.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true", help="list trees and factorials")
     group.add_argument(
         "--identity", action="store_true", help="check sum 1/T^! = 1 up to m"
     )
-    group.add_argument("--invert", metavar="MAPFILE", help="run the tree engine")
-    _add_common(p_tr, degree_required=False)
+    _add_output(p_tr)
     p_tr.set_defaults(func=cmd_trees)
 
     p_id = subs.add_parser(
@@ -370,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--torder", type=int, default=5, help="max t-order")
     p_id.add_argument("--seed", type=int, default=0, help="64-bit seed")
     p_id.add_argument("--trials", type=int, default=20, help="instances per identity")
-    p_id.add_argument("--format", choices=("json", "text"), default="json")
-    p_id.add_argument("--output")
+    _add_output(p_id)
     p_id.add_argument("--no-timings", dest="timings", action="store_false")
     p_id.set_defaults(func=cmd_identities)
 

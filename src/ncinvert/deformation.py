@@ -48,9 +48,6 @@ from .rings import TQuotientRing
 # coefficient-level helpers
 # ---------------------------------------------------------------------------
 
-# embed_series, t_scale_series and t_residue_series live in freealg, next to
-# the series they act on, and are imported above.
-
 
 def embed_vector(vector, tring):
     return tuple(embed_series(s, tring) for s in vector)
@@ -343,14 +340,8 @@ def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
     )
 
     def evaluated(c):
-        powers = list(accumulate([c] * (len(nseq) - 1), ring.mul, initial=ring.one()))
-        return tuple(
-            NCSeries.sum(
-                ring, nseq.arity, nseq.degree,
-                (vec[i].scale(p) for vec, p in zip(nseq.terms, powers)),
-            )
-            for i in range(nseq.arity)
-        )
+        powers = accumulate([c] * (len(nseq) - 1), ring.mul, initial=ring.one())
+        return nseq.weighted_sum(powers)
 
     n_at_t0 = evaluated(t0)
     n_at_sum = evaluated(ring.add(t0, s0))

@@ -1,18 +1,26 @@
 """Inversion engines for maps z - H(z) with o(H) >= 2.
 
-Four routes to the same inverse, kept deliberately independent so they can
-check each other:
+Five engines reach the same inverse by routes kept deliberately independent
+so they can check each other; ``invert`` dispatches to them by name through
+one table, and ``check_engine`` is the one test of a name against a ring:
 
-* fixed-point substitution M <- H(z + M), the characteristic-free baseline;
-* the characteristic-0 recurrence
+* ``fixed-point``: the substitution M <- H(z + M), over any ring;
+* ``recurrent``: the characteristic-0 recurrence
   N_[1] = H,  (m-1) N_[m] = sum_{k+l=m} [N_[k] d/dz] N_[l];
-* a residue-extraction step that computes N_[m] from N_[1..m-1] without any
-  division, used to bridge the recurrence's blind spots m = kp+1 over GF(p);
-* a symbolic lift for GF(p): replace the coefficients of H by fresh integer
-  variables, invert in characteristic 0, then reduce the result mod p.
+* ``tree`` (in ``trees``): N_[m] as the sum over planar binary trees with
+  m leaves weighted by 1/T^!, characteristic 0;
+* ``charp-direct``: over GF(p), the recurrence where m-1 is invertible and a
+  division-free residue-extraction step at the layers m = kp+1 where it is
+  not;
+* ``charp-lift``: over GF(p), replace the coefficients of H by fresh integer
+  variables, run the recurrence in characteristic 0, reduce mod p.
 
-The inverse of z - H is z + sum_m N_[m]; more generally z + sum_m t0^m N_[m]
-inverts z - t0*H for any scalar t0.  Since o(N_[m]) >= m+1, the terms with
+The layered engines (recurrent, tree, charp-direct, and charp-lift through
+the recurrence) build their terms with the one loop
+``NSequence.from_layers`` and differ only in the layer they hand it.  The
+inverse of z - H is z + sum_m N_[m]; more generally z + sum_m t0^m N_[m]
+inverts z - t0*H for any scalar t0, and ``NSequence.weighted_sum`` is the
+one weighted sum of the layers.  Since o(N_[m]) >= m+1, the terms with
 m >= D are invisible at truncation degree D, so engines compute D-1 of them.
 """
 
@@ -35,28 +43,6 @@ from .freealg import (
     word_key,
 )
 from .rings import IntPolyRing, PrimeField, TQuotientRing
-
-ENGINE_FIXED_POINT = "fixed-point"
-ENGINE_RECURRENT = "recurrent"
-ENGINE_TREE = "tree"
-ENGINE_CHARP_DIRECT = "charp-direct"
-ENGINE_CHARP_LIFT = "charp-lift"
-
-ENGINES = (
-    ENGINE_FIXED_POINT,
-    ENGINE_RECURRENT,
-    ENGINE_TREE,
-    ENGINE_CHARP_DIRECT,
-    ENGINE_CHARP_LIFT,
-)
-
-
-def engines_for_ring(ring):
-    """Engine names applicable over the given coefficient ring."""
-    if ring.characteristic == 0:
-        return (ENGINE_FIXED_POINT, ENGINE_RECURRENT, ENGINE_TREE)
-    return (ENGINE_FIXED_POINT, ENGINE_CHARP_DIRECT, ENGINE_CHARP_LIFT)
-
 
 def _vector_meta(h_vector):
     h_vector = tuple(h_vector)
@@ -102,18 +88,33 @@ class NSequence:
     def __len__(self):
         return len(self.terms)
 
+    @classmethod
+    def from_layers(cls, h_vector, layer):
+        """N_[1] = H, then N_[m] = layer(terms, m) for m = 2..D-1, where
+        ``terms`` holds N_[1..m-1]; every layered engine is this loop."""
+        h_vector, ring, n, D = _vector_meta(h_vector)
+        terms = [h_vector] if D >= 2 else []
+        for m in range(2, D):
+            terms.append(layer(terms, m))
+        return cls(ring, n, D, terms)
+
     def term(self, m):
         """N_[m] (1-based)."""
         return self.terms[m - 1]
 
-    def assemble(self, t0) -> FormalMap:
-        """The map z + sum_m t0^m N_[m]; at t0 = 1 the inverse of z - H."""
+    def weighted_sum(self, weights):
+        """The vector sum_m w_m N_[m], one weight per term."""
         ring, n, D = self.ring, self.arity, self.degree
-        powers = list(accumulate([t0] * len(self.terms), ring.mul))
-        return FormalMap.g_form(
-            NCSeries.sum(ring, n, D, (vec[i].scale(p) for vec, p in zip(self.terms, powers)))
+        weights = list(weights)
+        return tuple(
+            NCSeries.sum(ring, n, D, (vec[i].scale(w) for vec, w in zip(self.terms, weights)))
             for i in range(n)
         )
+
+    def assemble(self, t0) -> FormalMap:
+        """The map z + sum_m t0^m N_[m]; at t0 = 1 the inverse of z - H."""
+        powers = accumulate([t0] * len(self.terms), self.ring.mul)
+        return FormalMap.g_form(self.weighted_sum(powers))
 
     def validate_bounds(self, h_vector):
         """Check the order / degree / homogeneity bounds of every term.
@@ -151,6 +152,15 @@ def convolution_sum(terms, m):
     )
 
 
+def _divided_convolution(terms, m):
+    """The recurrence's layer: N_[m] = convolution_sum(terms, m) / (m-1)."""
+    ring = terms[0][0].ring
+    return tuple(
+        s.map_coefficients(lambda c: ring.div_by_int(c, m - 1))
+        for s in convolution_sum(terms, m)
+    )
+
+
 def c_sequence(h_vector, count: int):
     """C_1 = H, C_m = [C_(m-1) d/dz] H: the iterated-derivation sequence
     whose abelianization is (JH)^(m-1) H; returns ``count`` terms."""
@@ -165,21 +175,14 @@ def c_sequence(h_vector, count: int):
 
 def n_seq_recurrent(h_vector) -> NSequence:
     """The characteristic-0 recurrence for N_[1..D-1]."""
-    h_vector, ring, n, D = _vector_meta(h_vector)
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
     if ring.characteristic != 0:
         raise ValueError(
             "the recurrence divides by m-1, which fails in characteristic "
             f"{ring.characteristic}; use the charp-direct or charp-lift engine"
         )
-    terms = []
-    if D >= 2:
-        terms.append(h_vector)
-    for m in range(2, D):
-        conv = convolution_sum(terms, m)
-        terms.append(
-            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, m - 1)) for s in conv)
-        )
-    return NSequence(ring, n, D, terms)
+    return NSequence.from_layers(h_vector, _divided_convolution)
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +224,17 @@ def alt_recurrent_step(prev_terms, h_vector, m):
 def n_seq_charp_direct(h_vector) -> NSequence:
     """The GF(p) sequence: the recurrence where m-1 is invertible, the
     residue step at the layers m = kp + 1 where it is not."""
-    h_vector, ring, n, D = _vector_meta(h_vector)
+    h_vector = tuple(h_vector)
+    ring = h_vector[0].ring
     if not isinstance(ring, PrimeField):
         raise ValueError("charp-direct requires PrimeField coefficients")
-    p = ring.p
-    terms = []
-    if D >= 2:
-        terms.append(h_vector)
-    for m in range(2, D):
-        if (m - 1) % p == 0:
-            terms.append(alt_recurrent_step(terms, h_vector, m))
-        else:
-            conv = convolution_sum(terms, m)
-            terms.append(
-                tuple(
-                    s.map_coefficients(lambda c: ring.div_by_int(c, m - 1))
-                    for s in conv
-                )
-            )
-    return NSequence(ring, n, D, terms)
+
+    def layer(terms, m):
+        if (m - 1) % ring.p == 0:
+            return alt_recurrent_step(terms, h_vector, m)
+        return _divided_convolution(terms, m)
+
+    return NSequence.from_layers(h_vector, layer)
 
 
 def invert_charp_direct(h_vector) -> FormalMap:
@@ -384,26 +379,45 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def invert(h_vector, engine=ENGINE_FIXED_POINT) -> FormalMap:
-    """Run the selected engine on the displacement vector H of z - H."""
-    h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
+def _engine_table():
+    """Engine name -> (function of H, needs characteristic 0: True, False
+    for GF(p), None for any ring).  Rebuilt on every call, so a function
+    patched onto its module after import is the one dispatched to."""
+    from . import trees
+
+    return {
+        "fixed-point": (invert_fixed_point, None),
+        "recurrent": (lambda h: n_seq_recurrent(h).assemble(h[0].ring.one()), True),
+        "tree": (trees.invert_tree, True),
+        "charp-direct": (invert_charp_direct, False),
+        "charp-lift": (invert_charp_lift, False),
+    }
+
+
+def engines_for_ring(ring):
+    """Engine names applicable over the given coefficient ring."""
+    zero = ring.characteristic == 0
+    return tuple(
+        name for name, (_, needs_zero) in _engine_table().items()
+        if needs_zero in (None, zero)
+    )
+
+
+def check_engine(name, ring):
+    """The function of engine ``name`` over ``ring``, or ValueError."""
+    table = _engine_table()
+    if name not in table:
+        raise ValueError(f"unknown engine {name!r}; choose from {', '.join(table)}")
     valid = engines_for_ring(ring)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
-    if engine not in valid:
+    if name not in valid:
         raise ValueError(
-            f"engine {engine!r} does not apply to this coefficient ring; "
+            f"engine {name!r} does not apply to this coefficient ring; "
             f"valid engines: {', '.join(valid)}"
         )
-    if engine == ENGINE_FIXED_POINT:
-        return invert_fixed_point(h_vector)
-    if engine == ENGINE_RECURRENT:
-        return n_seq_recurrent(h_vector).assemble(ring.one())
-    if engine == ENGINE_TREE:
-        from . import trees
+    return table[name][0]
 
-        return trees.invert_tree(h_vector)
-    if engine == ENGINE_CHARP_DIRECT:
-        return invert_charp_direct(h_vector)
-    return invert_charp_lift(h_vector)
+
+def invert(h_vector, engine="fixed-point") -> FormalMap:
+    """Run the selected engine on the displacement vector H of z - H."""
+    h_vector = tuple(h_vector)
+    return check_engine(engine, h_vector[0].ring)(h_vector)

@@ -35,6 +35,10 @@ class MapFormError(ValueError):
     """A parsed map violates the z - H shape contract."""
 
 
+#: the deepest parenthesis nesting the parser descends into; each level
+#: costs a handful of Python frames, so this keeps far from the stack limit
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
@@ -63,6 +67,7 @@ class _Parser:
     def __init__(self, tokens, variables, ring, degree):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.variables = {name: i for i, name in enumerate(variables)}
         self.ring = ring
         self.arity = len(variables)
@@ -148,7 +153,11 @@ class _Parser:
                 self.error(f"unknown variable {tok.text!r}", tok)
             return NCSeries.variable(self.ring, self.arity, self.degree, idx)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
             out = self.expr()
+            self.depth -= 1
             closing = self.take()
             if not (closing.kind == "op" and closing.text == ")"):
                 self.error("expected ')'", closing)

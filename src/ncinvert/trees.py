@@ -15,8 +15,13 @@ testable identities shipped here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .freealg import Derivation, FormalMap, NCSeries, _check_order_at_least
+from .freealg import Derivation, FormalMap, NCSeries
+from .inversion import NSequence
+
+#: the most trees ``enumerate_pbtrees`` builds in one call
+MAX_TREES = 10**6
 
 
 class PBTree:
@@ -67,11 +72,29 @@ class PBTree:
 LEAF = PBTree()
 
 
-def enumerate_pbtrees(m: int):
-    """All planar binary trees with m leaves, in a fixed deterministic order
-    (left leaf count ascending, then recursively); Catalan(m-1) of them."""
+def _check_tree_count(m: int):
+    """ValueError, naming the count, if Catalan(m-1) > MAX_TREES."""
     if m < 1:
         raise ValueError("leaf count must be >= 1")
+    k = m - 1
+    if k > 60:  # not worth computing in full: Catalan(60) > 10^32 already
+        text = "> 10^32"
+    else:
+        count = comb(2 * k, k) // (k + 1)
+        if count <= MAX_TREES:
+            return
+        text = f"= {count:,}"
+    raise ValueError(
+        f"{m} leaves give Catalan({k}) {text} planar binary trees, "
+        f"more than the limit of {MAX_TREES:,}"
+    )
+
+
+def enumerate_pbtrees(m: int):
+    """All planar binary trees with m leaves, in a fixed deterministic order
+    (left leaf count ascending, then recursively); Catalan(m-1) of them,
+    refused with a ValueError past MAX_TREES."""
+    _check_tree_count(m)
     out = [[], [LEAF]]
     for size in range(2, m + 1):
         out.append(
@@ -175,6 +198,14 @@ def _tree_series(tree, h_vector, memo):
     return result
 
 
+def _check_characteristic_zero(ring):
+    if ring.characteristic != 0:
+        raise ValueError(
+            "tree weights 1/T^! need characteristic 0; "
+            "use the charp-direct or charp-lift engine"
+        )
+
+
 def tree_expansion_term(h_vector, m: int, memo=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
@@ -184,11 +215,7 @@ def tree_expansion_term(h_vector, m: int, memo=None):
     """
     h_vector = tuple(h_vector)
     ring = h_vector[0].ring
-    if ring.characteristic != 0:
-        raise ValueError(
-            "tree weights 1/T^! need characteristic 0; "
-            "use the charp-direct or charp-lift engine"
-        )
+    _check_characteristic_zero(ring)
     n, D = h_vector[0].arity, h_vector[0].degree
     if memo is None:
         memo = {}
@@ -213,17 +240,18 @@ def tree_expansion_term(h_vector, m: int, memo=None):
 
 
 def invert_tree(h_vector) -> FormalMap:
-    """The tree-expansion engine: z + sum_m N_[m] with N_[m] summed over
-    trees; equals the other characteristic-0 engines term for term."""
+    """The tree-expansion engine: z + sum_m N_[m], each N_[m] summed over
+    trees from H alone (reading the earlier terms would fold it into the
+    recurrence); equals the other characteristic-0 engines term for term."""
     h_vector = tuple(h_vector)
-    first = h_vector[0]
-    ring, n, D = first.ring, first.arity, first.degree
-    _check_order_at_least(h_vector, 2, "H")
+    ring = h_vector[0].ring
+    _check_characteristic_zero(ring)  # here too: at D <= 2 no layer runs
+    _check_tree_count(max(1, h_vector[0].degree - 1))
     memo = {}
-    terms = [tree_expansion_term(h_vector, m, memo=memo) for m in range(1, D)]
-    return FormalMap.g_form(
-        NCSeries.sum(ring, n, D, (term[i] for term in terms)) for i in range(n)
+    nseq = NSequence.from_layers(
+        h_vector, lambda _, m: tree_expansion_term(h_vector, m, memo=memo)
     )
+    return nseq.assemble(ring.one())
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +271,7 @@ def factorial_identity_check(m_max: int):
     """[(m, sum of 1/T^!)] for m = 1..m_max; every sum should be exactly 1."""
     if m_max < 1:
         raise ValueError("need m_max >= 1")
+    _check_tree_count(m_max)
     return [(m, factorial_reciprocal_sum(m)) for m in range(1, m_max + 1)]
 
 

@@ -63,6 +63,21 @@ def test_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_tree_engine_reads_a_map_file(tmp_path, capsys):
+    f = tmp_path / "f.txt"
+    f.write_text("vars: x, y\nx - (y*x - x*y)\ny\n")
+    out_path = tmp_path / "g.json"
+    code, out, _ = run_cli(
+        capsys, "invert", str(f), "-d", "4", "--engine", "tree", "--no-timings",
+        "--output", str(out_path),
+    )
+    assert code == 0
+    assert out == ""
+    payload = json.loads(out_path.read_text())
+    assert payload["engine"] == "tree"
+    assert payload["verified"] is True
+
+
 def test_engines_produce_identical_maps(capsys):
     outputs = []
     for engine in ("fixed-point", "recurrent", "tree"):
@@ -162,17 +177,30 @@ def test_trees_identity_json(capsys):
     assert [row["sum"] for row in payload["sums"]] == ["1"] * 6
 
 
-def test_trees_invert(tmp_path, capsys):
-    f = tmp_path / "f.txt"
-    f.write_text("vars: x, y\nx - (y*x - x*y)\ny\n")
-    code, out, _ = run_cli(
-        capsys, "trees", "--leaves", "4", "--invert", str(f), "-d", "4",
-        "--no-timings",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["engine"] == "tree"
-    assert payload["verified"] is True
+def test_trees_refuses_too_many_leaves_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "trees", "--leaves", "40", "--list")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 40 leaves give Catalan(39) = ")
+    assert err.endswith("more than the limit of 1,000,000\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trees", "--leaves", "4", "--invert", "F.map"),
+        ("trees", "--leaves", "4", "-d", "4"),
+        ("trees", "--leaves", "4", "--no-timings"),
+        ("verify", "F.map", "G.map", "-d", "4", "--no-timings"),
+    ],
+)
+def test_removed_options_are_unknown_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_identities_command_smoke(capsys):
@@ -259,12 +287,14 @@ def test_internal_assertion_exits_4_with_a_message(capsys, monkeypatch):
 
 
 def test_unknown_engine_exits_3(capsys):
-    code, _, err = run_cli(
-        capsys, "invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4",
-        "--engine", "bogus",
-    )
-    assert code == 3
-    assert err.startswith("error: unknown engine 'bogus'; choose from fixed-point,")
+    for argv in (
+        ("invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4", "--engine", "bogus"),
+        ("bench", "--expr", PAPER_MAP, "--vars", "x,y", "--engines", "fixed-point,bogus"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: unknown engine 'bogus'; choose from fixed-point,")
 
 
 def test_huge_power_inverts_at_once(capsys):

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ncinvert.inversion as inversion
+import ncinvert.trees as trees
 from ncinvert.deformation import n_sequence_via_deformation
 from ncinvert.freealg import FormalMap, NCSeries
 from ncinvert.inversion import (
@@ -314,6 +318,63 @@ def test_dispatch_rejects_mismatched_engine():
         invert(hp, engine="tree")
     with pytest.raises(ValueError, match="unknown engine"):
         invert(h, engine="newton")
+
+
+def test_dispatch_calls_the_module_attributes_of_the_moment(monkeypatch):
+    # a table that kept the functions from import time would miss these
+    def sentinel(name):
+        return lambda h_vector: name
+
+    monkeypatch.setattr(inversion, "invert_fixed_point", sentinel("fp"))
+    monkeypatch.setattr(inversion, "invert_charp_lift", sentinel("lift"))
+    monkeypatch.setattr(trees, "invert_tree", sentinel("tree"))
+    h = commutator_displacement(QQ, 4)
+    hp = commutator_displacement(PrimeField(5), 4)
+    assert invert(h) == "fp"
+    assert invert(h, engine="tree") == "tree"
+    assert invert(hp, engine="fixed-point") == "fp"
+    assert invert(hp, engine="charp-lift") == "lift"
+
+
+# -- differential: every engine of a ring agrees on random sparse maps ----------
+
+
+@st.composite
+def sparse_displacements(draw, ring, max_arity, max_degree):
+    """A random H over ``ring`` of drawn arity and degree: up to three words
+    of length 2..3 per component, small nonzero coefficients."""
+    n = draw(st.integers(1, max_arity))
+    D = draw(st.integers(2, max_degree))
+    if ring.characteristic:
+        coeffs = st.integers(1, ring.characteristic - 1).map(ring.from_int)
+    else:
+        coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    words = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(3, D)).map(tuple)
+    terms = st.lists(st.tuples(words, coeffs), max_size=3)
+    return tuple(NCSeries.from_terms(ring, n, D, draw(terms)) for _ in range(n))
+
+
+def _assert_engines_agree(h, engines):
+    f_map = FormalMap.f_form(h)
+    outputs = [invert(h, engine=engine) for engine in engines]
+    for engine, g in zip(engines, outputs):
+        assert g == outputs[0], engine
+        assert verify_inverse(f_map, g).ok, engine
+
+
+@given(sparse_displacements(QQ, 2, 6))
+@settings(max_examples=80, deadline=None)
+def test_characteristic_zero_engines_agree(h):
+    _assert_engines_agree(h, ("fixed-point", "recurrent", "tree"))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_characteristic_p_engines_agree(data):
+    # D up to 8 crosses the residue layers m = kp+1 for p = 2 and 3
+    field = PrimeField(data.draw(st.sampled_from([2, 3])))
+    h = data.draw(sparse_displacements(field, 2, 8))
+    _assert_engines_agree(h, ("fixed-point", "charp-direct", "charp-lift"))
 
 
 # -- verification ----------------------------------------------------------------

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncinvert.freealg import NCSeries
+from ncinvert.cli import main
+from ncinvert.freealg import FormalMap, NCSeries
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import (
+    MAX_NESTING,
     MapFormError,
     ParseError,
     format_map,
@@ -63,6 +67,28 @@ def test_unknown_variable_reports_position():
 def test_unbalanced_parens():
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse_expression("(x + y", ["x", "y"], QQ, 3)
+
+
+def nested(levels):
+    return "(" * levels + "x" + ")" * levels
+
+
+def test_nesting_limit():
+    s = parse_expression(nested(MAX_NESTING) + "^2", ["x"], QQ, 3)
+    assert s.coefficient((0, 0)) == 1
+    with pytest.raises(ParseError, match="nested deeper than") as err:
+        parse_expression("x - " + nested(MAX_NESTING + 1), ["x"], QQ, 3)
+    # reported at the first '(' past the limit
+    assert (err.value.line, err.value.col) == (1, 5 + MAX_NESTING)
+
+
+def test_deep_nesting_is_a_parse_error_on_the_command_line(capsys):
+    code = main(["invert", "--expr", "x - " + nested(1000) + "^2", "--vars", "x", "-d", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: 1:{5 + MAX_NESTING}: parentheses nested")
+    assert "Traceback" not in captured.err
 
 
 def test_rational_literal_over_prime_field():
@@ -130,3 +156,31 @@ def test_roundtrip_over_prime_field():
     text = format_map(g, ["x", "y"])
     back = parse_map(text, field, 5)
     assert list(back.f_map.components) == list(g.components)
+
+
+@st.composite
+def order_two_maps(draw):
+    """A random z + M with o(M) >= 2 over QQ or GF(p), and its variable names."""
+    ring = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    n = draw(st.integers(1, 3))
+    D = draw(st.integers(2, 5))
+    if ring.characteristic:
+        coeffs = st.integers(1, ring.characteristic - 1).map(ring.from_int)
+    else:
+        coeffs = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    words = st.lists(st.integers(0, n - 1), min_size=2, max_size=D).map(tuple)
+    comps = [
+        NCSeries.variable(ring, n, D, i)
+        + NCSeries.from_terms(ring, n, D, draw(st.lists(st.tuples(words, coeffs), max_size=4)))
+        for i in range(n)
+    ]
+    return FormalMap(comps), ["x", "y", "w"][:n]
+
+
+@given(order_two_maps())
+@settings(max_examples=60, deadline=None)
+def test_format_map_round_trips_through_parse_map(case):
+    f_map, names = case
+    back = parse_map(format_map(f_map, names), f_map.ring, f_map.degree)
+    assert back.variables == names
+    assert list(back.f_map.components) == list(f_map.components)

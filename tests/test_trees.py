@@ -181,6 +181,22 @@ def test_expansion_needs_characteristic_zero():
         tree_expansion_term(h, 2)
     with pytest.raises(ValueError):
         invert_tree(h)
+    # at D = 2 no layer runs, so only the engine's own check can refuse it
+    h2 = (NCSeries.from_terms(field, 1, 2, [((0, 0), field.one())]),)
+    with pytest.raises(ValueError, match="characteristic 0"):
+        invert_tree(h2)
+
+
+def test_enumeration_is_bounded():
+    with pytest.raises(ValueError, match=r"Catalan\(14\) = 2,674,440 .* limit of 1,000,000"):
+        enumerate_pbtrees(15)
+    with pytest.raises(ValueError, match=r"Catalan\(999\) > 10\^32 "):
+        enumerate_pbtrees(1000)
+    with pytest.raises(ValueError, match="limit of 1,000,000"):
+        factorial_identity_check(15)
+    h = (NCSeries.zero(QQ, 1, 16),)
+    with pytest.raises(ValueError, match="limit of 1,000,000"):
+        invert_tree(h)
 
 
 def test_engine_completes_through_429_trees():
