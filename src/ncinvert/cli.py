@@ -160,7 +160,7 @@ def cmd_trees(args) -> int:
                 args.leaves, [total for _, total in pairs]
             ),
         }
-        if args.format == "json":
+        if args.format in (None, "json"):
             _emit(args, _dump_json(payload))
         else:
             lines = [
@@ -172,11 +172,18 @@ def cmd_trees(args) -> int:
         ok = payload["gf_ok"] and all(r["ok"] for r in payload["sums"])
         return EXIT_OK if ok else EXIT_VERIFY
     # default: list the trees with their factorials
-    lines = [
-        f"{t.serialize()} {trees_mod.reduced_factorial(t)}"
+    rows = [
+        (t.serialize(), trees_mod.reduced_factorial(t))
         for t in trees_mod.enumerate_pbtrees(args.leaves)
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    if args.format == "json":
+        payload = {
+            "leaves": args.leaves,
+            "trees": [{"tree": tree, "factorial": fact} for tree, fact in rows],
+        }
+        _emit(args, _dump_json(payload))
+    else:
+        _emit(args, "\n".join(f"{tree} {fact}" for tree, fact in rows) + "\n")
     return EXIT_OK
 
 
@@ -305,10 +312,8 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_output(sub):
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
+def _add_output(sub, default="json", format_help="output format"):
+    sub.add_argument("--format", choices=("json", "text"), default=default, help=format_help)
     sub.add_argument("--output", help="write output to this path instead of stdout")
 
 
@@ -358,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--identity", action="store_true", help="check sum 1/T^! = 1 up to m"
     )
-    _add_output(p_tr)
+    _add_output(
+        p_tr, default=None,
+        format_help="output format (default text with --list, json with --identity)",
+    )
     p_tr.set_defaults(func=cmd_trees)
 
     p_id = subs.add_parser(

@@ -8,12 +8,13 @@ iterated sequence C_m abelianizes to (JH)^(m-1) H, inverses stay inverses,
 and the inverse-flow PDE becomes dN_t/dt = (J N_t) N_t.
 
 :class:`CommPoly` is an :class:`~ncinvert.freealg.NCSeries` whose degree
-buckets are keyed by exponent vectors instead of words.  It inherits the
-storage and every operation that does not read a key (``+``, ``-``,
-scaling, powers, ``sum``, ``map_coefficients``, ``order``, ``terms`` and
-``==``).  The mathematics of the quotient stays here: the commutative
-product, the power-rule partials, the Jacobian and substitution, so the
-commutative PDE check shares no calculus with the noncommutative side.
+buckets are keyed by exponent vectors instead of words.  It overrides only
+the key methods of ``NCSeries`` (degree, unit keys, validation, the pairs of
+a product, JSON and text forms), and inherits everything written on top of
+them: construction, ``coefficient``, arithmetic, powers, ``terms``, ``==``,
+``repr`` and JSON.  The calculus of the quotient stays here: the power-rule
+partials, the Jacobian and substitution, so the commutative PDE check shares
+no calculus with the noncommutative side.
 """
 
 from __future__ import annotations
@@ -32,58 +33,36 @@ class CommPoly(NCSeries):
 
     __slots__ = ()
 
-    @classmethod
-    def constant(cls, ring, arity, degree, c):
-        return cls.from_terms(ring, arity, degree, [((0,) * arity, c)])
+    # -- keys: the key methods of NCSeries, for exponent vectors ----------
 
-    @classmethod
-    def variable(cls, ring, arity, degree, i):
-        if not 0 <= i < arity:
-            raise ValueError(f"variable index {i} out of range")
-        expo = tuple(int(j == i) for j in range(arity))
-        return cls.from_terms(ring, arity, degree, [(expo, ring.one())] if degree >= 1 else [])
+    _JSON_KEY = "exponents"
 
-    @classmethod
-    def from_terms(cls, ring, arity, degree, pairs):
-        """Build from (exponent vector, coefficient) pairs, summing duplicates."""
-        buckets = {}
-        for expo, c in pairs:
-            expo = tuple(expo)
-            if len(expo) != arity:
-                raise ValueError("exponent vector has wrong length")
-            d = sum(expo)
-            if d > degree:
-                raise ValueError("total degree exceeds truncation")
-            _accumulate(buckets.setdefault(d, {}), ((expo, c),), ring.add, ring.is_zero)
-        return cls(ring, arity, degree, _pruned(buckets))
+    _key_degree = staticmethod(sum)
 
-    def coefficient(self, expo):
-        expo = tuple(expo)
-        return self.buckets.get(sum(expo), {}).get(expo, self.ring.zero())
+    @staticmethod
+    def _unit_key(arity, i=None):
+        return tuple(int(j == i) for j in range(arity))
 
-    def __repr__(self):
-        parts = [f"{self.ring.to_string(c)}*x^{list(e)}" for e, c in self.terms()]
-        return f"CommPoly({' + '.join(parts) or '0'}; n={self.arity}, D={self.degree})"
+    @staticmethod
+    def _check_key(expo, arity):
+        if len(expo) != arity:
+            raise ValueError(f"exponent vector {expo} has length {len(expo)}, not {arity}")
 
-    def __mul__(self, other):
-        """Truncated product: exponent vectors add, total degree > D drops."""
-        self._check_compatible(other)
-        ring = self.ring
-        rmul = ring.mul
-        D = self.degree
-        out = {}
-        for d1, b1 in self.buckets.items():
-            for d2, b2 in other.buckets.items():
-                d = d1 + d2
-                if d > D:
-                    continue
-                pairs = [
-                    (tuple(a + b for a, b in zip(e1, e2)), rmul(c1, c2))
-                    for e1, c1 in b1.items()
-                    for e2, c2 in b2.items()
-                ]
-                _accumulate(out.setdefault(d, {}), pairs, ring.add, ring.is_zero)
-        return CommPoly(ring, self.arity, D, _pruned(out))
+    @staticmethod
+    def _products(b1, b2, rmul):
+        """Exponent vectors add."""
+        return [
+            (tuple(a + b for a, b in zip(e1, e2)), rmul(c1, c2))
+            for e1, c1 in b1.items()
+            for e2, c2 in b2.items()
+        ]
+
+    _key_to_json = staticmethod(list)
+    _key_from_json = staticmethod(tuple)
+
+    @staticmethod
+    def _key_text(expo):
+        return f"x^{list(expo)}"
 
     def partial(self, i):
         """d/dx_i with the classical power rule."""
@@ -97,23 +76,6 @@ class CommPoly(NCSeries):
             ]
             _accumulate(out.setdefault(d - 1, {}), pairs, ring.add, ring.is_zero)
         return CommPoly(ring, self.arity, self.degree, _pruned(out))
-
-    def to_json_dict(self):
-        return {
-            "arity": self.arity,
-            "degree": self.degree,
-            "terms": [
-                {"exponents": list(e), "coeff": self.ring.to_string(c)}
-                for e, c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, ring, data):
-        terms = [
-            (t["exponents"], ring.from_string(t["coeff"])) for t in data["terms"]
-        ]
-        return cls.from_terms(ring, data["arity"], data["degree"], terms)
 
 
 def abelianize(series: NCSeries) -> CommPoly:
@@ -162,19 +124,6 @@ def substitute(poly: CommPoly, vector) -> CommPoly:
 
 def substitute_vector(polys, vector):
     return tuple(substitute(p, vector) for p in polys)
-
-
-def compose_is_identity(f_vec, g_vec) -> bool:
-    """Do the two commutative maps invert each other at this truncation?"""
-    first = f_vec[0]
-    idv = [
-        CommPoly.variable(first.ring, first.arity, first.degree, i)
-        for i in range(first.arity)
-    ]
-    return (
-        list(substitute_vector(f_vec, g_vec)) == idv
-        and list(substitute_vector(g_vec, f_vec)) == idv
-    )
 
 
 def jacobian(vector):

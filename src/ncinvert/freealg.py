@@ -42,11 +42,12 @@ class NCSeries:
     are equal iff type, ring, arity, truncation degree and term mappings
     agree.
 
-    Only ``constant``, ``variable``, ``from_terms``, ``coefficient``,
-    ``__mul__``, ``__repr__`` and the JSON methods read a key; everything else works on the buckets as they
-    are, so a subclass keyed by other graded monomials
+    Only the key methods below read a stored key; every other method works
+    on the buckets as they are or goes through the key methods, so a
+    subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
-    just those.
+    just those.  ``terms()``, ``coefficient()`` and ``from_terms()`` take
+    and yield keys as tuples: words here, exponent vectors in the subclass.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -61,6 +62,53 @@ class NCSeries:
         self.degree = degree
         self.buckets = buckets if buckets is not None else {}
 
+    # -- keys: the only code that reads a word ---------------------------
+
+    #: the JSON field that holds a key
+    _JSON_KEY = "word"
+
+    _key_degree = staticmethod(len)
+
+    @staticmethod
+    def _unit_key(arity, i=None):
+        """The key of 1, or of z_i (0-based) when ``i`` is given."""
+        return () if i is None else (i,)
+
+    @staticmethod
+    def _check_key(word, arity):
+        """ValueError unless ``word`` names a monomial in ``arity`` letters."""
+        if any(not 0 <= i < arity for i in word):
+            raise ValueError(f"letter out of range in word {word}")
+
+    @staticmethod
+    def _products(b1, b2, rmul):
+        """The (key, coefficient) pairs of bucket times bucket: words concatenate."""
+        return [(w1 + w2, rmul(c1, c2)) for w1, c1 in b1.items() for w2, c2 in b2.items()]
+
+    @staticmethod
+    def _splices(bucket, images, rmul):
+        """(key, coefficient) of every Leibniz term of a derivation on one
+        bucket: ``images[i]`` lists the terms of one degree that z_i goes to,
+        and each is spliced into each position of z_i in each word."""
+        return [
+            (word[:j] + uw + word[j + 1 :], rmul(c, uc))
+            for word, c in bucket.items()
+            for j, letter in enumerate(word)
+            for uw, uc in images[letter]
+        ]
+
+    @staticmethod
+    def _key_to_json(word):
+        return [i + 1 for i in word]
+
+    @staticmethod
+    def _key_from_json(letters):
+        return tuple(i - 1 for i in letters)
+
+    @staticmethod
+    def _key_text(word):
+        return "".join("z%d" % (i + 1) for i in word) or "1"
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -71,7 +119,7 @@ class NCSeries:
     def constant(cls, ring, arity, degree, c):
         s = cls(ring, arity, degree)
         if not ring.is_zero(c):
-            s.buckets[0] = {(): c}
+            s.buckets[0] = {cls._unit_key(arity): c}
         return s
 
     @classmethod
@@ -85,7 +133,7 @@ class NCSeries:
             raise ValueError(f"variable index {i} out of range for arity {arity}")
         s = cls(ring, arity, degree)
         if degree >= 1:
-            s.buckets[1] = {(i,): ring.one()}
+            s.buckets[1] = {cls._unit_key(arity, i): ring.one()}
         return s
 
     @classmethod
@@ -102,20 +150,19 @@ class NCSeries:
 
     @classmethod
     def from_terms(cls, ring, arity, degree, terms):
-        """Build from (word, coefficient) pairs, summing duplicates.
+        """Build from (key, coefficient) pairs, summing duplicates.
 
-        Words of degree > D are rejected: unlike arithmetic, explicit
-        construction with out-of-range words is a caller bug.
+        Keys of degree > D are rejected: unlike arithmetic, explicit
+        construction with out-of-range keys is a caller bug.
         """
         buckets = {}
-        for word, c in terms:
-            word = tuple(word)
-            d = len(word)
+        for key, c in terms:
+            key = tuple(key)
+            cls._check_key(key, arity)
+            d = cls._key_degree(key)
             if d > degree:
-                raise ValueError(f"word of degree {d} exceeds truncation {degree}")
-            if any(not 0 <= i < arity for i in word):
-                raise ValueError(f"letter out of range in word {word}")
-            _accumulate(buckets.setdefault(d, {}), ((word, c),), ring.add, ring.is_zero)
+                raise ValueError(f"term of degree {d} exceeds truncation {degree}")
+            _accumulate(buckets.setdefault(d, {}), ((key, c),), ring.add, ring.is_zero)
         return cls(ring, arity, degree, _pruned(buckets))
 
     # -- basic queries -------------------------------------------------
@@ -141,19 +188,16 @@ class NCSeries:
     def term_count(self) -> int:
         return sum(len(b) for b in self.buckets.values())
 
-    def coefficient(self, word):
-        word = tuple(word)
-        bucket = self.buckets.get(len(word))
-        if bucket is None:
-            return self.ring.zero()
-        return bucket.get(word, self.ring.zero())
+    def coefficient(self, key):
+        key = tuple(key)
+        return self.buckets.get(self._key_degree(key), {}).get(key, self.ring.zero())
 
     def terms(self):
-        """Yield (word, coefficient) in degree-lexicographic order."""
+        """Yield (key, coefficient) in degree-lexicographic order."""
         for d in sorted(self.buckets):
             bucket = self.buckets[d]
-            for word in sorted(bucket):
-                yield word, bucket[word]
+            for key in sorted(bucket):
+                yield key, bucket[key]
 
     # -- equality ------------------------------------------------------
 
@@ -170,10 +214,9 @@ class NCSeries:
 
     def __repr__(self):
         terms = ", ".join(
-            f"{self.ring.to_string(c)}*{''.join('z%d' % (i + 1) for i in w) or '1'}"
-            for w, c in self.terms()
+            f"{self.ring.to_string(c)}*{self._key_text(k)}" for k, c in self.terms()
         )
-        return f"NCSeries({terms or '0'}; n={self.arity}, D={self.degree})"
+        return f"{type(self).__name__}({terms or '0'}; n={self.arity}, D={self.degree})"
 
     def _check_compatible(self, other):
         if type(other) is not type(self):
@@ -231,12 +274,13 @@ class NCSeries:
         return self.scale(self.ring.from_int(n))
 
     def __mul__(self, other):
-        """Truncated product: words of degree > D are dropped."""
+        """Truncated product: terms of degree > D are dropped."""
         self._check_compatible(other)
         ring = self.ring
         rmul = ring.mul
         radd = ring.add
         is_zero = ring.is_zero
+        products = self._products
         D = self.degree
         out = {}
         for d1, b1 in self.buckets.items():
@@ -244,11 +288,8 @@ class NCSeries:
                 d = d1 + d2
                 if d > D:
                     continue
-                pairs = [
-                    (w1 + w2, rmul(c1, c2)) for w1, c1 in b1.items() for w2, c2 in b2.items()
-                ]
-                _accumulate(out.setdefault(d, {}), pairs, radd, is_zero)
-        return NCSeries(ring, self.arity, self.degree, _pruned(out))
+                _accumulate(out.setdefault(d, {}), products(b1, b2, rmul), radd, is_zero)
+        return type(self)(ring, self.arity, self.degree, _pruned(out))
 
     def __pow__(self, k: int):
         """Square-and-multiply; zero at once when order * k exceeds D."""
@@ -292,21 +333,17 @@ class NCSeries:
 
     def to_json_dict(self):
         """Interchange form; words use 1-based letters externally."""
+        field, to_json, to_string = self._JSON_KEY, self._key_to_json, self.ring.to_string
         return {
             "arity": self.arity,
             "degree": self.degree,
-            "terms": [
-                {"word": [i + 1 for i in w], "coeff": self.ring.to_string(c)}
-                for w, c in self.terms()
-            ],
+            "terms": [{field: to_json(k), "coeff": to_string(c)} for k, c in self.terms()],
         }
 
     @classmethod
     def from_json_dict(cls, ring, data):
-        terms = [
-            (tuple(i - 1 for i in t["word"]), ring.from_string(t["coeff"]))
-            for t in data["terms"]
-        ]
+        field, from_json = cls._JSON_KEY, cls._key_from_json
+        terms = [(from_json(t[field]), ring.from_string(t["coeff"])) for t in data["terms"]]
         return cls.from_terms(ring, data["arity"], data["degree"], terms)
 
 
@@ -346,16 +383,8 @@ class FormalMap:
     __slots__ = ("ring", "arity", "degree", "components", "form")
 
     def __init__(self, components, form="general"):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a formal map needs at least one component")
+        components = _check_vector(components)
         first = components[0]
-        for c in components[1:]:
-            first._check_compatible(c)
-        if len(components) != first.arity:
-            raise ValueError(
-                f"{len(components)} components for arity {first.arity}"
-            )
         if form not in ("F", "G", "general"):
             raise ValueError(f"unknown form tag {form!r}")
         self.ring = first.ring
@@ -367,24 +396,21 @@ class FormalMap:
             self._validate_unitriangular()
 
     def _validate_unitriangular(self):
+        """Reject a constant term, then the first faulty letter z_j of
+        component i: a stray z_j with j != i, or a z_i coefficient that is
+        missing or not 1."""
         ring = self.ring
         for i, comp in enumerate(self.components):
-            const = comp.coefficient(())
-            if not ring.is_zero(const):
+            if not ring.is_zero(comp.coefficient(())):
                 raise ValueError(f"component {i + 1} has a constant term")
-            lin = comp.buckets.get(1, {})
-            for (j,), c in lin.items():
-                if j == i:
-                    if not ring.is_one(c):
-                        raise ValueError(
-                            f"component {i + 1}: coefficient of z{i + 1} must be 1"
-                        )
-                else:
-                    raise ValueError(
-                        f"component {i + 1} has a stray linear term in z{j + 1}"
-                    )
-            if (i,) not in lin:
-                raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
+            for j in range(self.arity):
+                c = comp.coefficient((j,))
+                if j != i and not ring.is_zero(c):
+                    raise ValueError(f"component {i + 1} has a stray linear term in z{j + 1}")
+                if j == i and ring.is_zero(c):
+                    raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
+                if j == i and not ring.is_one(c):
+                    raise ValueError(f"component {i + 1}: coefficient of z{i + 1} must be 1")
 
     # -- constructors --------------------------------------------------
 
@@ -457,6 +483,20 @@ class FormalMap:
 
     def to_json_list(self):
         return [c.to_json_dict() for c in self.components]
+
+
+def _check_vector(vector):
+    """The vector as a tuple, once its entries are known to share kind, ring,
+    arity and truncation, with one entry per variable."""
+    vector = tuple(vector)
+    if not vector:
+        raise ValueError("a vector of series needs at least one component")
+    first = vector[0]
+    for other in vector[1:]:
+        first._check_compatible(other)
+    if len(vector) != first.arity:
+        raise ValueError(f"{len(vector)} components for arity {first.arity}")
+    return vector
 
 
 def _check_order_at_least(vector, bound, name):
@@ -566,14 +606,8 @@ class Derivation:
     __slots__ = ("ring", "arity", "degree", "components")
 
     def __init__(self, components):
-        components = tuple(components)
+        components = _check_vector(components)
         first = components[0]
-        for c in components[1:]:
-            first._check_compatible(c)
-        if len(components) != first.arity:
-            raise ValueError(
-                f"{len(components)} derivation components for arity {first.arity}"
-            )
         self.ring = first.ring
         self.arity = first.arity
         self.degree = first.degree
@@ -600,28 +634,22 @@ class Derivation:
             raise ValueError("derivation/series arity, degree or ring mismatch")
         ring = self.ring
         rmul = ring.mul
+        splices = f._splices
         D = self.degree
-        # letter -> {degree: [(word, coeff), ...]}
-        prepared = [
-            {du: list(b.items()) for du, b in u.buckets.items()}
-            for u in self.components
-        ]
-        degrees = sorted({du for u in self.components for du in u.buckets})
+        # degree -> per letter, the terms of that degree its image holds
+        images = {
+            du: [list(u.buckets.get(du, {}).items()) for u in self.components]
+            for du in sorted({du for u in self.components for du in u.buckets})
+        }
         out = {}
-        # one pass per (degree of f, degree of the components) pair, feeding
-        # every letter position of every word of that degree
+        # one pass per (degree of f, degree of the images) pair
         for d, bucket in f.buckets.items():
-            for du in degrees:
+            for du, by_letter in images.items():
                 if d - 1 + du > D:
                     break
-                pairs = [
-                    (word[:j] + uw + word[j + 1 :], rmul(c, uc))
-                    for word, c in bucket.items()
-                    for j, letter in enumerate(word)
-                    for uw, uc in prepared[letter].get(du, ())
-                ]
+                pairs = splices(bucket, by_letter, rmul)
                 _accumulate(out.setdefault(d - 1 + du, {}), pairs, ring.add, ring.is_zero)
-        return NCSeries(ring, self.arity, D, _pruned(out))
+        return type(f)(ring, self.arity, D, _pruned(out))
 
     def apply_vector(self, vector):
         return tuple(self.apply(f) for f in vector)

@@ -34,6 +34,7 @@ from .freealg import (
     FormalMap,
     NCSeries,
     _check_order_at_least,
+    _check_vector,
     _fixed_point,
     compose,
     compose_vector,
@@ -45,13 +46,9 @@ from .freealg import (
 from .rings import IntPolyRing, PrimeField, TQuotientRing
 
 def _vector_meta(h_vector):
-    h_vector = tuple(h_vector)
-    first = h_vector[0]
-    for other in h_vector[1:]:
-        first._check_compatible(other)
-    if len(h_vector) != first.arity:
-        raise ValueError(f"{len(h_vector)} components for arity {first.arity}")
+    h_vector = _check_vector(h_vector)
     _check_order_at_least(h_vector, 2, "H")
+    first = h_vector[0]
     return h_vector, first.ring, first.arity, first.degree
 
 

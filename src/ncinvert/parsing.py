@@ -39,6 +39,11 @@ class MapFormError(ValueError):
 #: costs a handful of Python frames, so this keeps far from the stack limit
 MAX_NESTING = 100
 
+#: over characteristic 0, the power c^k of a nonzero constant c has k times
+#: as many bits as c; a power whose base has a constant term is refused when
+#: k times the widest numerator or denominator of the base exceeds this
+MAX_POWER_BITS = 1 << 16
+
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
@@ -127,7 +132,19 @@ class _Parser:
             if tok.kind != "int":
                 self.error("exponent must be a literal non-negative integer", tok)
             self.take()
-            out = out ** int(tok.text)
+            k = int(tok.text)
+            if self.ring.characteristic == 0 and not self.ring.is_zero(out.coefficient(())):
+                bits = max(
+                    max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for _, c in out.terms()
+                )
+                if k * bits > MAX_POWER_BITS:
+                    self.error(
+                        f"power {k} of a base with a constant term would exceed "
+                        f"{MAX_POWER_BITS} coefficient bits",
+                        tok,
+                    )
+            out = out ** k
         return out
 
     # atom := int ('/' int)? | name | '(' expr ')'

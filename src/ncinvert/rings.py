@@ -293,11 +293,6 @@ class TQuotientRing(Ring):
             return self._zero
         return self._zero[:k] + a[: self.torder + 1 - k]
 
-    def t_power(self, k: int):
-        if k > self.torder:
-            return self._zero
-        return self._zero[:k] + (self.base.one(),) + self._zero[k + 1 :]
-
     def t_derivative(self, a):
         """d/dt on a truncated polynomial; the top coefficient becomes 0."""
         self._check(a)
@@ -388,9 +383,6 @@ class IntPolyRing(Ring):
             self._index_by_key[key] = idx
             self._keys.append(key)
         return {((idx, 1),): 1}
-
-    def variable_count(self) -> int:
-        return len(self._keys)
 
     def variable_name(self, idx: int) -> str:
         return f"A{idx + 1}"

@@ -50,10 +50,6 @@ class PBTree:
     def vertices(self) -> int:
         return 2 * self.leaves - 1
 
-    @property
-    def reduced_vertices(self) -> int:
-        return self.leaves - 1
-
     def serialize(self) -> str:
         return self._serial
 
@@ -146,16 +142,6 @@ def rooted_factorial(tree) -> int:
 
 def rooted_vertices(tree) -> int:
     return 1 + sum(rooted_vertices(c) for c in tree)
-
-
-def chain_tree(m: int):
-    """The chain with m vertices (height m-1)."""
-    if m < 1:
-        raise ValueError("chain needs >= 1 vertices")
-    t = ()
-    for _ in range(m - 1):
-        t = (t,)
-    return t
 
 
 def reduced_tree(tree: PBTree):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output schemas, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -118,6 +119,17 @@ def test_shape_error_exit_code(capsys):
     assert "map shape" in err
 
 
+def test_shape_error_names_the_same_letter_in_any_term_order(capsys):
+    errors = []
+    for first in ("x - x + 2*x + y; y", "x - x + y + 2*x; y"):
+        code, _, err = run_cli(capsys, "invert", "--expr", first, "--vars", "x,y", "-d", "3")
+        assert code == 3
+        errors.append(err)
+    assert errors[0] == errors[1] == (
+        "map shape error: not a z - H map: component 1: coefficient of z1 must be 1\n"
+    )
+
+
 def test_engine_ring_mismatch_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "invert", "--expr", "z1 - z1^2", "-d", "4",
@@ -167,6 +179,15 @@ def test_trees_list(capsys):
     code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--list")
     assert code == 0
     assert out.splitlines() == ["(o(oo)) 2", "((oo)o) 2"]
+
+
+def test_trees_list_json(capsys):
+    code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--list", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "leaves": 3,
+        "trees": [{"tree": "(o(oo))", "factorial": 2}, {"tree": "((oo)o)", "factorial": 2}],
+    }
 
 
 def test_trees_identity_json(capsys):
@@ -343,3 +364,58 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(oo) 1"
+
+
+DIGEST_MAP = "x - 2*x*y + y*x - x*x; y - y*y + 3*x*y - y*x*x"
+
+INVERT_DIGESTS = [
+    ("rational", "fixed-point", "8f6046e3ee55c2e7529bf2a47d3e024619a453b48a10c03252e56d8defc4b92a"),
+    ("rational", "recurrent", "b3c57510397db0e58f515f680629ca16a2d017e877360f90e719ab2617a3b63f"),
+    ("rational", "tree", "d1edbba3378b067b4185d6b9755e89b73667b19f0550e2e9384d22a7e14d8dc0"),
+    ("gfp:2", "fixed-point", "c1b47b4db4740ff7e18e479f52bafbe0be1cb0d936bc7fe543e20dc2f6d7e54f"),
+    ("gfp:2", "charp-direct", "65a0a2cea997d50077d94b9218b52c6cbeabe73a4a9bd251bd3e331ee7533f38"),
+    ("gfp:2", "charp-lift", "3a3f2d71b6720249f77afd2bbd6a3317f0f05ae42a29d16babfaccdde3161bba"),
+    ("gfp:3", "fixed-point", "7b330c8225f553ed08d271f80c8d348fdf0d39efbb61ea570bdef66e0a86d03b"),
+    ("gfp:3", "charp-direct", "6435a756c010c7e360ae3cd1a436cd27401b5b527f6a95c526fc94e2a668e244"),
+    ("gfp:3", "charp-lift", "7331dbdc196452c0909ded1e9692b4eafa0c83320b337dea0b2421f00b7ae324"),
+    ("gfp:5", "fixed-point", "d9f5d5e4c116dc2aa332b603f54756fbb3c95099d3778f26d024d3f11b7e3fdc"),
+    ("gfp:5", "charp-direct", "6cd24921a55ba701ac427df3c8812b2a331b40df0f19c7a5de905e3c8a5dde1d"),
+    ("gfp:5", "charp-lift", "74f4e9bcc6875cc2aca629b0029f1bb73b120bf89a4c271d2d86708a7e7f8ae8"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        pytest.param(
+            ("invert", "--expr", DIGEST_MAP, "--vars", "x,y", "-d", "7",
+             "--ring", ring, "--engine", engine, "--no-timings"),
+            digest,
+            id=f"invert-{ring}-{engine}",
+        )
+        for ring, engine, digest in INVERT_DIGESTS
+    ]
+    + [
+        pytest.param(
+            ("identities", "--seed", "0", "--trials", "1", "--no-timings"),
+            "0a8c0362e87124cba5498d3cd529f2629b07831fc219da98157da47b785abba4",
+            id="identities",
+        ),
+        pytest.param(
+            ("trees", "--leaves", "6"),
+            "08b34f4183219cb7df2619f78d97f740e0f08e446e6e20b26c28005946a281e8",
+            id="trees-list",
+        ),
+        pytest.param(
+            ("trees", "--leaves", "6", "--identity"),
+            "d916a1f2f8db4f4ace28cbff106b377c4f684a6e8d6831458f482cd4a4904bed",
+            id="trees-identity",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    """SHA-256 of the byte-stable outputs: every engine over Q and GF(2),
+    GF(3), GF(5), the identity suite and both tree modes."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

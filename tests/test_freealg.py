@@ -64,6 +64,9 @@ def test_mixed_degree_operands_rejected():
         a + b
     with pytest.raises(ValueError):
         a * b
+    for components in ((a, b), ()):
+        with pytest.raises(ValueError):
+            Derivation(components)
 
 
 def test_mixed_ring_operands_rejected():
@@ -73,9 +76,19 @@ def test_mixed_ring_operands_rejected():
         a + b
 
 
-def test_from_terms_rejects_overflow_words():
-    with pytest.raises(ValueError):
-        series(2, 2, ((0, 1, 0), 1))
+@pytest.mark.parametrize(
+    "kind, key, message",
+    [
+        (NCSeries, (0, 1, 0), "term of degree 3 exceeds truncation 2"),
+        (NCSeries, (0, 2), r"letter out of range in word \(0, 2\)"),
+        (CommPoly, (1, 2), "term of degree 3 exceeds truncation 2"),
+        (CommPoly, (1, 0, 0), r"exponent vector \(1, 0, 0\) has length 3, not 2"),
+    ],
+    ids=["word-past-degree", "letter-out-of-range", "exponents-past-degree", "exponents-wrong-length"],
+)
+def test_from_terms_rejects_overflow_words(kind, key, message):
+    with pytest.raises(ValueError, match=message):
+        kind.from_terms(QQ, 2, 2, [(key, Fraction(1))])
 
 
 def test_normalization_drops_zero_coefficients():
@@ -305,6 +318,8 @@ def test_tagged_form_validates_linear_part():
         FormalMap([x + y, y], form="F")
     with pytest.raises(ValueError):
         FormalMap([x.scale_int(2), y], form="F")
+    with pytest.raises(ValueError, match="component 1 is missing its z1 term"):
+        FormalMap([x * x, y], form="F")
     with pytest.raises(ValueError):
         FormalMap([x + NCSeries.one(QQ, 2, 3), y], form="G")
 
@@ -312,9 +327,9 @@ def test_tagged_form_validates_linear_part():
 def test_tquotient_coefficients_supported():
     tring = TQuotientRing(QQ, 2)
     x = NCSeries.variable(tring, 1, 3, 0)
-    tx = x.scale(tring.t_power(1))
+    tx = x.scale(tring.times_t(tring.one()))
     prod = tx * tx
-    assert prod.coefficient((0, 0)) == tring.t_power(2)
+    assert prod.coefficient((0, 0)) == tring.times_t(tring.one(), 2)
 
 
 def test_power_equals_repeated_product():

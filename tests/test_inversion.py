@@ -291,7 +291,7 @@ def test_lift_interns_one_variable_per_term():
     h = commutator_displacement(field, 4, scale=4)
     lifted, assignment, lift_ring = lift_displacement(h)
     # two nonzero coefficients in component 1, none in component 2
-    assert lift_ring.variable_count() == 2
+    assert lift_ring.variable("probe") == {((2, 1),): 1}  # the next index is 2
     assert set(assignment) == {(0, (0, 1)), (0, (1, 0))}
     assert assignment[(0, (1, 0))] == 4
     assert assignment[(0, (0, 1))] == 1  # -4 mod 5

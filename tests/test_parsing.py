@@ -1,6 +1,7 @@
 """Grammar, diagnostics and printer round-trips."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,25 @@ def test_deep_nesting_is_a_parse_error_on_the_command_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"parse error: 1:{5 + MAX_NESTING}: parentheses nested")
     assert "Traceback" not in captured.err
+
+
+def test_power_of_a_constant_is_bounded_in_characteristic_zero():
+    assert parse_expression("3^1000", ["x"], QQ, 2).coefficient(()) == 3**1000
+    with pytest.raises(ParseError, match="1:3: power 100000 of a base with a constant"):
+        parse_expression("3^100000", ["x"], QQ, 2)
+    # residues do not grow: the same power is fine over GF(5)
+    s = parse_expression("(2+x)^100000000", ["x"], PrimeField(5), 2)
+    assert s.coefficient(()) == 1
+
+
+def test_nested_constant_power_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["invert", "--expr", "x - ((3^9999)^9999)*x*x", "--vars", "x", "-d", "3"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: 1:15: power 9999 ")
 
 
 def test_rational_literal_over_prime_field():

@@ -12,7 +12,6 @@ from ncinvert.rings import QQ, PrimeField
 from ncinvert.trees import (
     LEAF,
     PBTree,
-    chain_tree,
     enumerate_pbtrees,
     factorial_identity_check,
     factorial_reciprocal_sum,
@@ -21,6 +20,7 @@ from ncinvert.trees import (
     reduced_factorial,
     reduced_tree,
     rooted_factorial,
+    rooted_vertices,
     tree_expansion_term,
     tree_series,
 )
@@ -73,7 +73,8 @@ def test_vertex_and_leaf_counts():
         for t in enumerate_pbtrees(m):
             assert t.leaves == m
             assert t.vertices == 2 * m - 1
-            assert t.reduced_vertices == m - 1
+            reduced = reduced_tree(t)  # None for the lone leaf
+            assert (0 if reduced is None else rooted_vertices(reduced)) == m - 1
 
 
 def test_malformed_node_rejected():
@@ -96,6 +97,14 @@ def test_reduced_factorial_matches_general_factorial_of_reduced_tree():
     for m in range(2, 8):
         for t in enumerate_pbtrees(m):
             assert reduced_factorial(t) == rooted_factorial(reduced_tree(t))
+
+
+def chain_tree(m):
+    """The chain with m vertices (height m-1), as nested tuples."""
+    t = ()
+    for _ in range(m - 1):
+        t = (t,)
+    return t
 
 
 def test_chains_have_ordinary_factorials():
