@@ -48,8 +48,14 @@ class CommPoly(NCSeries):
         if len(expo) != arity:
             raise ValueError(f"exponent vector {expo} has length {len(expo)}, not {arity}")
 
+    def _key_in(self, expo):
+        return expo
+
+    def _key_out(self, expo, d):
+        return expo
+
     @staticmethod
-    def _products(b1, b2, rmul):
+    def _products(b1, b2, d2, rmul):
         """Exponent vectors add."""
         return [
             (tuple(a + b for a, b in zip(e1, e2)), rmul(c1, c2))

@@ -1,11 +1,14 @@
 """Truncated power series in noncommutative variables.
 
-A monomial is a *word*: a tuple of 0-based letter indices, so ``(0, 1)`` is
-x*y and ``(1, 0)`` is y*x, and the two are distinct.  An :class:`NCSeries`
-stores its nonzero terms in per-degree buckets and is truncated at a fixed
-degree ``D``: every product silently drops words of degree > D, which is the
-whole point — all identities in this package are graded, so a degree-D
-truncation is an exact computation in the quotient by words of degree > D.
+A monomial is a *word*.  At the boundary (``terms()``, ``coefficient()``,
+``from_terms()``) a word is a tuple of 0-based letter indices, so ``(0, 1)``
+is x*y and ``(1, 0)`` is y*x, and the two are distinct.  In storage a word of
+length d over n letters is its base-n code, an int: x*y is 0*2 + 1 = 1 and
+y*x is 1*2 + 0 = 2.  An :class:`NCSeries` stores its nonzero terms in
+per-degree buckets and is truncated at a fixed degree ``D``: every product
+silently drops words of degree > D, which is the whole point — all
+identities in this package are graded, so a degree-D truncation is an exact
+computation in the quotient by words of degree > D.
 
 Coefficients live in a ring context from :mod:`ncinvert.rings` and commute
 with everything; all noncommutativity is carried by the words.
@@ -37,17 +40,23 @@ def _pruned(buckets):
 class NCSeries:
     """A degree-truncated noncommutative power series.
 
-    ``buckets`` maps a degree d to a dict {word: coefficient} holding the
-    nonzero terms of that degree; empty buckets are not stored.  Two series
-    are equal iff type, ring, arity, truncation degree and term mappings
-    agree.
+    ``buckets`` maps a degree d to a dict {code: coefficient} holding the
+    nonzero terms of that degree, keyed by the base-n code of each word;
+    empty buckets are not stored.  The bucket records the length, so codes
+    of different lengths never meet, and within one bucket numeric order is
+    lexicographic order.  A product concatenates words as
+    ``w1 * n**d2 + w2``, and a derivation splices an image into a word with a
+    ``divmod`` and a multiply-add.  Two series are equal iff type, ring,
+    arity, truncation degree and term mappings agree.
 
     Only the key methods below read a stored key; every other method works
     on the buckets as they are or goes through the key methods, so a
     subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
     just those.  ``terms()``, ``coefficient()`` and ``from_terms()`` take
-    and yield keys as tuples: words here, exponent vectors in the subclass.
+    and yield keys as tuples, encoding and decoding them with ``_key_in``
+    and ``_key_out``: words here, exponent vectors (stored as they are) in
+    the subclass.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -62,17 +71,18 @@ class NCSeries:
         self.degree = degree
         self.buckets = buckets if buckets is not None else {}
 
-    # -- keys: the only code that reads a word ---------------------------
+    # -- keys: the only code that reads a stored key ------------------------
 
     #: the JSON field that holds a key
     _JSON_KEY = "word"
 
+    #: the degree of a key in its boundary form (a tuple word)
     _key_degree = staticmethod(len)
 
     @staticmethod
     def _unit_key(arity, i=None):
-        """The key of 1, or of z_i (0-based) when ``i`` is given."""
-        return () if i is None else (i,)
+        """The stored key of 1, or of z_i (0-based) when ``i`` is given."""
+        return 0 if i is None else i
 
     @staticmethod
     def _check_key(word, arity):
@@ -80,20 +90,48 @@ class NCSeries:
         if any(not 0 <= i < arity for i in word):
             raise ValueError(f"letter out of range in word {word}")
 
-    @staticmethod
-    def _products(b1, b2, rmul):
-        """The (key, coefficient) pairs of bucket times bucket: words concatenate."""
-        return [(w1 + w2, rmul(c1, c2)) for w1, c1 in b1.items() for w2, c2 in b2.items()]
+    def _key_in(self, word):
+        """The stored key of a tuple word: its base-n code."""
+        n = self.arity
+        code = 0
+        for letter in word:
+            code = code * n + letter
+        return code
 
-    @staticmethod
-    def _splices(bucket, images, rmul):
-        """(key, coefficient) of every Leibniz term of a derivation on one
-        bucket: ``images[i]`` lists the terms of one degree that z_i goes to,
-        and each is spliced into each position of z_i in each word."""
+    def _key_out(self, code, d):
+        """The tuple word of length ``d`` whose base-n code is ``code``."""
+        n = self.arity
+        word = [0] * d
+        for j in range(d - 1, -1, -1):
+            code, word[j] = divmod(code, n)
+        return tuple(word)
+
+    def _products(self, b1, b2, d2, rmul):
+        """The (key, coefficient) pairs of bucket times bucket, ``b2`` of
+        degree ``d2``: words concatenate, so codes shift by n**d2 and add."""
+        shift = self.arity ** d2
         return [
-            (word[:j] + uw + word[j + 1 :], rmul(c, uc))
-            for word, c in bucket.items()
-            for j, letter in enumerate(word)
+            (w1 * shift + w2, rmul(c1, c2))
+            for w1, c1 in b1.items()
+            for w2, c2 in b2.items()
+        ]
+
+    def _splices(self, bucket, d, images, du, rmul):
+        """(key, coefficient) of every Leibniz term of a derivation on one
+        bucket of degree ``d``: ``images[i]`` lists the terms of degree ``du``
+        that z_i goes to, and each is spliced into each position of z_i in
+        each word.  At position j a code splits into the letters before
+        (``hi``), the letter and the letters after (``lo``, j+1..d-1)."""
+        n = self.arity
+        lift = n**du
+        return [
+            ((hi * lift + uw) * low + lo, rmul(c, uc))
+            for j in range(d)
+            for low in [n ** (d - 1 - j)]
+            for high in [low * n]
+            for code, c in bucket.items()
+            for hi, rest in [divmod(code, high)]
+            for letter, lo in [divmod(rest, low)]
             for uw, uc in images[letter]
         ]
 
@@ -155,6 +193,7 @@ class NCSeries:
         Keys of degree > D are rejected: unlike arithmetic, explicit
         construction with out-of-range keys is a caller bug.
         """
+        s = cls(ring, arity, degree)
         buckets = {}
         for key, c in terms:
             key = tuple(key)
@@ -162,8 +201,11 @@ class NCSeries:
             d = cls._key_degree(key)
             if d > degree:
                 raise ValueError(f"term of degree {d} exceeds truncation {degree}")
-            _accumulate(buckets.setdefault(d, {}), ((key, c),), ring.add, ring.is_zero)
-        return cls(ring, arity, degree, _pruned(buckets))
+            _accumulate(
+                buckets.setdefault(d, {}), ((s._key_in(key), c),), ring.add, ring.is_zero
+            )
+        s.buckets = _pruned(buckets)
+        return s
 
     # -- basic queries -------------------------------------------------
 
@@ -190,19 +232,23 @@ class NCSeries:
 
     def coefficient(self, key):
         key = tuple(key)
-        return self.buckets.get(self._key_degree(key), {}).get(key, self.ring.zero())
+        self._check_key(key, self.arity)
+        bucket = self.buckets.get(self._key_degree(key), {})
+        return bucket.get(self._key_in(key), self.ring.zero())
 
     def terms(self):
-        """Yield (key, coefficient) in degree-lexicographic order."""
+        """Yield (key, coefficient) in degree-lexicographic order: within a
+        degree, the order of the stored keys is that of the keys."""
+        key_out = self._key_out
         for d in sorted(self.buckets):
             bucket = self.buckets[d]
             for key in sorted(bucket):
-                yield key, bucket[key]
+                yield key_out(key, d), bucket[key]
 
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other):
-        # exact types: a word and an exponent vector may share a bucket
+        # exact types: only the kind tells two series with equal buckets apart
         if type(other) is not type(self):
             return NotImplemented
         return (
@@ -288,7 +334,7 @@ class NCSeries:
                 d = d1 + d2
                 if d > D:
                     continue
-                _accumulate(out.setdefault(d, {}), products(b1, b2, rmul), radd, is_zero)
+                _accumulate(out.setdefault(d, {}), products(b1, b2, d2, rmul), radd, is_zero)
         return type(self)(ring, self.arity, self.degree, _pruned(out))
 
     def __pow__(self, k: int):
@@ -647,7 +693,7 @@ class Derivation:
             for du, by_letter in images.items():
                 if d - 1 + du > D:
                     break
-                pairs = splices(bucket, by_letter, rmul)
+                pairs = splices(bucket, d, by_letter, du, rmul)
                 _accumulate(out.setdefault(d - 1 + du, {}), pairs, ring.add, ring.is_zero)
         return type(f)(ring, self.arity, D, _pruned(out))
 

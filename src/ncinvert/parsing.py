@@ -15,6 +15,7 @@ shape z_i + (terms of degree >= 2): identity linear part, no constant.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .freealg import FormalMap, NCSeries
@@ -39,10 +40,12 @@ class MapFormError(ValueError):
 #: costs a handful of Python frames, so this keeps far from the stack limit
 MAX_NESTING = 100
 
-#: over characteristic 0, the power c^k of a nonzero constant c has k times
-#: as many bits as c; a power whose base has a constant term is refused when
-#: k times the widest numerator or denominator of the base exceeds this
-MAX_POWER_BITS = 1 << 16
+#: the widest numerator or denominator a parsed coefficient may reach: an
+#: integer literal wider than this is refused, and over characteristic 0 so
+#: is a power c^k of a base with a constant term when k times the widest
+#: coefficient of the base passes it, and a product when the widest
+#: coefficients of its two operands together do
+MAX_COEFF_BITS = 1 << 16
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
@@ -99,6 +102,27 @@ class _Parser:
             out = out + rhs if op == "+" else out - rhs
         return out
 
+    def coeff_bits(self, series):
+        """The widest numerator or denominator of the series over
+        characteristic 0; 0 over GF(p), where residues do not grow."""
+        if self.ring.characteristic != 0:
+            return 0
+        return max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in series.terms()),
+            default=0,
+        )
+
+    def literal(self, tok) -> int:
+        """The value of an integer literal, refused when it is longer than
+        Python converts or wider than MAX_COEFF_BITS."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            self.error(f"integer literal longer than {limit} digits", tok)
+        value = int(tok.text)
+        if value.bit_length() > MAX_COEFF_BITS:
+            self.error(f"integer literal wider than {MAX_COEFF_BITS} bits", tok)
+        return value
+
     # term := factor ('*' factor)*
     def term(self) -> NCSeries:
         out = self.factor()
@@ -106,7 +130,10 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.take()
-                out = out * self.factor()
+                rhs = self.factor()
+                if self.coeff_bits(out) + self.coeff_bits(rhs) > MAX_COEFF_BITS:
+                    self.error(f"product would exceed {MAX_COEFF_BITS} coefficient bits", tok)
+                out = out * rhs
             elif tok.kind in ("name", "int") or (tok.kind == "op" and tok.text == "("):
                 self.error(
                     "juxtaposition is not multiplication; write '*' explicitly", tok
@@ -132,18 +159,16 @@ class _Parser:
             if tok.kind != "int":
                 self.error("exponent must be a literal non-negative integer", tok)
             self.take()
-            k = int(tok.text)
-            if self.ring.characteristic == 0 and not self.ring.is_zero(out.coefficient(())):
-                bits = max(
-                    max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for _, c in out.terms()
+            k = self.literal(tok)
+            if (
+                not self.ring.is_zero(out.coefficient(()))
+                and k * self.coeff_bits(out) > MAX_COEFF_BITS
+            ):
+                self.error(
+                    f"power {k} of a base with a constant term would exceed "
+                    f"{MAX_COEFF_BITS} coefficient bits",
+                    tok,
                 )
-                if k * bits > MAX_POWER_BITS:
-                    self.error(
-                        f"power {k} of a base with a constant term would exceed "
-                        f"{MAX_POWER_BITS} coefficient bits",
-                        tok,
-                    )
             out = out ** k
         return out
 
@@ -151,13 +176,13 @@ class _Parser:
     def atom(self) -> NCSeries:
         tok = self.take()
         if tok.kind == "int":
-            num = int(tok.text)
+            num = self.literal(tok)
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.take()
                 dtok = self.take()
                 if dtok.kind != "int":
                     self.error("denominator must be an integer literal", dtok)
-                den = int(dtok.text)
+                den = self.literal(dtok)
                 if den == 0:
                     self.error("zero denominator", dtok)
                 c = self.ring.div_by_int(self.ring.from_int(num), den)
@@ -203,8 +228,9 @@ class ParsedMap:
 
 
 def split_map_source(text):
-    """Split a map file into (variables or None, [(line_no, component_text)])."""
-    variables = None
+    """Split a map file into (variables or None, the line number of the
+    ``vars:`` header or None, [(line_no, component_text)])."""
+    variables = header_line = None
     pieces = []
     lines = text.splitlines()
     start = 0
@@ -217,13 +243,28 @@ def split_map_source(text):
             variables = [v.strip() for v in stripped[len("vars:"):].split(",") if v.strip()]
             if not variables:
                 raise ParseError("empty vars: header", i + 1, 1)
-            start = i + 1
+            header_line = start = i + 1
         break
     for i in range(start, len(lines)):
         for chunk in lines[i].split(";"):
             if chunk.strip():
                 pieces.append((i + 1, chunk))
-    return variables, pieces
+    return variables, header_line, pieces
+
+
+def _check_names(names, line):
+    """ParseError on the first repeated variable name, then on the first
+    name the tokenizer cannot read back as one name token."""
+    col = None if line is None else 1
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"variable {name!r} is declared twice", line, col)
+        seen.add(name)
+    for name in names:
+        m = _TOKEN.fullmatch(name)
+        if m is None or m.lastgroup != "name":
+            raise ParseError(f"{name!r} is not a variable name", line, col)
 
 
 def parse_map(text, ring, degree, variables=None) -> ParsedMap:
@@ -232,12 +273,14 @@ def parse_map(text, ring, degree, variables=None) -> ParsedMap:
     ``variables`` overrides any ``vars:`` header; with neither, components
     are named z1..zn in order.
     """
-    header_vars, pieces = split_map_source(text)
+    header_vars, header_line, pieces = split_map_source(text)
     if not pieces:
         raise ParseError("no map components found", 1, 1)
-    names = list(variables) if variables else header_vars
+    names, line = (list(variables), None) if variables else (header_vars, header_line)
     if names is None:
         names = [f"z{i + 1}" for i in range(len(pieces))]
+    else:
+        _check_names(names, line)
     if len(names) != len(pieces):
         raise MapFormError(
             f"{len(pieces)} components but {len(names)} variables ({', '.join(names)})"

@@ -111,6 +111,27 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "source, names, message",
+    [
+        ("x - y*y; y", "x,x", "variable 'x' is declared twice"),
+        ("x - y*y; y", "x,1x", "'1x' is not a variable name"),
+        ("x - y*y; y", "1x,x,1x", "variable '1x' is declared twice"),
+        ("vars: x, x\nx - y*y\ny\n", None, "1:1: variable 'x' is declared twice"),
+        ("\nvars: x, 1x\nx - x*x\nx\n", None, "2:1: '1x' is not a variable name"),
+    ],
+    ids=["repeated", "not-a-name", "repeated-first", "header-repeated", "header-not-a-name"],
+)
+def test_bad_variable_names_exit_2(tmp_path, capsys, source, names, message):
+    path = tmp_path / "map.txt"
+    path.write_text(source, encoding="utf-8")
+    argv = ["invert", str(path), "-d", "3"] + (["--vars", names] if names else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {message}\n"
+
+
 def test_shape_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "invert", "--expr", "x - y; y", "--vars", "x,y", "-d", "4"

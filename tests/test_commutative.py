@@ -67,10 +67,10 @@ def test_abelianize_is_ring_homomorphism():
 
 
 def test_equality_needs_the_same_kind():
-    # y*y as a word and x*y as an exponent vector are both (1, 1) in degree 2
-    yy = nc(2, 3, ((1, 1), 1))
-    xy = CommPoly.from_terms(QQ, 2, 3, [((1, 1), Fraction(1))])
-    assert yy.buckets == xy.buckets
+    # the same stored buckets under both kinds: only the kind tells them apart
+    raw = {2: {(1, 1): Fraction(1)}}
+    yy = NCSeries(QQ, 2, 3, raw)
+    xy = CommPoly(QQ, 2, 3, raw)
     assert yy != xy
     assert xy != yy
 

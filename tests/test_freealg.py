@@ -1,5 +1,6 @@
 """Series arithmetic, substitution, derivations, Jacobians, chain rules."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -89,6 +90,14 @@ def test_mixed_ring_operands_rejected():
 def test_from_terms_rejects_overflow_words(kind, key, message):
     with pytest.raises(ValueError, match=message):
         kind.from_terms(QQ, 2, 2, [(key, Fraction(1))])
+
+
+def test_coefficient_rejects_letters_outside_the_alphabet():
+    # (0, 2) and (1, 0) share the base-2 code 2: the letter must be refused
+    s = series(2, 2, ((1, 0), 5))
+    assert s.coefficient((1, 0)) == 5
+    with pytest.raises(ValueError, match=r"letter out of range in word \(0, 2\)"):
+        s.coefficient((0, 2))
 
 
 def test_normalization_drops_zero_coefficients():
@@ -401,3 +410,54 @@ def test_compose_matches_word_by_word_reference(data):
     assert compose(u, f_map) == expect
     poly, vector = abelianize(u), abelianize_vector(f_map.components)
     assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)
+
+
+def _tuple_product(a, b):
+    """a * b written over tuple words: each pair of words concatenates."""
+    ring, D = a.ring, a.degree
+    pairs = [
+        (w1 + w2, ring.mul(c1, c2))
+        for w1, c1 in a.terms()
+        for w2, c2 in b.terms()
+        if len(w1) + len(w2) <= D
+    ]
+    return NCSeries.from_terms(ring, a.arity, D, pairs)
+
+
+def _tuple_derivation(images, f):
+    """The Leibniz rule written over tuple words: each image term is
+    spliced into each position of its letter."""
+    ring, D = f.ring, f.degree
+    pairs = [
+        (w[:j] + uw + w[j + 1 :], ring.mul(c, uc))
+        for w, c in f.terms()
+        for j, letter in enumerate(w)
+        for uw, uc in images[letter].terms()
+        if len(w) - 1 + len(uw) <= D
+    ]
+    return NCSeries.from_terms(ring, f.arity, D, pairs)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_kernels_match_a_tuple_word_reference(data):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 5))
+    full = st.lists(st.integers(0, n - 1), min_size=D, max_size=D).map(tuple)
+
+    def draw_series(min_deg):
+        # every series holds words of degree D besides its sparse terms
+        tops = data.draw(st.lists(full, min_size=1, max_size=4))
+        top = NCSeries.from_terms(ring, n, D, [(w, ring.one()) for w in tops])
+        return data.draw(sparse_series(ring, n, D, min_deg)) + top
+
+    a, b = draw_series(0), draw_series(0)
+    assert a * b == _tuple_product(a, b)
+    if data.draw(st.booleans()):
+        delta = Derivation.coordinate(ring, n, D, data.draw(st.integers(0, n - 1)))
+    else:
+        delta = Derivation([draw_series(0) for _ in range(n)])
+    assert delta.apply(a) == _tuple_derivation(delta.components, a)
+    assert NCSeries.from_terms(ring, n, D, a.terms()) == a
+    assert NCSeries.from_json_dict(ring, json.loads(json.dumps(a.to_json_dict()))) == a

@@ -1,6 +1,7 @@
 """Grammar, diagnostics and printer round-trips."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -109,6 +110,53 @@ def test_nested_constant_power_exits_2_at_once(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("parse error: 1:15: power 9999 ")
+
+
+def test_products_of_constants_are_bounded_in_characteristic_zero(capsys):
+    s = parse_expression("3^1000*3^1000*x*x", ["x"], QQ, 3)
+    assert s.coefficient((0, 0)) == 3**2000
+    factors = "*".join(["3^30000"] * 400)
+    start = time.perf_counter()
+    code = main(["invert", "--expr", f"x - {factors}*x*x", "--vars", "x", "-d", "3"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    # refused at the first '*': 3^30000 alone is 47549 bits wide
+    assert captured.err.startswith("parse error: 1:12: product would exceed 65536 ")
+    # residues do not grow: the same product is fine over GF(5)
+    s = parse_expression(factors, ["x"], PrimeField(5), 2)
+    assert s.coefficient(()) == pow(3, 30000 * 400, 5)
+
+
+@pytest.mark.parametrize(
+    "expr, col",
+    [
+        ("x - {}*x*x", 5),
+        ("x - 1/{}*x*x", 7),
+        ("x - (1+x)^{}", 11),
+    ],
+    ids=["numerator", "denominator", "exponent"],
+)
+def test_overlong_integer_literal_exits_2_at_the_literal(capsys, expr, col):
+    start = time.perf_counter()
+    code = main(["invert", "--expr", expr.format("7" * 5000), "--vars", "x", "-d", "3"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"parse error: 1:{col}: integer literal longer than ")
+
+
+def test_integer_literal_wider_than_the_bound_is_refused():
+    # only reachable when Python converts strings of any length
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ParseError, match="1:1: integer literal wider than 65536 bits"):
+            parse_expression("9" * 20000, ["x"], QQ, 2)
+        assert parse_expression("9" * 19000, ["x"], QQ, 2).coefficient(()) == int("9" * 19000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rational_literal_over_prime_field():
