@@ -116,24 +116,36 @@ class NCSeries:
             for w2, c2 in b2.items()
         ]
 
-    def _splices(self, bucket, d, images, du, rmul):
-        """(key, coefficient) of every Leibniz term of a derivation on one
-        bucket of degree ``d``: ``images[i]`` lists the terms of degree ``du``
-        that z_i goes to, and each is spliced into each position of z_i in
-        each word.  At position j a code splits into the letters before
-        (``hi``), the letter and the letters after (``lo``, j+1..d-1)."""
+    def _splices(self, bucket, d, images, rmul, positions=None):
+        """The Leibniz terms of a derivation on one bucket of degree ``d``:
+        per position and per image degree du that stays within the
+        truncation, the output degree d - 1 + du and its (key, coefficient)
+        pairs.  ``images`` is an image table (see ``_image_table``); each
+        image term of z_i replaces z_i at each position in ``positions`` (all
+        d of them by default).  At position j a code splits once into the
+        letters before (``hi``), the letter and the letters after (``lo``,
+        j+1..d-1), and every image degree reuses that split."""
         n = self.arity
-        lift = n**du
-        return [
-            ((hi * lift + uw) * low + lo, rmul(c, uc))
-            for j in range(d)
-            for low in [n ** (d - 1 - j)]
-            for high in [low * n]
-            for code, c in bucket.items()
-            for hi, rest in [divmod(code, high)]
-            for letter, lo in [divmod(rest, low)]
-            for uw, uc in images[letter]
-        ]
+        images = [(du, by_letter) for du, by_letter in images if d - 1 + du <= self.degree]
+        if not images:
+            # no split at all: derivations meet many buckets that no image fits
+            return
+        for j in range(d) if positions is None else positions:
+            low = n ** (d - 1 - j)
+            high = low * n
+            split = [
+                (hi, letter, lo, c)
+                for code, c in bucket.items()
+                for hi, rest in [divmod(code, high)]
+                for letter, lo in [divmod(rest, low)]
+            ]
+            for du, by_letter in images:
+                lift = n**du
+                yield d - 1 + du, [
+                    ((hi * lift + uw) * low + lo, rmul(c, uc))
+                    for hi, letter, lo, c in split
+                    for uw, uc in by_letter[letter]
+                ]
 
     @staticmethod
     def _key_to_json(word):
@@ -558,14 +570,35 @@ def _check_order_at_least(vector, bound, name):
 # ---------------------------------------------------------------------------
 
 
+def _image_table(components):
+    """The terms of each component grouped by degree: a list of
+    (du, [terms of degree du of component i, for each i]) in increasing du,
+    the form in which ``NCSeries._splices`` reads the images of the letters."""
+    return [
+        (du, [list(u.buckets.get(du, {}).items()) for u in components])
+        for du in sorted({du for u in components for du in u.buckets})
+    ]
+
+
 def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     """Substitute the map into the series: each word z_i1...z_im of ``u``
     becomes the ordered product F_i1 * ... * F_im.
 
+    The letters are replaced one position at a time, from the right end to
+    the left.  Before the pass at position k each term is a raw prefix of
+    k+1 letters followed by a tail that is already substituted; the words of
+    ``u`` of length k+1 join, and the pass splices the terms of F for the
+    letter at position k in its place (``NCSeries._splices`` at that one
+    position).  Terms that share a raw prefix and a tail merge before the
+    next pass.
+
     Requires every component of the map to have order >= 1 (a constant term
-    would make substitution non-convergent degree by degree).  ``cache`` may
-    be a dict shared between calls composing with the *same* map: it memoizes
-    word-prefix products.
+    would make substitution non-convergent degree by degree).  So every raw
+    letter still adds degree >= 1, a term whose length passes D is dropped
+    at once, and the result stays exact.  ``cache`` may be a dict shared
+    between calls composing with the *same* map: it holds the map's image
+    table, the terms of each component grouped by degree, under the key
+    ``()``.
     """
     if u.arity != f_map.arity or u.degree != f_map.degree or u.ring != f_map.ring:
         raise ValueError("series/map arity, degree or ring mismatch")
@@ -574,41 +607,28 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
             raise ValueError(f"map component {i + 1} has a constant term")
     if cache is None:
         cache = {}
-    if () not in cache:
-        cache[()] = NCSeries.one(u.ring, u.arity, u.degree)
+    images = cache.get(())
+    if images is None:
+        images = cache[()] = _image_table(f_map.components)
     ring = u.ring
-    rmul = ring.mul
-    out = {}
-    for word, c in u.terms():
-        prod = _word_product(word, f_map.components, cache)
-        for d, b in prod.buckets.items():
-            pairs = [(w, rmul(c, x)) for w, x in b.items()]
-            _accumulate(out.setdefault(d, {}), pairs, ring.add, ring.is_zero)
-    return NCSeries(ring, u.arity, u.degree, _pruned(out))
-
-
-def _word_product(word, components, cache):
-    got = cache.get(word)
-    if got is not None:
-        return got
-    # find the longest cached prefix, then extend letter by letter
-    k = len(word) - 1
-    while k > 0 and word[:k] not in cache:
-        k -= 1
-    prod = cache[word[:k]]
-    for j in range(k, len(word)):
-        prod = prod * components[word[j]]
-        cache[word[: j + 1]] = prod
-        if prod.is_zero():
-            # every extension of a vanished prefix vanishes too
-            for jj in range(j + 1, len(word)):
-                cache[word[: jj + 1]] = prod
-            break
-    return cache[word]
+    words = u.buckets
+    terms = {}
+    for k in range(max(words, default=0) - 1, -1, -1):
+        if k + 1 in words:
+            # a spliced term is longer than k + 1, so no key is shared
+            terms[k + 1] = words[k + 1]
+        spliced = {}
+        for d, bucket in terms.items():
+            for e, pairs in u._splices(bucket, d, images, ring.mul, (k,)):
+                _accumulate(spliced.setdefault(e, {}), pairs, ring.add, ring.is_zero)
+        terms = spliced
+    if 0 in words:
+        terms[0] = dict(words[0])
+    return NCSeries(ring, u.arity, u.degree, _pruned(terms))
 
 
 def compose_vector(vector, f_map: FormalMap, cache=None):
-    """Componentwise substitution sharing one prefix cache."""
+    """Componentwise substitution sharing one image table."""
     if cache is None:
         cache = {}
     return tuple(compose(u, f_map, cache) for u in vector)
@@ -679,23 +699,12 @@ class Derivation:
         if f.arity != self.arity or f.degree != self.degree or f.ring != self.ring:
             raise ValueError("derivation/series arity, degree or ring mismatch")
         ring = self.ring
-        rmul = ring.mul
-        splices = f._splices
-        D = self.degree
-        # degree -> per letter, the terms of that degree its image holds
-        images = {
-            du: [list(u.buckets.get(du, {}).items()) for u in self.components]
-            for du in sorted({du for u in self.components for du in u.buckets})
-        }
+        images = _image_table(self.components)
         out = {}
-        # one pass per (degree of f, degree of the images) pair
         for d, bucket in f.buckets.items():
-            for du, by_letter in images.items():
-                if d - 1 + du > D:
-                    break
-                pairs = splices(bucket, d, by_letter, du, rmul)
-                _accumulate(out.setdefault(d - 1 + du, {}), pairs, ring.add, ring.is_zero)
-        return type(f)(ring, self.arity, D, _pruned(out))
+            for e, pairs in f._splices(bucket, d, images, ring.mul):
+                _accumulate(out.setdefault(e, {}), pairs, ring.add, ring.is_zero)
+        return type(f)(ring, self.arity, self.degree, _pruned(out))
 
     def apply_vector(self, vector):
         return tuple(self.apply(f) for f in vector)

@@ -42,9 +42,9 @@ MAX_NESTING = 100
 
 #: the widest numerator or denominator a parsed coefficient may reach: an
 #: integer literal wider than this is refused, and over characteristic 0 so
-#: is a power c^k of a base with a constant term when k times the widest
-#: coefficient of the base passes it, and a product when the widest
-#: coefficients of its two operands together do
+#: is a power b^k that is not zero at the truncation (k * o(b) <= D) when k
+#: times the widest coefficient of the base passes it, and a product when
+#: the widest coefficients of its two operands together do
 MAX_COEFF_BITS = 1 << 16
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
@@ -160,13 +160,13 @@ class _Parser:
                 self.error("exponent must be a literal non-negative integer", tok)
             self.take()
             k = self.literal(tok)
-            if (
-                not self.ring.is_zero(out.coefficient(()))
-                and k * self.coeff_bits(out) > MAX_COEFF_BITS
-            ):
+            # b^k is zero at once when k * o(b) passes D, so its
+            # coefficients only grow while k * o(b) <= D
+            order = out.order()
+            if k * order <= self.degree and k * self.coeff_bits(out) > MAX_COEFF_BITS:
+                base = "with a constant term" if order == 0 else f"of order {order}"
                 self.error(
-                    f"power {k} of a base with a constant term would exceed "
-                    f"{MAX_COEFF_BITS} coefficient bits",
+                    f"power {k} of a base {base} would exceed {MAX_COEFF_BITS} coefficient bits",
                     tok,
                 )
             out = out ** k

@@ -15,6 +15,7 @@ anywhere.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 
 
@@ -144,7 +145,15 @@ class RationalField(Ring):
         return a / m
 
     def to_string(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:
+            # Python refuses to print an int longer than its digit limit
+            bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+            raise ValueError(
+                f"a coefficient of {bits} bits has more than the "
+                f"{sys.get_int_max_str_digits()} decimal digits that can be printed"
+            ) from None
 
     def from_string(self, s: str):
         f = Fraction(s)

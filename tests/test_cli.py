@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -385,6 +387,32 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(oo) 1"
+
+
+def test_python_m_ncinvert_runs_the_cli_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncinvert", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ncinvert")
+
+
+def test_unprintable_output_coefficient_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "x - 3^30000*x*x", "--vars", "x", "-d", "3",
+        "--no-timings",
+    )
+    assert code == 3
+    assert out == ""
+    width = (3**30000).bit_length()
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: a coefficient of {width} bits has more than the "
+        f"{limit} decimal digits that can be printed\n"
+    )
+    assert "set_int_max_str_digits" not in err
 
 
 DIGEST_MAP = "x - 2*x*y + y*x - x*x; y - y*y + 3*x*y - y*x*x"

@@ -15,7 +15,8 @@ from ncinvert.freealg import (
     INFINITE_ORDER,
     NCSeries,
     SeriesMatrix,
-    _word_product,
+    _image_table,
+    _pruned,
     compose,
     compose_vector,
     jacobian_tilde,
@@ -24,7 +25,7 @@ from ncinvert.freealg import (
 )
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.randmaps import random_displacement, random_series
-from ncinvert.rings import QQ, PrimeField, TQuotientRing
+from ncinvert.rings import QQ, PrimeField, TQuotientRing, _accumulate
 
 
 def series(n, degree, *terms):
@@ -394,22 +395,58 @@ def _substitute_copy_per_term(poly, vector):
     return out
 
 
+def _word_product(word, components):
+    """F_i1 * ... * F_im for the word z_i1...z_im, one product per letter."""
+    first = components[0]
+    prod = NCSeries.one(first.ring, first.arity, first.degree)
+    for letter in word:
+        prod = prod * components[letter]
+    return prod
+
+
+@st.composite
+def reaching_series(draw, ring, n, D, min_deg):
+    """A sparse series plus up to three words of degree D; zero when no word
+    of degree >= ``min_deg`` fits."""
+    if D < min_deg:
+        return NCSeries.zero(ring, n, D)
+    top = st.lists(st.integers(0, n - 1), min_size=D, max_size=D).map(tuple)
+    tops = draw(st.lists(top, max_size=3))
+    return draw(sparse_series(ring, n, D, min_deg)) + NCSeries.from_terms(
+        ring, n, D, [(w, ring.one()) for w in tops]
+    )
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_compose_matches_word_by_word_reference(data):
     ring = data.draw(st.sampled_from(KERNEL_RINGS))
-    n = data.draw(st.integers(1, 2))
-    D = data.draw(st.integers(1, 4))
-    u = data.draw(sparse_series(ring, n, D, 0))
-    f_map = FormalMap([data.draw(sparse_series(ring, n, D, 1)) for _ in range(n)])
-    one = NCSeries.one(ring, n, D)
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 6))
+    u = data.draw(reaching_series(ring, n, D, 0))
+    f_map = FormalMap([data.draw(reaching_series(ring, n, D, 1)) for _ in range(n)])
     expect = NCSeries.sum(
-        ring, n, D,
-        (_word_product(w, f_map.components, {(): one}).scale(c) for w, c in u.terms()),
+        ring, n, D, (_word_product(w, f_map.components).scale(c) for w, c in u.terms())
     )
     assert compose(u, f_map) == expect
     poly, vector = abelianize(u), abelianize_vector(f_map.components)
     assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_compose_vector_shares_one_image_table(data):
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 6))
+    vector = [data.draw(reaching_series(ring, n, D, 0)) for _ in range(n)]
+    f_map = FormalMap([data.draw(reaching_series(ring, n, D, 1)) for _ in range(n)])
+    cache = {}
+    shared = compose_vector(vector, f_map, cache)
+    assert shared == tuple(compose(u, f_map, {}) for u in vector)
+    # the map's image table is all the cache holds, and a second pass reuses it
+    assert list(cache) == [()]
+    assert compose_vector(vector, f_map, cache) == shared
 
 
 def _tuple_product(a, b):
@@ -424,18 +461,31 @@ def _tuple_product(a, b):
     return NCSeries.from_terms(ring, a.arity, D, pairs)
 
 
-def _tuple_derivation(images, f):
+def _tuple_derivation(images, f, positions=None):
     """The Leibniz rule written over tuple words: each image term is
-    spliced into each position of its letter."""
+    spliced into each position of its letter (each one in ``positions``)."""
     ring, D = f.ring, f.degree
     pairs = [
         (w[:j] + uw + w[j + 1 :], ring.mul(c, uc))
         for w, c in f.terms()
         for j, letter in enumerate(w)
+        if positions is None or j in positions
         for uw, uc in images[letter].terms()
         if len(w) - 1 + len(uw) <= D
     ]
     return NCSeries.from_terms(ring, f.arity, D, pairs)
+
+
+def _splices_at(images, f, positions):
+    """The packed splices of ``images`` into ``f`` at the given positions."""
+    ring = f.ring
+    table = _image_table(images)
+    out = {}
+    for d, bucket in f.buckets.items():
+        at = [j for j in positions if j < d]
+        for e, pairs in f._splices(bucket, d, table, ring.mul, at):
+            _accumulate(out.setdefault(e, {}), pairs, ring.add, ring.is_zero)
+    return NCSeries(ring, f.arity, f.degree, _pruned(out))
 
 
 @given(st.data())
@@ -459,5 +509,9 @@ def test_packed_kernels_match_a_tuple_word_reference(data):
     else:
         delta = Derivation([draw_series(0) for _ in range(n)])
     assert delta.apply(a) == _tuple_derivation(delta.components, a)
+    positions = sorted(data.draw(st.sets(st.integers(0, max(D - 1, 0)), max_size=3)))
+    assert _splices_at(delta.components, a, positions) == _tuple_derivation(
+        delta.components, a, positions
+    )
     assert NCSeries.from_terms(ring, n, D, a.terms()) == a
     assert NCSeries.from_json_dict(ring, json.loads(json.dumps(a.to_json_dict()))) == a

@@ -112,6 +112,21 @@ def test_nested_constant_power_exits_2_at_once(capsys):
     assert captured.err.startswith("parse error: 1:15: power 9999 ")
 
 
+def test_power_of_a_constant_free_base_exits_2_while_it_is_nonzero(capsys):
+    start = time.perf_counter()
+    code = main(["invert", "--expr", "x - (3^30000*x*x)^10", "--vars", "x", "-d", "20"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: 1:19: power 10 of a base of order 2 ")
+
+
+def test_power_of_a_constant_free_base_past_the_truncation_parses_to_zero():
+    # (x*x)^10 has degree 20 > 3, so no coefficient of it is ever formed
+    assert parse_expression("(3^30000*x*x)^10", ["x"], QQ, 3).is_zero()
+
+
 def test_products_of_constants_are_bounded_in_characteristic_zero(capsys):
     s = parse_expression("3^1000*3^1000*x*x", ["x"], QQ, 3)
     assert s.coefficient((0, 0)) == 3**2000
