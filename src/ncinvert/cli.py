@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import trees as trees_mod
 from .freealg import FormalMap
@@ -33,7 +32,7 @@ from .inversion import (
     verify_inverse,
 )
 from .parsing import MapFormError, ParseError, format_map, parse_map
-from .rings import QQ, PrimeField
+from .rings import QQ, PrimeField, coeff_bits
 from .suite import SuiteBounds, run_identity_suite
 
 EXIT_OK = 0
@@ -227,14 +226,10 @@ def cmd_identities(args) -> int:
 
 
 def _coeff_bits(g_map: FormalMap) -> int:
-    bits = 0
-    for comp in g_map.components:
-        for _, c in comp.terms():
-            if isinstance(c, Fraction):
-                bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
-            elif isinstance(c, int):
-                bits = max(bits, c.bit_length())
-    return bits
+    return max(
+        (coeff_bits(c) for s in g_map.components for b in s.buckets.values() for c in b.values()),
+        default=0,
+    )
 
 
 def _parse_degrees(text):

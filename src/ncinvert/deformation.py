@@ -37,6 +37,7 @@ from .freealg import (
     compose,
     compose_vector,
     embed_series,
+    star_action,
     t_residue_series,
     t_scale_series,
 )
@@ -252,8 +253,6 @@ def check_inverse_flow_identities(d: DeformedMap) -> bool:
 def check_pushforward_swap(d: DeformedMap) -> bool:
     """Transport along the inverse pair swaps h(t) and m(t): pushing h
     forward through G_t gives m, and pushing m through F_t gives h."""
-    from .freealg import star_action
-
     km = d.torder - 1
     if km < 0:
         return True

@@ -517,10 +517,6 @@ class FormalMap:
         """H such that the map is z - H."""
         return tuple(-v for v in self.displacement())
 
-    def m_vector(self):
-        """M such that the map is z + M."""
-        return self.displacement()
-
     def is_identity(self) -> bool:
         return all(v.is_zero() for v in self.displacement())
 
@@ -544,12 +540,14 @@ class FormalMap:
 
 
 def _check_vector(vector):
-    """The vector as a tuple, once its entries are known to share kind, ring,
-    arity and truncation, with one entry per variable."""
+    """The vector as a tuple, once its entries are known to be NCSeries of
+    one ring, arity and truncation, with one entry per variable."""
     vector = tuple(vector)
     if not vector:
         raise ValueError("a vector of series needs at least one component")
     first = vector[0]
+    if type(first) is not NCSeries:
+        raise ValueError(f"a vector of series holds NCSeries, not {type(first).__name__}")
     for other in vector[1:]:
         first._check_compatible(other)
     if len(vector) != first.arity:
@@ -600,8 +598,7 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     table, the terms of each component grouped by degree, under the key
     ``()``.
     """
-    if u.arity != f_map.arity or u.degree != f_map.degree or u.ring != f_map.ring:
-        raise ValueError("series/map arity, degree or ring mismatch")
+    f_map.components[0]._check_compatible(u)
     for i, comp in enumerate(f_map.components):
         if comp.order() < 1:
             raise ValueError(f"map component {i + 1} has a constant term")
@@ -696,8 +693,7 @@ class Derivation:
 
     def apply(self, f: NCSeries) -> NCSeries:
         """Apply to a series, truncating at its degree bound."""
-        if f.arity != self.arity or f.degree != self.degree or f.ring != self.ring:
-            raise ValueError("derivation/series arity, degree or ring mismatch")
+        self.components[0]._check_compatible(f)
         ring = self.ring
         images = _image_table(self.components)
         out = {}

@@ -116,8 +116,9 @@ class NSequence:
     def validate_bounds(self, h_vector):
         """Check the order / degree / homogeneity bounds of every term.
 
-        Raises AssertionError on the first violated bound; used by tests and
-        the engines' own sanity hooks.
+        Raises AssertionError on the first violated bound, explicitly rather
+        than by ``assert``, so that ``python -O`` keeps the check; used by
+        tests and the identity suite's ``sequence-bounds`` check.
         """
         h_deg = max(h.poly_degree() for h in h_vector)
         homogeneous = all(h.is_homogeneous() for h in h_vector) and len(
@@ -125,15 +126,16 @@ class NSequence:
         ) <= 1
         for m, vec in enumerate(self.terms, start=1):
             for s in vec:
-                assert s.order() >= m + 1, f"o(N_[{m}]) = {s.order()} < {m + 1}"
+                if s.order() < m + 1:
+                    raise AssertionError(f"o(N_[{m}]) = {s.order()} < {m + 1}")
                 if h_deg != -float("inf"):
                     bound = m * (h_deg - 1) + 1
-                    assert (
-                        s.is_zero() or s.poly_degree() <= bound
-                    ), f"deg N_[{m}] = {s.poly_degree()} > {bound}"
+                    if not (s.is_zero() or s.poly_degree() <= bound):
+                        raise AssertionError(f"deg N_[{m}] = {s.poly_degree()} > {bound}")
                 if homogeneous and not s.is_zero():
-                    d = int(h_deg)
-                    assert s.is_homogeneous() and s.poly_degree() == (d - 1) * m + 1
+                    d = (int(h_deg) - 1) * m + 1
+                    if not (s.is_homogeneous() and s.poly_degree() == d):
+                        raise AssertionError(f"N_[{m}] is not homogeneous of degree {d}")
 
 
 def convolution_sum(terms, m):
@@ -345,12 +347,7 @@ def _first_residual(residuals):
 
 def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
     """Check both compositions against the identity; exact, no tolerance."""
-    if (
-        f_map.arity != g_map.arity
-        or f_map.degree != g_map.degree
-        or f_map.ring != g_map.ring
-    ):
-        raise ValueError("maps disagree in arity, degree or ring")
+    f_map.components[0]._check_compatible(g_map.components[0])
     failures = []
     for side, left, right in (("F(G)", f_map, g_map), ("G(F)", g_map, f_map)):
         hit = _first_residual(left.after(right).displacement())

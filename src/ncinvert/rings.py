@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 
 #: Miller-Rabin witnesses: the primes up to 41.  Together they expose every
@@ -65,6 +66,12 @@ def _accumulate(tgt, pairs, add, is_zero):
         else:
             tgt[key] = val
     return tgt
+
+
+def coeff_bits(c) -> int:
+    """The width of an int or Fraction: the larger bit length of its
+    numerator and its denominator."""
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 class Ring:
@@ -149,9 +156,8 @@ class RationalField(Ring):
             return str(a)
         except ValueError:
             # Python refuses to print an int longer than its digit limit
-            bits = max(a.numerator.bit_length(), a.denominator.bit_length())
             raise ValueError(
-                f"a coefficient of {bits} bits has more than the "
+                f"a coefficient of {coeff_bits(a)} bits has more than the "
                 f"{sys.get_int_max_str_digits()} decimal digits that can be printed"
             ) from None
 
@@ -368,9 +374,10 @@ class IntPolyRing(Ring):
     """Multivariate integer polynomials in dynamically interned variables.
 
     Values are dicts mapping a monomial to a nonzero int coefficient, where
-    a monomial is a tuple of (variable index, exponent) pairs sorted by
-    index with all exponents positive; the empty tuple is the constant
-    monomial.  The zero polynomial is the empty dict.
+    a monomial is the sorted tuple of its variable indices, each repeated as
+    often as its exponent: A1^2*A3 is ``(0, 0, 2)`` and the empty tuple is
+    the constant monomial.  A product of monomials is one sorted merge of
+    the two tuples.  The zero polynomial is the empty dict.
 
     Variables are interned by an arbitrary hashable key (here: a component
     index and a word), so that repeated lifts of the same source coefficient
@@ -391,7 +398,7 @@ class IntPolyRing(Ring):
             idx = len(self._keys)
             self._index_by_key[key] = idx
             self._keys.append(key)
-        return {((idx, 1),): 1}
+        return {(idx,): 1}
 
     def variable_name(self, idx: int) -> str:
         return f"A{idx + 1}"
@@ -410,7 +417,8 @@ class IntPolyRing(Ring):
 
     def mul(self, a, b):
         pairs = [
-            (_merge_monomials(m1, m2), c1 * c2)
+            # a constant side reuses the other monomial instead of copying it
+            (tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2, c1 * c2)
             for m1, c1 in a.items()
             for m2, c2 in b.items()
         ]
@@ -449,7 +457,7 @@ class IntPolyRing(Ring):
         p = field.p
         for mono, c in a.items():
             term = c % p
-            for idx, exp in mono:
+            for idx, exp in _runs(mono):
                 key = self._keys[idx]
                 if key not in assignment:
                     raise KeyError(f"no assignment for lift variable {self.variable_name(idx)} (key {key!r})")
@@ -461,10 +469,10 @@ class IntPolyRing(Ring):
         if not a:
             return "0"
         parts = []
-        for mono, c in sorted(a.items()):
+        for runs, c in sorted((_runs(mono), c) for mono, c in a.items()):
             factors = [
                 self.variable_name(i) if e == 1 else f"{self.variable_name(i)}^{e}"
-                for i, e in mono
+                for i, e in runs
             ]
             if not factors:
                 parts.append(str(c))
@@ -492,26 +500,6 @@ class IntPolyRing(Ring):
         return f"IntPolyRing(<{len(self._keys)} vars>)"
 
 
-def _merge_monomials(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _runs(mono):
+    """The (variable index, exponent) pairs of a monomial, by index."""
+    return tuple((idx, len(list(run))) for idx, run in groupby(mono))

@@ -281,6 +281,31 @@ def test_bench_csv_shape_and_monotone_terms(capsys):
     assert per_engine["fixed-point"] == per_engine["recurrent"]
 
 
+@pytest.mark.parametrize(
+    "expr,ring,engines,bits",
+    [
+        (
+            "x - (y*x - x*y) + 1/3*x*x*y; y - 2*y*x", "rational",
+            ("fixed-point", "recurrent", "tree"), [4, 6, 8, 9],
+        ),
+        (
+            "x - 4*(y*x - x*y) + 3*x*x*y; y - 2*y*x", "gfp:5",
+            ("fixed-point", "charp-direct", "charp-lift"), [3, 3, 3, 3],
+        ),
+    ],
+)
+def test_bench_max_coeff_bits_column(capsys, expr, ring, engines, bits):
+    code, out, _ = run_cli(
+        capsys, "bench", "--expr", expr, "--vars", "x,y", "--ring", ring, "--degrees", "4:7",
+    )
+    assert code == 0
+    per_engine = {}
+    for row in out.strip().splitlines()[1:]:
+        engine, _, _, _, _, width = row.split(",")
+        per_engine.setdefault(engine, []).append(int(width))
+    assert per_engine == {engine: bits for engine in engines}
+
+
 def test_bench_rejects_an_empty_degree_list(capsys):
     for degrees in ("5:3", ","):
         code, out, err = run_cli(

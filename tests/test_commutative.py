@@ -17,8 +17,8 @@ from ncinvert.commutative import (
     substitute_vector,
 )
 from ncinvert.deformation import embed_series, solves_cauchy_problem, special_inverse
-from ncinvert.freealg import Derivation, FormalMap, NCSeries
-from ncinvert.inversion import c_sequence, invert_fixed_point
+from ncinvert.freealg import Derivation, FormalMap, NCSeries, compose
+from ncinvert.inversion import c_sequence, invert_fixed_point, verify_inverse
 from ncinvert.randmaps import random_coefficient, random_displacement, random_series
 from ncinvert.rings import QQ, PrimeField, TQuotientRing
 
@@ -83,6 +83,18 @@ def test_arithmetic_refuses_mixed_kinds():
             op(yy, xy)
         with pytest.raises(ValueError, match="cannot mix"):
             op(xy, yy)
+    # the entry points that take a series next to a map or a derivation; a
+    # map cannot hold a CommPoly, so verify_inverse never meets one
+    x = nc(2, 3, ((0,), 1))
+    ident = FormalMap.identity(QQ, 2, 3)
+    for refuse in (
+        lambda: compose(xy, ident),
+        lambda: Derivation([x * x, yy]).apply(xy),
+        lambda: Derivation([xy, xy]).apply(x),
+        lambda: verify_inverse(ident, FormalMap([xy, xy])),
+    ):
+        with pytest.raises(ValueError, match="NCSeries.*CommPoly"):
+            refuse()
 
 
 def test_abelianize_commutes_with_slot_derivations():

@@ -1,7 +1,11 @@
 """Engine behavior, cross-validation and the verification report."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +174,27 @@ def test_sequence_bounds_hold():
     nseq.validate_bounds(h)
 
 
+def test_sequence_bounds_are_checked_under_python_O():
+    # o(N_[2]) = 2 < 3: the check must not be an assert that -O strips
+    code = (
+        "from ncinvert.freealg import NCSeries\n"
+        "from ncinvert.inversion import NSequence\n"
+        "from ncinvert.rings import QQ\n"
+        "h = (NCSeries.from_terms(QQ, 1, 4, [((0, 0), 1)]),)\n"
+        "try:\n"
+        "    NSequence(QQ, 1, 4, [h, h]).validate_bounds(h)\n"
+        "except AssertionError as err:\n"
+        "    print(__debug__, err)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False o(N_[2]) = 2 < 3\n"
+
+
 def test_sequence_recursion_from_independent_oracle():
     # terms read from the fixed-point inverse of z - t*H satisfy the
     # division-free recursion (m-1) N_[m] = sum [N_[k] d/dz] N_[l]
@@ -291,7 +316,7 @@ def test_lift_interns_one_variable_per_term():
     h = commutator_displacement(field, 4, scale=4)
     lifted, assignment, lift_ring = lift_displacement(h)
     # two nonzero coefficients in component 1, none in component 2
-    assert lift_ring.variable("probe") == {((2, 1),): 1}  # the next index is 2
+    assert lift_ring.variable("probe") == {(2,): 1}  # the next index is 2
     assert set(assignment) == {(0, (0, 1)), (0, (1, 0))}
     assert assignment[(0, (1, 0))] == 4
     assert assignment[(0, (0, 1))] == 1  # -4 mod 5

@@ -240,7 +240,7 @@ def test_intpoly_variables_interned_by_key():
     assert a1 == again
     assert a1 != a2
     # two variables interned so far: the next key gets index 2
-    assert R.variable(("c2", (1, 1))) == {((2, 1),): 1}
+    assert R.variable(("c2", (1, 1))) == {(2,): 1}
 
 
 def test_intpoly_commutative_lift():
@@ -293,6 +293,83 @@ def test_evaluate_mod_p_missing_assignment():
     a = R.variable("a")
     with pytest.raises(KeyError):
         R.evaluate_mod_p(a, {}, GF5)
+
+
+# A reference for the lift ring in the other monomial format: a monomial as
+# the sorted (variable index, exponent) pairs, multiplied by adding exponents.
+
+
+@st.composite
+def pair_polys(draw):
+    """A lift polynomial in four variables as {pair monomial: int}."""
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 3), max_size=4), st.integers(-5, 5)), max_size=5,
+    ))
+    out = {}
+    for indices, c in terms:
+        mono = tuple((v, indices.count(v)) for v in sorted(set(indices)))
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            out = ref_add(out, {tuple(sorted(exps.items())): c1 * c2})
+    return out
+
+
+def ref_to_string(p):
+    parts = []
+    for mono, c in sorted(p.items()):
+        factors = "*".join(f"A{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in mono)
+        if not factors:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(("-" if c < 0 else "") + factors)
+        else:
+            parts.append(f"{c}*{factors}")
+    return " + ".join(parts).replace(" + -", " - ") or "0"
+
+
+def ref_evaluate(p, values, prime):
+    total = 0
+    for mono, c in p.items():
+        for v, e in mono:
+            c *= values[v] ** e
+        total += c
+    return total % prime
+
+
+def from_pairs(p):
+    """The lift ring's value: each variable index repeated by its exponent."""
+    return {tuple(v for v, e in mono for _ in range(e)): c for mono, c in p.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_polys(), pair_polys(), st.lists(gf5_elements(), min_size=4, max_size=4))
+def test_intpoly_matches_exponent_pair_reference(p, q, values):
+    R = IntPolyRing()
+    keys = ["a", "b", "c", "d"]
+    for key in keys:
+        R.variable(key)
+    assignment = dict(zip(keys, values))
+    a, b = from_pairs(p), from_pairs(q)
+    for got, ref in ((a, p), (R.add(a, b), ref_add(p, q)), (R.mul(a, b), ref_mul(p, q))):
+        assert got == from_pairs(ref)
+        assert R.to_string(got) == ref_to_string(ref)
+        assert R.evaluate_mod_p(got, assignment, GF5) == ref_evaluate(ref, values, 5)
 
 
 def test_ring_serialization_roundtrip():
