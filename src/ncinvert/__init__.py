@@ -13,7 +13,6 @@ from .freealg import (
     FormalMap,
     INFINITE_ORDER,
     NCSeries,
-    SeriesMatrix,
     compose,
     compose_vector,
     jacobian_tilde,
@@ -60,7 +59,6 @@ __all__ = [
     "FormalMap",
     "INFINITE_ORDER",
     "NCSeries",
-    "SeriesMatrix",
     "compose",
     "compose_vector",
     "jacobian_tilde",

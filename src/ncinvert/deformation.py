@@ -34,6 +34,7 @@ from .freealg import (
     NCSeries,
     _check_order_at_least,
     _fixed_point,
+    _substitute,
     compose,
     compose_vector,
     embed_series,
@@ -84,11 +85,6 @@ def t_equal_vector(a, b, torder) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _substitute(vector, point):
-    """vector(point) for NCSeries: the substitution of the fixed-point loop."""
-    return compose_vector(vector, FormalMap(point))
-
-
 def special_inverse(h_vector, torder: int, substitute):
     """Solve z - t*H: returns (t*H, M_t, N_t) over R[t]/(t^(K+1)), K = torder.
 
@@ -101,7 +97,7 @@ def special_inverse(h_vector, torder: int, substitute):
     _check_order_at_least(h_vector, 2, "H")
     big = TQuotientRing(h_vector[0].ring, torder + 1)
     big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
-    big_mt = _fixed_point(big_ht, lambda g: substitute(big_ht, g))
+    big_mt = _fixed_point(big_ht, substitute)
     if any(not t_residue_series(s, 0).is_zero() for s in big_mt):
         raise AssertionError("special deformation produced a t-constant term")
     big_nt = tuple(s.map_coefficients(big.shift_down) for s in big_mt)
@@ -159,7 +155,7 @@ class DeformedMap:
         self.h_t = h_t
         self.f_t = FormalMap.f_form(h_t)
         if m_t is None:
-            m_t = _fixed_point(h_t, lambda g: _substitute(h_t, g))
+            m_t = _fixed_point(h_t, _substitute)
         self.m_t = tuple(m_t)
         self.g_t = FormalMap.g_form(self.m_t)
         report = verify_inverse(self.f_t, self.g_t)

@@ -20,6 +20,7 @@ and results may be shared freely.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .rings import Ring, _accumulate
 
@@ -188,15 +189,19 @@ class NCSeries:
 
     @classmethod
     def sum(cls, ring, arity, degree, items):
-        """Merge many series in one accumulation pass (exact, so the result
-        is independent of the order of ``items``)."""
+        """Merge many series of this kind, ring, arity and truncation in one
+        accumulation pass (exact, so the result is independent of the order
+        of ``items``)."""
         add = ring.add
         is_zero = ring.is_zero
+        out = cls(ring, arity, degree)
         buckets = {}
         for s in items:
+            out._check_compatible(s)
             for d, b in s.buckets.items():
                 _accumulate(buckets.setdefault(d, {}), b.items(), add, is_zero)
-        return cls(ring, arity, degree, _pruned(buckets))
+        out.buckets = _pruned(buckets)
+        return out
 
     @classmethod
     def from_terms(cls, ring, arity, degree, terms):
@@ -312,21 +317,7 @@ class NCSeries:
 
     def scale(self, c):
         """Multiply by a ring element (coefficients commute)."""
-        ring = self.ring
-        if ring.is_zero(c):
-            return type(self)(ring, self.arity, self.degree)
-        mul = ring.mul
-        is_zero = ring.is_zero
-        buckets = {}
-        for d, b in self.buckets.items():
-            tgt = {}
-            for w, x in b.items():
-                v = mul(c, x)
-                if not is_zero(v):
-                    tgt[w] = v
-            if tgt:
-                buckets[d] = tgt
-        return type(self)(ring, self.arity, self.degree, buckets)
+        return self.map_coefficients(partial(self.ring.mul, c))
 
     def scale_int(self, n: int):
         return self.scale(self.ring.from_int(n))
@@ -432,50 +423,26 @@ def t_residue_series(series: NCSeries, j: int) -> NCSeries:
 class FormalMap:
     """An n-vector of series, i.e. an endomorphism z_i -> components[i].
 
-    The ``form`` tag records a validated shape: "F" means z - H with
-    o(H) >= 2, "G" means z + M with o(M) >= 2, "general" means unchecked.
-    Both tagged forms share the same structural requirement (identity linear
-    part, no constant term); the tag documents orientation only.
+    The constructor checks only that the components form a vector;
+    ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.
     """
 
-    __slots__ = ("ring", "arity", "degree", "components", "form")
+    __slots__ = ("ring", "arity", "degree", "components")
 
-    def __init__(self, components, form="general"):
+    def __init__(self, components):
         components = _check_vector(components)
         first = components[0]
-        if form not in ("F", "G", "general"):
-            raise ValueError(f"unknown form tag {form!r}")
         self.ring = first.ring
         self.arity = first.arity
         self.degree = first.degree
         self.components = components
-        self.form = form
-        if form in ("F", "G"):
-            self._validate_unitriangular()
-
-    def _validate_unitriangular(self):
-        """Reject a constant term, then the first faulty letter z_j of
-        component i: a stray z_j with j != i, or a z_i coefficient that is
-        missing or not 1."""
-        ring = self.ring
-        for i, comp in enumerate(self.components):
-            if not ring.is_zero(comp.coefficient(())):
-                raise ValueError(f"component {i + 1} has a constant term")
-            for j in range(self.arity):
-                c = comp.coefficient((j,))
-                if j != i and not ring.is_zero(c):
-                    raise ValueError(f"component {i + 1} has a stray linear term in z{j + 1}")
-                if j == i and ring.is_zero(c):
-                    raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
-                if j == i and not ring.is_one(c):
-                    raise ValueError(f"component {i + 1}: coefficient of z{i + 1} must be 1")
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def identity(cls, ring, arity, degree):
         comps = [NCSeries.variable(ring, arity, degree, i) for i in range(arity)]
-        return cls(comps, form="general")
+        return cls(comps)
 
     @classmethod
     def f_form(cls, h_vector):
@@ -487,7 +454,7 @@ class FormalMap:
             NCSeries.variable(first.ring, first.arity, first.degree, i) - h
             for i, h in enumerate(h_vector)
         ]
-        return cls(comps, form="F")
+        return cls(comps)
 
     @classmethod
     def g_form(cls, m_vector):
@@ -499,7 +466,7 @@ class FormalMap:
             NCSeries.variable(first.ring, first.arity, first.degree, i) + m
             for i, m in enumerate(m_vector)
         ]
-        return cls(comps, form="G")
+        return cls(comps)
 
     # -- queries ---------------------------------------------------------
 
@@ -526,14 +493,13 @@ class FormalMap:
         return self.components == other.components
 
     def __repr__(self):
-        return f"FormalMap({list(self.components)!r}, form={self.form!r})"
+        return f"FormalMap({list(self.components)!r})"
 
     # -- composition -------------------------------------------------------
 
     def after(self, other):
         """The composed map self(other(z)): substitute ``other`` into self."""
-        comps = compose_vector(self.components, other)
-        return FormalMap(comps, form="general")
+        return FormalMap(compose_vector(self.components, other))
 
     def to_json_list(self):
         return [c.to_json_dict() for c in self.components]
@@ -631,24 +597,28 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     return tuple(compose(u, f_map, cache) for u in vector)
 
 
+def _substitute(vector, point):
+    """vector(point) for NCSeries: the substitution of the fixed-point loop."""
+    return compose_vector(vector, FormalMap(point))
+
+
 def _fixed_point(h_vector, substitute):
-    """Iterate M <- substitute(z + M) from M = 0 until M stops changing.
+    """M = H(z + M) by passes of M <- substitute(H, z + M) from M = 0.
 
     ``h_vector`` fixes the kind (NCSeries or commutative polynomials), ring,
-    arity and truncation D of M; ``substitute`` maps the tuple of components
-    of z + M to the next M.  When o(H) >= 2 each pass freezes one more
-    degree, so the loop settles within D + 1 passes.
+    arity and truncation D of M; ``substitute(vector, point)`` evaluates a
+    vector at a point.  With r = o(H) >= 2, pass k leaves M exact through
+    degree (k + 1)(r - 1), so (D - 1) // (r - 1) passes reach degree D:
+    D - 1 passes when H has a quadratic term, none when r > D.
     """
     first = h_vector[0]
     kind, ring, n, D = type(first), first.ring, first.arity, first.degree
+    r = min(h.order() for h in h_vector)
     variables = [kind.variable(ring, n, D, i) for i in range(n)]
     m_vec = tuple(kind.zero(ring, n, D) for _ in range(n))
-    for _ in range(D + 1):
-        new_vec = substitute(tuple(v + m for v, m in zip(variables, m_vec)))
-        if new_vec == m_vec:
-            return m_vec
-        m_vec = new_vec
-    raise AssertionError("fixed-point iteration failed to stabilize")
+    for _ in range((D - 1) // (r - 1) if r <= D else 0):
+        m_vec = substitute(h_vector, tuple(v + m for v, m in zip(variables, m_vec)))
+    return m_vec
 
 
 # ---------------------------------------------------------------------------
@@ -707,83 +677,24 @@ class Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Jacobian-style matrices
+# Jacobian-style matrices: tuples of row vectors
 # ---------------------------------------------------------------------------
 
 
-class SeriesMatrix:
-    """A rectangular array of series sharing ring, arity and truncation."""
-
-    __slots__ = ("ring", "arity", "degree", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(rows[0])
-        first = rows[0][0]
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-            for entry in r:
-                first._check_compatible(entry)
-        self.ring = first.ring
-        self.arity = first.arity
-        self.degree = first.degree
-        self.rows = rows
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]))
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
-
-    def compose(self, f_map: FormalMap):
-        cache = {}
-        return SeriesMatrix(
-            [[compose(e, f_map, cache) for e in row] for row in self.rows]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    @classmethod
-    def identity(cls, ring, arity, degree, n):
-        one = NCSeries.one(ring, arity, degree)
-        zero = NCSeries.zero(ring, arity, degree)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-
-def jacobian_tilde(vector_or_map) -> SeriesMatrix:
-    """The transposed Jacobian: entry (i, j) applies the z_i slot derivation
-    to component j.  For the identity map this is the identity matrix."""
-    if isinstance(vector_or_map, FormalMap):
-        vector = vector_or_map.components
-    else:
-        vector = tuple(vector_or_map)
+def jacobian_tilde(vector):
+    """The transposed Jacobian as a tuple of rows: entry (i, j) applies the
+    z_i slot derivation to component j.  For the identity map this is the
+    identity matrix."""
+    vector = vector.components if isinstance(vector, FormalMap) else tuple(vector)
     first = vector[0]
     ring, n, D = first.ring, first.arity, first.degree
-    rows = []
-    for i in range(n):
-        delta = Derivation.coordinate(ring, n, D, i)
-        rows.append([delta.apply(u) for u in vector])
-    return SeriesMatrix(rows)
+    return tuple(Derivation.coordinate(ring, n, D, i).apply_vector(vector) for i in range(n))
 
 
-def matrix_derivation_apply(matrix: SeriesMatrix, vector):
+def matrix_derivation_apply(rows, vector):
     """Row i of the matrix acts as a derivation on each vector entry,
     producing the matrix (delta_i applied to vector[j])."""
-    rows = []
-    for i in range(matrix.shape[0]):
-        delta = Derivation(matrix.row(i))
-        rows.append([delta.apply(v) for v in vector])
-    return SeriesMatrix(rows)
+    return tuple(Derivation(row).apply_vector(vector) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .freealg import (
     _check_order_at_least,
     _check_vector,
     _fixed_point,
+    _substitute,
     compose,
-    compose_vector,
     embed_series,
     t_residue_series,
     t_scale_series,
@@ -58,14 +58,14 @@ def _vector_meta(h_vector):
 
 
 def invert_fixed_point(h_vector) -> FormalMap:
-    """Invert z - H by iterating M <- H(z + M) from M = 0.
+    """Invert z - H by passes of M <- H(z + M) from M = 0.
 
-    Each pass freezes one more degree, so at truncation D the iteration
-    reaches its fixed point within D steps; works over any coefficient ring.
+    With r = o(H) >= 2, pass k leaves M exact through degree (k + 1)(r - 1),
+    so the pass count (D - 1) // (r - 1), which is D - 1 when r = 2, is
+    known before the first pass; works over any coefficient ring.
     """
     h_vector = _vector_meta(h_vector)[0]
-    m_vec = _fixed_point(h_vector, lambda g: compose_vector(h_vector, FormalMap(g)))
-    return FormalMap.g_form(m_vec)
+    return FormalMap.g_form(_fixed_point(h_vector, _substitute))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def invert_charp_lift(h_vector) -> FormalMap:
         )
         for c in g_tilde.components
     ]
-    return FormalMap(comps, form="G")
+    return FormalMap(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -288,10 +288,27 @@ def parse_map(text, ring, degree, variables=None) -> ParsedMap:
         for line_no, chunk in pieces
     ]
     try:
-        f_map = FormalMap(comps, form="F")
+        _check_unitriangular(comps, ring)
     except ValueError as exc:
         raise MapFormError(f"not a z - H map: {exc}") from exc
-    return ParsedMap(f_map=f_map, variables=names)
+    return ParsedMap(f_map=FormalMap(comps), variables=names)
+
+
+def _check_unitriangular(comps, ring):
+    """Reject a constant term, then the first faulty letter z_j of
+    component i: a stray z_j with j != i, or a z_i coefficient that is
+    missing or not 1."""
+    for i, comp in enumerate(comps):
+        if not ring.is_zero(comp.coefficient(())):
+            raise ValueError(f"component {i + 1} has a constant term")
+        for j in range(len(comps)):
+            c = comp.coefficient((j,))
+            if j != i and not ring.is_zero(c):
+                raise ValueError(f"component {i + 1} has a stray linear term in z{j + 1}")
+            if j == i and ring.is_zero(c):
+                raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
+            if j == i and not ring.is_one(c):
+                raise ValueError(f"component {i + 1}: coefficient of z{i + 1} must be 1")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .deformation import (
 from .freealg import (
     Derivation,
     FormalMap,
-    SeriesMatrix,
+    NCSeries,
     compose,
     compose_vector,
     jacobian_tilde,
@@ -141,21 +141,26 @@ def _jacobian_chain_rule(rng, bounds):
     f_map = FormalMap.f_form(h)
     g_map = invert_fixed_point(h)
 
-    def cut(matrix):
-        return [[e.truncated(D - 1) for e in row] for row in matrix.rows]
+    def cut(rows):
+        return [[e.truncated(D - 1) for e in row] for row in rows]
 
-    identity = cut(SeriesMatrix.identity(QQ, n, D, n))
-    lhs1 = matrix_derivation_apply(jacobian_tilde(f_map).compose(g_map), g_map.components)
+    def composed(rows, other):
+        cache = {}
+        return [compose_vector(row, other, cache) for row in rows]
+
+    one, zero = NCSeries.one(QQ, n, D - 1), NCSeries.zero(QQ, n, D - 1)
+    identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    lhs1 = matrix_derivation_apply(composed(jacobian_tilde(f_map), g_map), g_map.components)
     if cut(lhs1) != identity:
         return False
-    lhs2 = matrix_derivation_apply(jacobian_tilde(g_map).compose(f_map), f_map.components)
+    lhs2 = matrix_derivation_apply(composed(jacobian_tilde(g_map), f_map), f_map.components)
     if cut(lhs2) != identity:
         return False
     # general form on a random vector U: the transposed Jacobian of U(F)
     u_vec = tuple(random_series(rng, QQ, n, D, 0, 3, terms=2) for _ in range(2))
     lhs3 = jacobian_tilde(compose_vector(u_vec, f_map))
-    transported = jacobian_tilde(f_map).compose(g_map)
-    rhs3 = matrix_derivation_apply(transported, u_vec).compose(f_map)
+    transported = composed(jacobian_tilde(f_map), g_map)
+    rhs3 = composed(matrix_derivation_apply(transported, u_vec), f_map)
     return cut(lhs3) == cut(rhs3)
 
 

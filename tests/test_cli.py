@@ -343,7 +343,7 @@ def test_bench_reports_where_engines_differ(capsys, monkeypatch):
 
 def test_internal_assertion_exits_4_with_a_message(capsys, monkeypatch):
     def broken_invert(h_vector, engine):
-        raise AssertionError("fixed-point iteration failed to stabilize")
+        raise AssertionError("special deformation produced a t-constant term")
 
     monkeypatch.setattr(cli, "invert", broken_invert)
     code, out, err = run_cli(
@@ -351,7 +351,7 @@ def test_internal_assertion_exits_4_with_a_message(capsys, monkeypatch):
     )
     assert code == 4
     assert out == ""
-    assert err == "error: fixed-point iteration failed to stabilize\n"
+    assert err == "error: special deformation produced a t-constant term\n"
     assert "Traceback" not in err
 
 

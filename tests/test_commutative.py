@@ -78,7 +78,12 @@ def test_equality_needs_the_same_kind():
 def test_arithmetic_refuses_mixed_kinds():
     yy = nc(2, 3, ((1, 1), 1))
     xy = CommPoly.from_terms(QQ, 2, 3, [((1, 1), Fraction(1))])
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+    for op in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: type(a).sum(QQ, 2, 3, [a, b]),
+    ):
         with pytest.raises(ValueError, match="cannot mix"):
             op(yy, xy)
         with pytest.raises(ValueError, match="cannot mix"):

@@ -8,15 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncinvert.commutative import CommPoly, abelianize, abelianize_vector, substitute
+from ncinvert.commutative import (
+    CommPoly,
+    abelianize,
+    abelianize_vector,
+    substitute,
+    substitute_vector,
+)
+from ncinvert.deformation import special_inverse
 from ncinvert.freealg import (
     Derivation,
     FormalMap,
     INFINITE_ORDER,
     NCSeries,
-    SeriesMatrix,
+    _fixed_point,
     _image_table,
     _pruned,
+    _substitute,
     compose,
     compose_vector,
     jacobian_tilde,
@@ -69,6 +77,14 @@ def test_mixed_degree_operands_rejected():
     for components in ((a, b), ()):
         with pytest.raises(ValueError):
             Derivation(components)
+    # a sum checks every item: x^5 at D = 5 would land above truncation 3
+    x5 = NCSeries.variable(QQ, 2, 5, 0) ** 5
+    with pytest.raises(ValueError, match="truncation degree mismatch: 3 vs 5"):
+        NCSeries.sum(QQ, 2, 3, [a, x5])
+    with pytest.raises(ValueError, match="arity mismatch: 2 vs 3"):
+        NCSeries.sum(QQ, 2, 3, [NCSeries.variable(QQ, 3, 3, 0)])
+    with pytest.raises(ValueError, match="coefficient rings differ"):
+        NCSeries.sum(PrimeField(5), 2, 3, [a])
 
 
 def test_mixed_ring_operands_rejected():
@@ -173,6 +189,48 @@ def test_compose_associativity():
     assert lhs == rhs
 
 
+# -- the fixed-point loop -------------------------------------------------------
+
+
+@pytest.mark.parametrize("D", [0, 1, 2, 5])
+@pytest.mark.parametrize("r", [2, 3])
+def test_fixed_point_pass_count_is_fixed_by_the_order_of_h(D, r):
+    # with r = o(H), pass k leaves M exact through degree (k + 1)(r - 1);
+    # each caller makes the same passes: NCSeries, special_inverse over
+    # R[t], and CommPoly
+    quadratic = ((0, 0), 1), ((1, 0), -1)
+    h = tuple(
+        s.truncated(D)
+        for s in (
+            series(2, 5, *(quadratic if r == 2 else ()), ((0, 0, 1), 2)),
+            series(2, 5, ((1, 1, 1), 3), ((0, 1, 0, 1), 1)),
+        )
+    )
+    passes = max(D - 1, 0) if r == 2 else max((D - 1) // 2, 0)
+    calls = []
+
+    def counting(substitute):
+        def counted(vector, point):
+            calls.append(point)
+            return substitute(vector, point)
+
+        return counted
+
+    def fixed_point_of(h_vector, substitute):
+        calls.clear()
+        m_vec = _fixed_point(h_vector, counting(substitute))
+        assert len(calls) == passes
+        first = h_vector[0]
+        z = [type(first).variable(first.ring, 2, D, i) for i in range(2)]
+        assert m_vec == substitute(h_vector, tuple(v + m for v, m in zip(z, m_vec)))
+
+    fixed_point_of(h, _substitute)
+    fixed_point_of(abelianize_vector(h), substitute_vector)
+    calls.clear()
+    special_inverse(h, 1, counting(_substitute))
+    assert len(calls) == passes
+
+
 # -- derivations --------------------------------------------------------------
 
 
@@ -227,25 +285,30 @@ def test_leibniz_rule(seed):
 # -- Jacobians ----------------------------------------------------------------
 
 
+def identity_rows(n, D):
+    one, zero = NCSeries.one(QQ, n, D), NCSeries.zero(QQ, n, D)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
 def test_jacobian_of_identity_is_identity_matrix():
     ident = FormalMap.identity(QQ, 3, 4)
-    assert jacobian_tilde(ident) == SeriesMatrix.identity(QQ, 3, 4, 3)
+    assert jacobian_tilde(ident) == identity_rows(3, 4)
 
 
 def test_jacobian_square_entry():
     # slot derivative of x^2 is x*1 + 1*x = 2x
     u = (series(2, 4, ((0, 0), 1)), NCSeries.variable(QQ, 2, 4, 1))
     jt = jacobian_tilde(u)
-    assert jt.entry(0, 0) == series(2, 4, ((0,), 2))
-    assert jt.entry(1, 0).is_zero()
-    assert jt.entry(1, 1) == NCSeries.one(QQ, 2, 4)
+    assert jt[0][0] == series(2, 4, ((0,), 2))
+    assert jt[1][0].is_zero()
+    assert jt[1][1] == NCSeries.one(QQ, 2, 4)
 
 
 def test_jacobian_of_commutator_map_is_identity():
     # for F = (x - (yx - xy), y) the commutator contributions cancel
     h = series(2, 4, ((1, 0), 1), ((0, 1), -1))
     f = FormalMap.f_form([h, NCSeries.zero(QQ, 2, 4)])
-    assert jacobian_tilde(f) == SeriesMatrix.identity(QQ, 2, 4, 2)
+    assert jacobian_tilde(f) == identity_rows(2, 4)
 
 
 def test_jacobian_chain_rule_on_random_maps():
@@ -255,14 +318,18 @@ def test_jacobian_chain_rule_on_random_maps():
         h = random_displacement(rng, QQ, n, D)
         f = FormalMap.f_form(h)
         g = invert_fixed_point(h)
-        lhs = matrix_derivation_apply(jacobian_tilde(f).compose(g), g.components)
-        want = SeriesMatrix.identity(QQ, n, D, n)
+        # a matrix composes row by row
+        lhs = matrix_derivation_apply(
+            [compose_vector(row, g) for row in jacobian_tilde(f)], g.components
+        )
         # slot derivations have constant components, so the top degree is
         # not certified by truncation: compare at D-1
-        cut = lambda m: [[e.truncated(D - 1) for e in row] for row in m.rows]
-        assert cut(lhs) == cut(want)
-        rhs = matrix_derivation_apply(jacobian_tilde(g).compose(f), f.components)
-        assert cut(rhs) == cut(want)
+        cut = lambda m: tuple(tuple(e.truncated(D - 1) for e in row) for row in m)
+        assert cut(lhs) == identity_rows(n, D - 1)
+        rhs = matrix_derivation_apply(
+            [compose_vector(row, f) for row in jacobian_tilde(g)], f.components
+        )
+        assert cut(rhs) == identity_rows(n, D - 1)
 
 
 def test_derivation_chain_rule_random():
@@ -319,19 +386,6 @@ def test_f_form_requires_order_two():
     lin = series(2, 3, ((1,), 1))
     with pytest.raises(ValueError):
         FormalMap.f_form([lin, NCSeries.zero(QQ, 2, 3)])
-
-
-def test_tagged_form_validates_linear_part():
-    x = NCSeries.variable(QQ, 2, 3, 0)
-    y = NCSeries.variable(QQ, 2, 3, 1)
-    with pytest.raises(ValueError):
-        FormalMap([x + y, y], form="F")
-    with pytest.raises(ValueError):
-        FormalMap([x.scale_int(2), y], form="F")
-    with pytest.raises(ValueError, match="component 1 is missing its z1 term"):
-        FormalMap([x * x, y], form="F")
-    with pytest.raises(ValueError):
-        FormalMap([x + NCSeries.one(QQ, 2, 3), y], form="G")
 
 
 def test_tquotient_coefficients_supported():

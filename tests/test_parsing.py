@@ -184,7 +184,6 @@ def test_rational_literal_over_prime_field():
 def test_map_with_header_and_semicolons():
     pm = parse_map("vars: x, y\nx - (y*x - x*y); y", QQ, 4)
     assert pm.variables == ["x", "y"]
-    assert pm.f_map.form == "F"
     h = pm.f_map.h_vector()
     assert h[0].coefficient((1, 0)) == 1
     assert h[0].coefficient((0, 1)) == -1
@@ -202,6 +201,8 @@ def test_map_shape_errors():
         parse_map("x + 1; y", QQ, 4, variables=["x", "y"])
     with pytest.raises(MapFormError, match="coefficient of z1 must be 1"):
         parse_map("2*x; y", QQ, 4, variables=["x", "y"])
+    with pytest.raises(MapFormError, match="component 1 is missing its z1 term"):
+        parse_map("x*x; y", QQ, 4, variables=["x", "y"])
     with pytest.raises(MapFormError, match="components but"):
         parse_map("x - x^2", QQ, 4, variables=["x", "y"])
 
