@@ -32,6 +32,7 @@ from ncinvert.freealg import (
     star_action,
 )
 from ncinvert.inversion import invert_fixed_point
+from ncinvert.parsing import _check_unitriangular
 from ncinvert.randmaps import random_displacement, random_series
 from ncinvert.rings import QQ, PrimeField, TQuotientRing, _accumulate
 
@@ -386,6 +387,21 @@ def test_f_form_requires_order_two():
     lin = series(2, 3, ((1,), 1))
     with pytest.raises(ValueError):
         FormalMap.f_form([lin, NCSeries.zero(QQ, 2, 3)])
+
+
+def test_tagged_form_validates_linear_part():
+    # A map read from outside input must be z - H; the check runs in parsing.
+    x = NCSeries.variable(QQ, 2, 3, 0)
+    y = NCSeries.variable(QQ, 2, 3, 1)
+    with pytest.raises(ValueError, match="stray linear term in z2"):
+        _check_unitriangular([x + y, y], QQ)
+    with pytest.raises(ValueError, match="coefficient of z1 must be 1"):
+        _check_unitriangular([x.scale_int(2), y], QQ)
+    with pytest.raises(ValueError, match="component 1 is missing its z1 term"):
+        _check_unitriangular([x * x, y], QQ)
+    with pytest.raises(ValueError, match="component 1 has a constant term"):
+        _check_unitriangular([x + NCSeries.one(QQ, 2, 3), y], QQ)
+    _check_unitriangular([x - x * y, y], QQ)
 
 
 def test_tquotient_coefficients_supported():
