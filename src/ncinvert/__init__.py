@@ -39,7 +39,6 @@ from .trees import (
     invert_tree,
     reduced_factorial,
     tree_expansion_term,
-    tree_series,
 )
 from .deformation import (
     DeformedMap,
@@ -81,7 +80,6 @@ __all__ = [
     "invert_tree",
     "reduced_factorial",
     "tree_expansion_term",
-    "tree_series",
     "DeformedMap",
     "SpecialDeformation",
     "n_sequence_via_deformation",

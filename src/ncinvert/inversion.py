@@ -12,8 +12,8 @@ one table, and ``check_engine`` is the one test of a name against a ring:
 * ``charp-direct``: over GF(p), the recurrence where m-1 is invertible and a
   division-free residue-extraction step at the layers m = kp+1 where it is
   not;
-* ``charp-lift``: over GF(p), replace the coefficients of H by fresh integer
-  variables, run the recurrence in characteristic 0, reduce mod p.
+* ``charp-lift``: over GF(p), lift the coefficients of H to their integer
+  representatives, run the recurrence over the integers, reduce mod p.
 
 The layered engines (recurrent, tree, charp-direct, and charp-lift through
 the recurrence) build their terms with the one loop
@@ -243,47 +243,29 @@ def invert_charp_direct(h_vector) -> FormalMap:
 
 
 # ---------------------------------------------------------------------------
-# symbolic lift
+# integer lift
 # ---------------------------------------------------------------------------
 
 
-def lift_displacement(h_vector):
-    """Step 1 of the lift: replace each nonzero coefficient of H by a fresh
-    commuting integer variable, interned by (component, word).
+def invert_charp_lift(h_vector) -> FormalMap:
+    """Invert over GF(p) by lifting each coefficient of H to its integer
+    representative in [0, p), running the characteristic-0 recurrence over
+    the integers, and reducing every coefficient mod p.
 
-    Returns (H over the lift ring, assignment variable-key -> residue, ring).
+    The fixed point M = H(z + M) needs no division, so every N_[m] of an
+    integral H is integral: the divisions by m - 1 are exact, and reducing
+    mod p afterwards gives the GF(p) inverse.  ``IntPolyRing`` raises
+    AssertionError if one of them ever leaves a remainder.
     """
-    h_vector, ring, n, D = _vector_meta(h_vector)
-    if not isinstance(ring, PrimeField):
+    h_vector, field = _vector_meta(h_vector)[:2]
+    if not isinstance(field, PrimeField):
         raise ValueError("the lift starts from PrimeField coefficients")
     lift_ring = IntPolyRing()
-    assignment = {}
-    lifted = []
-    for i, h in enumerate(h_vector):
-        terms = []
-        for word, a in h.terms():
-            key = (i, word)
-            assignment[key] = a
-            terms.append((word, lift_ring.variable(key)))
-        lifted.append(NCSeries.from_terms(lift_ring, n, D, terms))
-    return tuple(lifted), assignment, lift_ring
-
-
-def invert_charp_lift(h_vector) -> FormalMap:
-    """Invert over GF(p) by lifting to Z[A], running the characteristic-0
-    recurrence there, and reducing every coefficient mod p."""
-    h_vector = tuple(h_vector)
-    field = h_vector[0].ring
-    lifted, assignment, lift_ring = lift_displacement(h_vector)
-    nseq = n_seq_recurrent(lifted)
-    g_tilde = nseq.assemble(lift_ring.one())
-    comps = [
-        c.map_coefficients(
-            lambda q: lift_ring.evaluate_mod_p(q, assignment, field), new_ring=field
-        )
-        for c in g_tilde.components
-    ]
-    return FormalMap(comps)
+    lifted = tuple(h.map_coefficients(int, new_ring=lift_ring) for h in h_vector)
+    g_tilde = n_seq_recurrent(lifted).assemble(lift_ring.one())
+    return FormalMap(
+        [c.map_coefficients(field.from_int, new_ring=field) for c in g_tilde.components]
+    )
 
 
 # ---------------------------------------------------------------------------

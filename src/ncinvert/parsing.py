@@ -167,8 +167,22 @@ class _Parser:
                     f"power {k} of a base {base} would exceed {MAX_COEFF_BITS} coefficient bits",
                     tok,
                 )
-            out = out ** k
+            out = self.raised(out, k)
         return out
+
+    def raised(self, base, k) -> NCSeries:
+        """base ** k.  Over GF(p), let q be the least power of p above D.
+        The constant term c of base is central, so base^q = c^q + (base -
+        c)^q, which is c: c^p = c, and (base - c)^q has order >= q > D.
+        Hence base^k = c^(k // q) * base^(k mod q), and a huge k costs no
+        more than one below q."""
+        p = self.ring.characteristic
+        if p == 0:
+            return base ** k
+        q = p
+        while q <= self.degree:
+            q *= p
+        return (base ** (k % q)).scale(pow(base.coefficient(()), k // q, p))
 
     # atom := int ('/' int)? | name | '(' expr ')'
     def atom(self) -> NCSeries:

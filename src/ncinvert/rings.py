@@ -2,10 +2,10 @@
 
 Every algorithm in this package is exact: coefficients are big rationals,
 prime-field residues, truncated polynomials in a central parameter t, or
-integer polynomials in commuting lift variables.  A ring is a context object
-that owns the arithmetic; ring *values* are plain Python data (Fraction, int,
-tuple, dict) so that tight loops stay cheap.  Values are never mutated after
-construction.
+the integers of the charp-lift engine's integer lift.  A ring is a context
+object that owns the arithmetic; ring *values* are plain Python data
+(Fraction, int, tuple) so that tight loops stay cheap.  Values are never
+mutated after construction.
 
 Every ring knows its characteristic (0 or a prime) and supports exact
 division by integers through ``div_by_int``; there is no floating point
@@ -14,10 +14,8 @@ anywhere.
 
 from __future__ import annotations
 
-import operator
 import sys
 from fractions import Fraction
-from itertools import groupby
 
 
 #: Miller-Rabin witnesses: the primes up to 41.  Together they expose every
@@ -57,7 +55,7 @@ def _accumulate(tgt, pairs, add, is_zero):
     """Add each (key, coefficient) pair into the dict ``tgt``, dropping keys
     whose coefficient cancels to zero; returns ``tgt``.  Keys are any
     hashable: words in :mod:`ncinvert.freealg`, exponent vectors in
-    :mod:`ncinvert.commutative`, monomials in :class:`IntPolyRing`."""
+    :mod:`ncinvert.commutative`."""
     for key, c in pairs:
         prev = tgt.get(key)
         val = c if prev is None else add(prev, c)
@@ -370,136 +368,34 @@ class TQuotientRing(Ring):
         return f"TQuotientRing({self.base!r}, {self.torder})"
 
 
-class IntPolyRing(Ring):
-    """Multivariate integer polynomials in dynamically interned variables.
+class IntPolyRing(RationalField):
+    """The integers, as the charp-lift engine runs the recurrence over them.
 
-    Values are dicts mapping a monomial to a nonzero int coefficient, where
-    a monomial is the sorted tuple of its variable indices, each repeated as
-    often as its exponent: A1^2*A3 is ``(0, 0, 2)`` and the empty tuple is
-    the constant monomial.  A product of monomials is one sorted merge of
-    the two tuples.  The zero polynomial is the empty dict.
-
-    Variables are interned by an arbitrary hashable key (here: a component
-    index and a word), so that repeated lifts of the same source coefficient
-    reuse the same variable, bit-exactly.  Two ring instances have separate
-    registries and are never equal.
+    Values are ints.  ``div_by_int`` divides exactly or raises
+    AssertionError: the recurrence over Z never leaves the integers, so a
+    remainder means the lift went wrong, and the CLI reports it as a failed
+    check.  The class keeps its historical name and a ``mul`` in its own
+    body because the external layer trace (``perfbench/layertrace.py``)
+    counts calls of ``IntPolyRing.__dict__["mul"]``.
     """
 
-    characteristic = 0
-
-    def __init__(self):
-        self._index_by_key = {}
-        self._keys = []
-
-    def variable(self, key):
-        """The polynomial for the variable interned under ``key``."""
-        idx = self._index_by_key.get(key)
-        if idx is None:
-            idx = len(self._keys)
-            self._index_by_key[key] = idx
-            self._keys.append(key)
-        return {(idx,): 1}
-
-    def variable_name(self, idx: int) -> str:
-        return f"A{idx + 1}"
-
-    def zero(self):
-        return {}
-
-    def one(self):
-        return {(): 1}
-
-    def add(self, a, b):
-        return _accumulate(dict(a), b.items(), operator.add, operator.not_)
-
-    def neg(self, a):
-        return {mono: -c for mono, c in a.items()}
-
-    def mul(self, a, b):
-        pairs = [
-            # a constant side reuses the other monomial instead of copying it
-            (tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2, c1 * c2)
-            for m1, c1 in a.items()
-            for m2, c2 in b.items()
-        ]
-        return _accumulate({}, pairs, operator.add, operator.not_)
-
-    def is_zero(self, a):
-        return not a
-
-    def from_int(self, n: int):
-        return {(): n} if n else {}
-
-    def mul_int(self, a, n: int):
-        if n == 0:
-            return {}
-        return {mono: c * n for mono, c in a.items()}
+    mul = RationalField.mul
 
     def div_by_int(self, a, m: int):
-        """Exact division: every integer coefficient must be divisible by m."""
         if m == 0:
             raise ZeroDivisionError("division by zero")
-        out = {}
-        for mono, c in a.items():
-            q, r = divmod(c, m)
-            if r:
-                raise ZeroDivisionError(f"coefficient {c} not divisible by {m}")
-            out[mono] = q
-        return out
-
-    def evaluate_mod_p(self, a, assignment: dict, field: PrimeField):
-        """Evaluate under variable-key -> GF(p) value, reducing integers mod p.
-
-        Raises KeyError naming the variable if the assignment misses one that
-        actually occurs in ``a``.
-        """
-        out = 0
-        p = field.p
-        for mono, c in a.items():
-            term = c % p
-            for idx, exp in _runs(mono):
-                key = self._keys[idx]
-                if key not in assignment:
-                    raise KeyError(f"no assignment for lift variable {self.variable_name(idx)} (key {key!r})")
-                term = (term * pow(assignment[key], exp, p)) % p
-            out = (out + term) % p
-        return out
-
-    def to_string(self, a) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for runs, c in sorted((_runs(mono), c) for mono, c in a.items()):
-            factors = [
-                self.variable_name(i) if e == 1 else f"{self.variable_name(i)}^{e}"
-                for i, e in runs
-            ]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        q, r = divmod(a, m)
+        if r:
+            raise AssertionError(
+                f"charp-lift: integer coefficient {a} is not divisible by {m}"
+            )
+        return q
 
     def __eq__(self, other):
-        return self is other
+        return type(other) is IntPolyRing
 
     def __hash__(self):
-        return id(self)
+        return hash(IntPolyRing)
 
     def __repr__(self):
-        return f"IntPolyRing(<{len(self._keys)} vars>)"
-
-
-def _runs(mono):
-    """The (variable index, exponent) pairs of a monomial, by index."""
-    return tuple((idx, len(list(run))) for idx, run in groupby(mono))
+        return "IntPolyRing()"

@@ -125,52 +125,16 @@ def reduced_factorial(tree: PBTree) -> int:
 
 
 # ---------------------------------------------------------------------------
-# general rooted trees (nested tuples of children) and the Kreimer factorial
-# ---------------------------------------------------------------------------
-
-
-def rooted_factorial(tree) -> int:
-    """Kreimer factorial of a planar rooted tree given as nested tuples:
-    () is the singleton, (c1, ..., cd) a root with d child trees.
-    Defined by T! = |T| * c1! * ... * cd!; the chain with m vertices gives m!.
-    """
-    total = rooted_vertices(tree)
-    for child in tree:
-        total *= rooted_factorial(child)
-    return total
-
-
-def rooted_vertices(tree) -> int:
-    return 1 + sum(rooted_vertices(c) for c in tree)
-
-
-def reduced_tree(tree: PBTree):
-    """Delete all leaves of a binary tree; returns nested tuples or None
-    for the empty tree (the reduction of a single leaf)."""
-    if tree.is_leaf:
-        return None
-    children = [c for c in (reduced_tree(tree.left), reduced_tree(tree.right)) if c is not None]
-    return tuple(children)
-
-
-# ---------------------------------------------------------------------------
 # the tree expansion
 # ---------------------------------------------------------------------------
 
 
-def tree_series(tree: PBTree, h_vector, memo=None):
+def _tree_series(tree, h_vector, memo):
     """N_T: the leaf carries H, grafting applies [N_T1 d/dz] N_T2.
 
     ``memo`` maps tree serializations to computed vectors; structurally equal
     subtrees share one evaluation, which collapses the Catalan blowup.
     """
-    h_vector = tuple(h_vector)
-    if memo is None:
-        memo = {}
-    return _tree_series(tree, h_vector, memo)
-
-
-def _tree_series(tree, h_vector, memo):
     got = memo.get(tree._serial)
     if got is not None:
         return got

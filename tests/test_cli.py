@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ncinvert.cli as cli
+import ncinvert.inversion as inversion
 from ncinvert.cli import main
 from ncinvert.freealg import FormalMap, NCSeries
 
@@ -353,6 +354,25 @@ def test_internal_assertion_exits_4_with_a_message(capsys, monkeypatch):
     assert out == ""
     assert err == "error: special deformation produced a t-constant term\n"
     assert "Traceback" not in err
+
+
+def test_non_integral_lift_exits_4_naming_charp_lift(capsys, monkeypatch):
+    # divide each layer by m instead of m - 1: the integer lift must refuse
+    def off_by_one(terms, m):
+        ring = terms[0][0].ring
+        return tuple(
+            s.map_coefficients(lambda c: ring.div_by_int(c, m))
+            for s in inversion.convolution_sum(terms, m)
+        )
+
+    monkeypatch.setattr(inversion, "_divided_convolution", off_by_one)
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "x - 3*x*y; y", "--vars", "x,y", "-d", "4",
+        "--ring", "gfp:5", "--engine", "charp-lift",
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: charp-lift: integer coefficient 9 is not divisible by 2\n"
 
 
 def test_unknown_engine_exits_3(capsys):

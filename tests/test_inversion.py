@@ -24,13 +24,12 @@ from ncinvert.inversion import (
     invert_charp_direct,
     invert_charp_lift,
     invert_fixed_point,
-    lift_displacement,
     n_seq_charp_direct,
     n_seq_recurrent,
     verify_inverse,
 )
 from ncinvert.randmaps import random_displacement
-from ncinvert.rings import QQ, PrimeField
+from ncinvert.rings import QQ, IntPolyRing, PrimeField
 from ncinvert.trees import invert_tree
 
 
@@ -249,14 +248,11 @@ def test_residue_step_agrees_with_lift_at_wraparound_layer():
     m = p + 1
     step = alt_recurrent_step(direct.terms[: m - 1], h, m)
     assert list(step) == list(direct.term(m))
-    # against the lift: reduce the symbolic N_[m] under the assignment
-    lifted, assignment, lift_ring = lift_displacement(h)
-    sym = n_seq_recurrent(lifted)
+    # against the lift: the integer N_[m] of the representatives, reduced mod p
+    lifted = tuple(s.map_coefficients(int, new_ring=IntPolyRing()) for s in h)
+    integral = n_seq_recurrent(lifted)
     reduced = tuple(
-        s.map_coefficients(
-            lambda q: lift_ring.evaluate_mod_p(q, assignment, field), new_ring=field
-        )
-        for s in sym.term(m)
+        s.map_coefficients(field.from_int, new_ring=field) for s in integral.term(m)
     )
     assert list(reduced) == list(direct.term(m))
 
@@ -309,17 +305,13 @@ def test_lift_and_direct_agree_on_random_maps_per_prime():
             n = rng.choice([1, 2, 3])
             h = random_displacement(rng, field, n, 6, max_deg=3, terms=2)
             assert invert_charp_lift(h) == invert_charp_direct(h), (p, i)
-
-
-def test_lift_interns_one_variable_per_term():
-    field = PrimeField(5)
-    h = commutator_displacement(field, 4, scale=4)
-    lifted, assignment, lift_ring = lift_displacement(h)
-    # two nonzero coefficients in component 1, none in component 2
-    assert lift_ring.variable("probe") == {(2,): 1}  # the next index is 2
-    assert set(assignment) == {(0, (0, 1)), (0, (1, 0))}
-    assert assignment[(0, (1, 0))] == 4
-    assert assignment[(0, (0, 1))] == 1  # -4 mod 5
+    # at D = 6 only p = 2, 3 reach a layer m = kp + 1 <= D - 1; these reach p + 1
+    for p, D in ((5, 7), (7, 9)):
+        field = PrimeField(p)
+        for i in range(15):
+            n = rng.choice([1, 2])
+            h = random_displacement(rng, field, n, D, max_deg=3, terms=2)
+            assert invert_charp_lift(h) == invert_charp_direct(h), (p, D, i)
 
 
 # -- dispatch -------------------------------------------------------------------

@@ -102,6 +102,31 @@ def test_power_of_a_constant_is_bounded_in_characteristic_zero():
     assert s.coefficient(()) == 1
 
 
+@pytest.mark.parametrize("p, degree", [(2, 5), (3, 4), (5, 4), (7, 2)])
+def test_gfp_power_by_frobenius_matches_repeated_products(p, degree):
+    # the least power of p above D is 8, 9, 5, 7: k runs past it several times
+    field = PrimeField(p)
+    names = ["x", "y", "z"]
+    for base in ("1+x+y+z", "2 + x*y - z", "x - y", "3*z*x"):
+        one = parse_expression(base, names, field, degree)
+        direct = NCSeries.one(field, 3, degree)
+        for k in range(60):
+            assert parse_expression(f"({base})^{k}", names, field, degree) == direct, (base, k)
+            direct = direct * one
+
+
+def test_huge_gfp_power_of_a_three_variable_base_exits_0_at_once(capsys):
+    exponent = "7" * 4000
+    start = time.perf_counter()
+    code = main([
+        "invert", "--expr", f"x - x*(1+x+y+z)^{exponent}*y; y; z", "--vars", "x,y,z",
+        "--ring", "gfp:3", "-d", "9", "--no-timings",
+    ])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_nested_constant_power_exits_2_at_once(capsys):
     start = time.perf_counter()
     code = main(["invert", "--expr", "x - ((3^9999)^9999)*x*x", "--vars", "x", "-d", "3"])

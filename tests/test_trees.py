@@ -12,18 +12,44 @@ from ncinvert.rings import QQ, PrimeField
 from ncinvert.trees import (
     LEAF,
     PBTree,
+    _tree_series,
     enumerate_pbtrees,
     factorial_identity_check,
     factorial_reciprocal_sum,
     gf_identity_check,
     invert_tree,
     reduced_factorial,
-    reduced_tree,
-    rooted_factorial,
-    rooted_vertices,
     tree_expansion_term,
-    tree_series,
 )
+
+
+def rooted_factorial(tree) -> int:
+    """Kreimer factorial of a planar rooted tree given as nested tuples:
+    () is the singleton, (c1, ..., cd) a root with d child trees.
+    Defined by T! = |T| * c1! * ... * cd!; the chain with m vertices gives m!.
+    """
+    total = rooted_vertices(tree)
+    for child in tree:
+        total *= rooted_factorial(child)
+    return total
+
+
+def rooted_vertices(tree) -> int:
+    return 1 + sum(rooted_vertices(c) for c in tree)
+
+
+def reduced_tree(tree: PBTree):
+    """Delete all leaves of a binary tree; returns nested tuples or None
+    for the empty tree (the reduction of a single leaf)."""
+    if tree.is_leaf:
+        return None
+    children = [c for c in (reduced_tree(tree.left), reduced_tree(tree.right)) if c is not None]
+    return tuple(children)
+
+
+def tree_series(tree: PBTree, h_vector):
+    """N_T of one tree, with a fresh memo."""
+    return _tree_series(tree, tuple(h_vector), {})
 
 
 def catalan_numbers(count):
