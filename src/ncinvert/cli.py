@@ -45,7 +45,12 @@ def parse_ring(text: str):
     if text == "rational":
         return QQ
     if text.startswith("gfp:"):
-        return PrimeField(int(text[len("gfp:"):]))
+        try:
+            modulus = int(text[len("gfp:"):])
+        except ValueError:
+            pass
+        else:
+            return PrimeField(modulus)
     raise ValueError(f"unknown ring {text!r}; use 'rational' or 'gfp:<p>'")
 
 

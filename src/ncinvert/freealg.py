@@ -359,10 +359,11 @@ class NCSeries:
     # -- structural helpers ------------------------------------------------
 
     def truncated(self, degree: int):
-        """Copy re-truncated to a smaller bound (explicit, never implicit)."""
-        if degree > self.degree:
-            raise ValueError("cannot raise the truncation degree of a series")
-        buckets = {d: dict(b) for d, b in self.buckets.items() if d <= degree}
+        """The series re-truncated at ``degree``, below or above its bound
+        (explicit, never implicit): buckets above ``degree`` are dropped and
+        the rest are shared.  Raising the bound adds no terms, so it claims
+        that the terms between the two bounds are zero."""
+        buckets = {d: b for d, b in self.buckets.items() if d <= degree}
         return type(self)(self.ring, self.arity, degree, buckets)
 
     def map_coefficients(self, func, new_ring=None):
@@ -607,17 +608,24 @@ def _fixed_point(h_vector, substitute):
 
     ``h_vector`` fixes the kind (NCSeries or commutative polynomials), ring,
     arity and truncation D of M; ``substitute(vector, point)`` evaluates a
-    vector at a point.  With r = o(H) >= 2, pass k leaves M exact through
-    degree (k + 1)(r - 1), so (D - 1) // (r - 1) passes reach degree D:
-    D - 1 passes when H has a quadratic term, none when r > D.
+    vector at a point of the vector's truncation.  With r = o(H) >= 2, M = 0
+    is exact through degree r - 1, and the degree-e part of H(z + M) reads M
+    only through degree e - (r - 1).  So pass k (from 1) runs at truncation
+    d = min(D, (k + 1)(r - 1)), with H cut to d and the previous M raised to
+    d, and leaves M exact through d: (D - 1) // (r - 1) passes reach D, which
+    is D - 1 when H has a quadratic term and none when r > D.
     """
     first = h_vector[0]
     kind, ring, n, D = type(first), first.ring, first.arity, first.degree
     r = min(h.order() for h in h_vector)
-    variables = [kind.variable(ring, n, D, i) for i in range(n)]
     m_vec = tuple(kind.zero(ring, n, D) for _ in range(n))
-    for _ in range((D - 1) // (r - 1) if r <= D else 0):
-        m_vec = substitute(h_vector, tuple(v + m for v, m in zip(variables, m_vec)))
+    passes = (D - 1) // (r - 1) if r <= D else 0
+    for k in range(1, passes + 1):
+        d = min(D, (k + 1) * (r - 1))
+        point = tuple(
+            kind.variable(ring, n, d, i) + m.truncated(d) for i, m in enumerate(m_vec)
+        )
+        m_vec = substitute(tuple(h.truncated(d) for h in h_vector), point)
     return m_vec
 
 

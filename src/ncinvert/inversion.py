@@ -60,9 +60,10 @@ def _vector_meta(h_vector):
 def invert_fixed_point(h_vector) -> FormalMap:
     """Invert z - H by passes of M <- H(z + M) from M = 0.
 
-    With r = o(H) >= 2, pass k leaves M exact through degree (k + 1)(r - 1),
-    so the pass count (D - 1) // (r - 1), which is D - 1 when r = 2, is
-    known before the first pass; works over any coefficient ring.
+    With r = o(H) >= 2, pass k runs at truncation min(D, (k + 1)(r - 1)) and
+    leaves M exact through it, so the pass count (D - 1) // (r - 1), which is
+    D - 1 when r = 2, is known before the first pass, and only the last pass
+    runs at D; works over any coefficient ring.
     """
     h_vector = _vector_meta(h_vector)[0]
     return FormalMap.g_form(_fixed_point(h_vector, _substitute))

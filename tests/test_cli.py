@@ -163,6 +163,15 @@ def test_engine_ring_mismatch_exit_code(capsys):
     assert "valid engines" in err
 
 
+@pytest.mark.parametrize("ring", ["gfp:abc", "gfp:1e3", "gfp:", "rationals"])
+def test_malformed_ring_exits_3_naming_the_ring_and_the_accepted_forms(capsys, ring):
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "x-x*x", "--vars", "x", "-d", "4", "--ring", ring
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: unknown ring {ring!r}; use 'rational' or 'gfp:<p>'\n"
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     f = tmp_path / "f.txt"
     g = tmp_path / "g.txt"

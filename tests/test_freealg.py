@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ncinvert.commutative import (
     substitute,
     substitute_vector,
 )
+from ncinvert import deformation
 from ncinvert.deformation import special_inverse
 from ncinvert.freealg import (
     Derivation,
@@ -66,6 +68,19 @@ def test_truncation_drops_overflow():
     top = series(2, d, (tuple([0] * d), 1))
     x = NCSeries.variable(QQ, 2, d, 0)
     assert (top * x).is_zero()
+
+
+@pytest.mark.parametrize("cut", [lambda s: s, abelianize], ids=["NCSeries", "CommPoly"])
+def test_truncated_raises_and_lowers_the_bound(cut):
+    s = cut(series(2, 4, ((0,), 1), ((1, 0), 2), ((0, 1, 1), -1), ((1, 1, 0, 1), 3)))
+    up = s.truncated(7)
+    # raising adds no terms, and lowering again gives the series back
+    assert up.degree == 7
+    assert list(up.terms()) == list(s.terms())
+    assert up.truncated(4) == s
+    low = s.truncated(2)
+    assert low == cut(series(2, 2, ((0,), 1), ((1, 0), 2)))
+    assert low.truncated(4) != s
 
 
 def test_mixed_degree_operands_rejected():
@@ -208,6 +223,8 @@ def test_fixed_point_pass_count_is_fixed_by_the_order_of_h(D, r):
         )
     )
     passes = max(D - 1, 0) if r == 2 else max((D - 1) // 2, 0)
+    # pass k evaluates at truncation r - 1 + k(r - 1), capped at D
+    truncations = [min(D, (r - 1) + k * (r - 1)) for k in range(1, passes + 1)]
     calls = []
 
     def counting(substitute):
@@ -220,7 +237,7 @@ def test_fixed_point_pass_count_is_fixed_by_the_order_of_h(D, r):
     def fixed_point_of(h_vector, substitute):
         calls.clear()
         m_vec = _fixed_point(h_vector, counting(substitute))
-        assert len(calls) == passes
+        assert [point[0].degree for point in calls] == truncations
         first = h_vector[0]
         z = [type(first).variable(first.ring, 2, D, i) for i in range(2)]
         assert m_vec == substitute(h_vector, tuple(v + m for v, m in zip(z, m_vec)))
@@ -229,7 +246,45 @@ def test_fixed_point_pass_count_is_fixed_by_the_order_of_h(D, r):
     fixed_point_of(abelianize_vector(h), substitute_vector)
     calls.clear()
     special_inverse(h, 1, counting(_substitute))
-    assert len(calls) == passes
+    assert [point[0].degree for point in calls] == truncations
+
+
+def _full_degree_fixed_point(h_vector, substitute):
+    """The fixed-point loop with every pass at the full truncation D."""
+    first = h_vector[0]
+    kind, ring, n, D = type(first), first.ring, first.arity, first.degree
+    r = min(h.order() for h in h_vector)
+    variables = [kind.variable(ring, n, D, i) for i in range(n)]
+    m_vec = tuple(kind.zero(ring, n, D) for _ in range(n))
+    for _ in range((D - 1) // (r - 1) if r <= D else 0):
+        m_vec = substitute(h_vector, tuple(v + m for v, m in zip(variables, m_vec)))
+    return m_vec
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_degree_raising_fixed_point_matches_the_full_degree_loop(data):
+    r = data.draw(st.sampled_from([2, 3, 4]))
+    route = data.draw(st.sampled_from(["QQ", "GF(3)", "R[t]", "CommPoly"]))
+    ring = PrimeField(3) if route == "GF(3)" else QQ
+    n = data.draw(st.integers(1, 2))
+    D = data.draw(st.integers(r, 7))
+    h = [data.draw(sparse_series(ring, n, D, r)) for _ in range(n)]
+    # a word of degree r makes o(H) = r unless a drawn term cancels it
+    h[0] = h[0] + NCSeries.from_terms(ring, n, D, [((0,) * r, ring.one())])
+    h = tuple(h)
+    if route == "R[t]":
+        torder = data.draw(st.integers(0, 2))
+        with mock.patch.object(deformation, "_fixed_point", _full_degree_fixed_point):
+            expect = special_inverse(h, torder, _substitute)
+        assert special_inverse(h, torder, _substitute) == expect
+    elif route == "CommPoly":
+        h = abelianize_vector(h)
+        assert _fixed_point(h, substitute_vector) == _full_degree_fixed_point(
+            h, substitute_vector
+        )
+    else:
+        assert _fixed_point(h, _substitute) == _full_degree_fixed_point(h, _substitute)
 
 
 # -- derivations --------------------------------------------------------------
