@@ -22,7 +22,6 @@ import sys
 import time
 
 from . import trees as trees_mod
-from .freealg import FormalMap
 from .inversion import (
     _engine_table,
     _first_residual,
@@ -32,7 +31,7 @@ from .inversion import (
     verify_inverse,
 )
 from .parsing import MapFormError, ParseError, format_map, parse_map
-from .rings import QQ, PrimeField, coeff_bits
+from .rings import QQ, PrimeField
 from .suite import SuiteBounds, run_identity_suite
 
 EXIT_OK = 0
@@ -230,19 +229,17 @@ def cmd_identities(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_bits(g_map: FormalMap) -> int:
-    return max(
-        (coeff_bits(c) for s in g_map.components for b in s.buckets.values() for c in b.values()),
-        default=0,
-    )
-
-
 def _parse_degrees(text):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        degrees = list(range(int(lo), int(hi) + 1))
-    else:
-        degrees = [int(d) for d in text.split(",") if d.strip()]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            degrees = list(range(int(lo), int(hi) + 1))
+        else:
+            degrees = [int(d) for d in text.split(",") if d.strip()]
+    except ValueError:
+        raise ValueError(
+            f"malformed --degrees {text!r}; use 'LO:HI' or a comma list of integers"
+        ) from None
     if not degrees:
         raise ValueError(f"--degrees {text!r} names no truncation degree")
     return degrees
@@ -299,9 +296,10 @@ def cmd_bench(args) -> int:
         for engine in engines:
             g_map, wall_ms = outputs[engine]
             terms = sum(c.term_count() for c in g_map.components)
+            bits = max(c.coeff_bits() for c in g_map.components)
             rows.append(
                 f"{engine},{parsed.f_map.arity},{degree},"
-                f"{wall_ms:.3f},{terms},{_coeff_bits(g_map)}"
+                f"{wall_ms:.3f},{terms},{bits}"
             )
     _emit(args, "\n".join(rows) + "\n")
     return EXIT_OK

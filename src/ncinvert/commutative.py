@@ -20,8 +20,7 @@ no calculus with the noncommutative side.
 from __future__ import annotations
 
 from .deformation import solves_cauchy_problem, special_inverse
-from .freealg import NCSeries, _pruned
-from .rings import _accumulate
+from .freealg import NCSeries
 
 
 class CommPoly(NCSeries):
@@ -72,16 +71,15 @@ class CommPoly(NCSeries):
 
     def partial(self, i):
         """d/dx_i with the classical power rule."""
-        ring = self.ring
-        out = {}
-        for d, b in self.buckets.items():
-            pairs = [
-                (e[:i] + (e[i] - 1,) + e[i + 1 :], ring.mul_int(c, e[i]))
+        mul_int = self.ring.mul_int
+        return self._collect(
+            (d - 1, [
+                (e[:i] + (e[i] - 1,) + e[i + 1 :], mul_int(c, e[i]))
                 for e, c in b.items()
                 if e[i]
-            ]
-            _accumulate(out.setdefault(d - 1, {}), pairs, ring.add, ring.is_zero)
-        return CommPoly(ring, self.arity, self.degree, _pruned(out))
+            ])
+            for d, b in self.buckets.items()
+        )
 
 
 def abelianize(series: NCSeries) -> CommPoly:

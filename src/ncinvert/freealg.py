@@ -13,6 +13,12 @@ computation in the quotient by words of degree > D.
 Coefficients live in a ring context from :mod:`ncinvert.rings` and commute
 with everything; all noncommutativity is carried by the words.
 
+Every series is built by one collector, ``NCSeries._collect``: sums,
+products, derivations, compositions and ``from_terms`` hand it their
+(key, coefficient) pairs degree by degree, and it is the one place where a
+pair is added into a bucket and a cancelled key is dropped.  No module but
+this one and :mod:`ncinvert.commutative` reads the buckets.
+
 Series values are immutable by convention: no operation mutates its inputs,
 and results may be shared freely.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .rings import Ring, _accumulate
+from .rings import Ring, coeff_bits
 
 #: order of the zero series
 INFINITE_ORDER = math.inf
@@ -31,11 +37,6 @@ INFINITE_ORDER = math.inf
 def word_key(word):
     """Degree-lexicographic sort key."""
     return (len(word), word)
-
-
-def _pruned(buckets):
-    """The degree buckets that still hold terms."""
-    return {d: b for d, b in buckets.items() if b}
 
 
 class NCSeries:
@@ -192,16 +193,18 @@ class NCSeries:
         """Merge many series of this kind, ring, arity and truncation in one
         accumulation pass (exact, so the result is independent of the order
         of ``items``)."""
-        add = ring.add
-        is_zero = ring.is_zero
         out = cls(ring, arity, degree)
-        buckets = {}
-        for s in items:
-            out._check_compatible(s)
-            for d, b in s.buckets.items():
-                _accumulate(buckets.setdefault(d, {}), b.items(), add, is_zero)
-        out.buckets = _pruned(buckets)
-        return out
+        items = iter(items)
+        first = next(items, out)
+        out._check_compatible(first)
+
+        def rest():
+            for s in items:
+                out._check_compatible(s)
+                for d, b in s.buckets.items():
+                    yield d, b.items()
+
+        return out._collect(rest(), start=first)
 
     @classmethod
     def from_terms(cls, ring, arity, degree, terms):
@@ -211,18 +214,37 @@ class NCSeries:
         construction with out-of-range keys is a caller bug.
         """
         s = cls(ring, arity, degree)
-        buckets = {}
+        by_degree = {}
         for key, c in terms:
             key = tuple(key)
             cls._check_key(key, arity)
             d = cls._key_degree(key)
             if d > degree:
                 raise ValueError(f"term of degree {d} exceeds truncation {degree}")
-            _accumulate(
-                buckets.setdefault(d, {}), ((s._key_in(key), c),), ring.add, ring.is_zero
-            )
-        s.buckets = _pruned(buckets)
-        return s
+            by_degree.setdefault(d, []).append((s._key_in(key), c))
+        return s._collect(by_degree.items())
+
+    def _collect(self, stream, start=None):
+        """The series of this kind, ring, arity and truncation holding
+        ``start`` (copied, not changed) plus the pairs of ``stream``, which
+        yields (degree, [(stored key, coefficient), ...]).  The one loop
+        that adds terms: keys whose coefficient cancels and empty buckets
+        are dropped."""
+        ring = self.ring
+        add, is_zero = ring.add, ring.is_zero
+        buckets = {} if start is None else {d: dict(b) for d, b in start.buckets.items()}
+        for d, pairs in stream:
+            tgt = buckets.setdefault(d, {})
+            for key, c in pairs:
+                prev = tgt.get(key)
+                val = c if prev is None else add(prev, c)
+                if is_zero(val):
+                    tgt.pop(key, None)
+                else:
+                    tgt[key] = val
+        return type(self)(
+            ring, self.arity, self.degree, {d: b for d, b in buckets.items() if b}
+        )
 
     # -- basic queries -------------------------------------------------
 
@@ -246,6 +268,10 @@ class NCSeries:
 
     def term_count(self) -> int:
         return sum(len(b) for b in self.buckets.values())
+
+    def coeff_bits(self) -> int:
+        """The width of the widest int or Fraction coefficient; 0 if none."""
+        return max((coeff_bits(c) for b in self.buckets.values() for c in b.values()), default=0)
 
     def coefficient(self, key):
         key = tuple(key)
@@ -299,18 +325,12 @@ class NCSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
-        ring = self.ring
-        buckets = {d: dict(b) for d, b in self.buckets.items()}
-        for d, b in other.buckets.items():
-            _accumulate(buckets.setdefault(d, {}), b.items(), ring.add, ring.is_zero)
-        return type(self)(ring, self.arity, self.degree, _pruned(buckets))
+        return self._collect(
+            ((d, b.items()) for d, b in other.buckets.items()), start=self
+        )
 
     def __neg__(self):
-        neg = self.ring.neg
-        buckets = {
-            d: {w: neg(c) for w, c in b.items()} for d, b in self.buckets.items()
-        }
-        return type(self)(self.ring, self.arity, self.degree, buckets)
+        return self.map_coefficients(self.ring.neg)
 
     def __sub__(self, other):
         return self + (-other)
@@ -325,20 +345,13 @@ class NCSeries:
     def __mul__(self, other):
         """Truncated product: terms of degree > D are dropped."""
         self._check_compatible(other)
-        ring = self.ring
-        rmul = ring.mul
-        radd = ring.add
-        is_zero = ring.is_zero
-        products = self._products
-        D = self.degree
-        out = {}
-        for d1, b1 in self.buckets.items():
-            for d2, b2 in other.buckets.items():
-                d = d1 + d2
-                if d > D:
-                    continue
-                _accumulate(out.setdefault(d, {}), products(b1, b2, d2, rmul), radd, is_zero)
-        return type(self)(ring, self.arity, self.degree, _pruned(out))
+        rmul, products, D = self.ring.mul, self._products, self.degree
+        return self._collect(
+            (d1 + d2, products(b1, b2, d2, rmul))
+            for d1, b1 in self.buckets.items()
+            for d2, b2 in other.buckets.items()
+            if d1 + d2 <= D
+        )
 
     def __pow__(self, k: int):
         """Square-and-multiply; zero at once when order * k exceeds D."""
@@ -574,21 +587,20 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     images = cache.get(())
     if images is None:
         images = cache[()] = _image_table(f_map.components)
-    ring = u.ring
-    words = u.buckets
+    rmul, words = u.ring.mul, u.buckets
     terms = {}
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words:
             # a spliced term is longer than k + 1, so no key is shared
             terms[k + 1] = words[k + 1]
-        spliced = {}
-        for d, bucket in terms.items():
-            for e, pairs in u._splices(bucket, d, images, ring.mul, (k,)):
-                _accumulate(spliced.setdefault(e, {}), pairs, ring.add, ring.is_zero)
-        terms = spliced
+        terms = u._collect(
+            (e, pairs)
+            for d, bucket in terms.items()
+            for e, pairs in u._splices(bucket, d, images, rmul, (k,))
+        ).buckets
     if 0 in words:
         terms[0] = dict(words[0])
-    return NCSeries(ring, u.arity, u.degree, _pruned(terms))
+    return NCSeries(u.ring, u.arity, u.degree, terms)
 
 
 def compose_vector(vector, f_map: FormalMap, cache=None):
@@ -672,13 +684,12 @@ class Derivation:
     def apply(self, f: NCSeries) -> NCSeries:
         """Apply to a series, truncating at its degree bound."""
         self.components[0]._check_compatible(f)
-        ring = self.ring
-        images = _image_table(self.components)
-        out = {}
-        for d, bucket in f.buckets.items():
-            for e, pairs in f._splices(bucket, d, images, ring.mul):
-                _accumulate(out.setdefault(e, {}), pairs, ring.add, ring.is_zero)
-        return type(f)(ring, self.arity, self.degree, _pruned(out))
+        images, rmul = _image_table(self.components), self.ring.mul
+        return f._collect(
+            (e, pairs)
+            for d, bucket in f.buckets.items()
+            for e, pairs in f._splices(bucket, d, images, rmul)
+        )
 
     def apply_vector(self, vector):
         return tuple(self.apply(f) for f in vector)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 from .freealg import FormalMap, NCSeries
-from .rings import coeff_bits
 
 
 class ParseError(ValueError):
@@ -108,7 +107,7 @@ class _Parser:
         characteristic 0; 0 over GF(p), where residues do not grow."""
         if self.ring.characteristic != 0:
             return 0
-        return max((coeff_bits(c) for b in series.buckets.values() for c in b.values()), default=0)
+        return series.coeff_bits()
 
     def literal(self, tok) -> int:
         """The value of an integer literal, refused when it is longer than

@@ -10,6 +10,9 @@ mutated after construction.
 Every ring knows its characteristic (0 or a prime) and supports exact
 division by integers through ``div_by_int``; there is no floating point
 anywhere.
+
+A ring works on single values.  Terms are summed into series in one place,
+:meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
 """
 
 from __future__ import annotations
@@ -51,21 +54,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _accumulate(tgt, pairs, add, is_zero):
-    """Add each (key, coefficient) pair into the dict ``tgt``, dropping keys
-    whose coefficient cancels to zero; returns ``tgt``.  Keys are any
-    hashable: words in :mod:`ncinvert.freealg`, exponent vectors in
-    :mod:`ncinvert.commutative`."""
-    for key, c in pairs:
-        prev = tgt.get(key)
-        val = c if prev is None else add(prev, c)
-        if is_zero(val):
-            tgt.pop(key, None)
-        else:
-            tgt[key] = val
-    return tgt
-
-
 def coeff_bits(c) -> int:
     """The width of an int or Fraction: the larger bit length of its
     numerator and its denominator."""
@@ -81,9 +69,6 @@ class Ring:
     """
 
     characteristic = None  # type: int
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -125,9 +110,6 @@ class RationalField(Ring):
 
     def neg(self, a):
         return -a
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -197,9 +179,6 @@ class PrimeField(Ring):
 
     def neg(self, a):
         return (-a) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

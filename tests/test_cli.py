@@ -326,6 +326,17 @@ def test_bench_rejects_an_empty_degree_list(capsys):
         assert "no truncation degree" in err
 
 
+@pytest.mark.parametrize("degrees", ["a", "3:", ":4", "1:2:3", "4,x", "4.5"])
+def test_malformed_degrees_exit_3_naming_the_option_and_the_accepted_forms(capsys, degrees):
+    code, out, err = run_cli(
+        capsys, "bench", "--expr", "x-x*x", "--vars", "x", "--degrees", degrees
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: malformed --degrees {degrees!r}; use 'LO:HI' or a comma list of integers\n"
+    )
+
+
 def test_bench_reports_where_engines_differ(capsys, monkeypatch):
     real_invert = cli.invert
 

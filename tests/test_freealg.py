@@ -25,7 +25,6 @@ from ncinvert.freealg import (
     NCSeries,
     _fixed_point,
     _image_table,
-    _pruned,
     _substitute,
     compose,
     compose_vector,
@@ -36,7 +35,7 @@ from ncinvert.freealg import (
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
 from ncinvert.randmaps import random_displacement, random_series
-from ncinvert.rings import QQ, PrimeField, TQuotientRing, _accumulate
+from ncinvert.rings import QQ, PrimeField, TQuotientRing
 
 
 def series(n, degree, *terms):
@@ -603,14 +602,14 @@ def _tuple_derivation(images, f, positions=None):
 
 def _splices_at(images, f, positions):
     """The packed splices of ``images`` into ``f`` at the given positions."""
-    ring = f.ring
     table = _image_table(images)
-    out = {}
-    for d, bucket in f.buckets.items():
-        at = [j for j in positions if j < d]
-        for e, pairs in f._splices(bucket, d, table, ring.mul, at):
-            _accumulate(out.setdefault(e, {}), pairs, ring.add, ring.is_zero)
-    return NCSeries(ring, f.arity, f.degree, _pruned(out))
+    return f._collect(
+        (e, pairs)
+        for d, bucket in f.buckets.items()
+        for e, pairs in f._splices(
+            bucket, d, table, f.ring.mul, [j for j in positions if j < d]
+        )
+    )
 
 
 @given(st.data())
@@ -640,3 +639,53 @@ def test_packed_kernels_match_a_tuple_word_reference(data):
     )
     assert NCSeries.from_terms(ring, n, D, a.terms()) == a
     assert NCSeries.from_json_dict(ring, json.loads(json.dumps(a.to_json_dict()))) == a
+
+
+def _assert_stored_clean(s):
+    """No empty bucket and no coefficient that the ring calls zero."""
+    for d, bucket in s.buckets.items():
+        assert bucket, (d, s)
+        assert not any(s.ring.is_zero(c) for c in bucket.values()), (d, s)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_kernel_stores_no_empty_bucket_and_no_zero(data):
+    # the equality properties compare two results of the one collector, so
+    # an empty bucket or a stored zero would sit on both sides; this looks
+    # at the storage itself
+    ring = data.draw(st.sampled_from(KERNEL_RINGS))
+    n = data.draw(st.integers(1, 2))
+    D = data.draw(st.integers(1, 4))
+    a = data.draw(sparse_series(ring, n, D, 0))
+    c = data.draw(sparse_series(ring, n, D, 0))
+    # b holds the negated terms of a, so a + b cancels them
+    b = c - a
+    terms = list(a.terms())
+    k = data.draw(st.integers(0, len(terms)))
+    cancelled = terms + [(w, ring.neg(v)) for w, v in terms[:k]] + list(c.terms())
+    delta = Derivation([data.draw(sparse_series(ring, n, D, 0)) for _ in range(n)])
+    f_map = FormalMap(
+        [NCSeries.variable(ring, n, D, i) + data.draw(sparse_series(ring, n, D, 1))
+         for i in range(n)]
+    )
+    three = ring.from_int(3)
+    results = [
+        a + b, a - c, b - b + a, a * b, b * a, a * a,
+        NCSeries.sum(ring, n, D, [a, b, c]),
+        NCSeries.sum(ring, n, D, [b, a]),
+        NCSeries.from_terms(ring, n, D, cancelled),
+        a.map_coefficients(lambda v: ring.mul(v, v)),
+        a.map_coefficients(lambda v: ring.mul(v, three)),
+        -a,
+        delta.apply(a), delta.apply(b),
+        compose(a, f_map), compose(b, f_map),
+    ]
+    p, q = abelianize(a), abelianize(b)
+    results += [p + q, p * q, p - q] + [p.partial(i) for i in range(n)]
+    results += [(p * q).partial(i) for i in range(n)]
+    for s in results:
+        _assert_stored_clean(s)
+    for s in (a, b, p):
+        assert (s + (-s)).buckets == {}
+        assert (s - s).buckets == {}

@@ -4,6 +4,8 @@ benchmark's own smoke test."""
 
 import importlib
 import importlib.util
+import inspect
+from collections import defaultdict
 from pathlib import Path
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -31,3 +33,43 @@ def test_every_span_module_imports():
     assert layertrace.SPAN_MODULES
     for short in layertrace.SPAN_MODULES:
         importlib.import_module(f"ncinvert.{short}")
+
+
+def _is_traced(layertrace, name):
+    """Whether the tracer makes a span named ``name``: a public function
+    defined in its module, or a ``KERNELS`` method."""
+    parts = tuple(name.split("."))
+    if len(parts) == 3:
+        return parts in layertrace.KERNELS
+    short, attr = parts
+    if short not in layertrace.SPAN_MODULES or attr.startswith("_"):
+        return False
+    module = importlib.import_module(f"ncinvert.{short}")
+    value = getattr(module, attr, None)
+    return inspect.isfunction(value) and value.__module__ == module.__name__
+
+
+class _RecordingAgg(dict):
+    """An empty aggregate that records every span name looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def get(self, name, default=None):
+        self.names.append(name)
+        return default
+
+
+def test_every_span_name_the_tracer_reads_is_traced():
+    # a metric reads a span with ``agg.get(name, unseen)``, so a renamed or
+    # private target would read 0 instead of failing
+    layertrace = load_layertrace()
+    tracer = layertrace.Tracer()
+    hooked = list(tracer._hooks())
+    agg = _RecordingAgg()
+    tracer._merged = lambda: (agg, defaultdict(int))
+    tracer.metrics()
+    assert hooked and agg.names
+    for name in hooked + agg.names:
+        assert _is_traced(layertrace, name), name
