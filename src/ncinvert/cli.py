@@ -59,7 +59,7 @@ def _check_degree(degree):
 
 
 def _read_source(args) -> str:
-    if args.expr:
+    if args.expr is not None:
         return args.expr
     path = args.mapfile
     if path in (None, "-"):
@@ -272,6 +272,8 @@ def cmd_bench(args) -> int:
     )
     for e in engines:
         check_engine(e, ring)
+        if engines.count(e) > 1:
+            raise ValueError(f"--engines names {e!r} twice")
     rows = ["engine,n,D,wall_ms,term_count,max_coeff_bits"]
     for degree in degrees:
         parsed = parse_map(source, ring, degree, _split_vars(args.vars))

@@ -19,9 +19,9 @@ CommPoly is an NCSeries keyed by exponent vectors and inherits
 ``solves_cauchy_problem`` checks u_t(0) = u_0 and du_t/dt = rhs(u_t).
 
 Truncation discipline: a t-derivative of a computed value is trustworthy
-only up to t-order K-1, so every identity involving one is compared after
-re-truncating both sides to K-1.  Identities without a t-derivative are
-compared at full order K.
+only up to t-order K-1, so every identity involving one is compared by
+``t_agree``, which re-truncates both sides to K-1 (and holds trivially at
+K = 0).  Identities without a t-derivative are compared at full order K.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .freealg import (
     embed_series,
     star_action,
     t_residue_series,
-    t_scale_series,
 )
 from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
 from .rings import TQuotientRing
@@ -49,10 +48,6 @@ from .rings import TQuotientRing
 # ---------------------------------------------------------------------------
 # coefficient-level helpers
 # ---------------------------------------------------------------------------
-
-
-def embed_vector(vector, tring):
-    return tuple(embed_series(s, tring) for s in vector)
 
 
 def t_derivative_series(series: NCSeries) -> NCSeries:
@@ -71,13 +66,19 @@ def t_truncate_series(series: NCSeries, torder: int) -> NCSeries:
     return series.map_coefficients(lambda c: tring.restrict(c, torder), new_ring=small)
 
 
-def t_equal(a: NCSeries, b: NCSeries, torder: int) -> bool:
-    """Equality after re-truncating both sides to the given t-order."""
-    return t_truncate_series(a, torder) == t_truncate_series(b, torder)
+def t_agree(a, b) -> bool:
+    """Do the vectors a and b over R[t]/(t^(K+1)) agree through t-order K-1,
+    as far as a t-derivative of a value kept to t^K is exact?
 
-
-def t_equal_vector(a, b, torder) -> bool:
-    return all(t_equal(x, y, torder) for x, y in zip(a, b))
+    Always true at K = 0; vectors of different lengths raise ValueError.
+    """
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b):
+        raise ValueError(f"cannot compare vectors of lengths {len(a)} and {len(b)}")
+    km = a[0].ring.torder - 1
+    return km < 0 or all(
+        t_truncate_series(x, km) == t_truncate_series(y, km) for x, y in zip(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def special_inverse(h_vector, torder: int, substitute):
     h_vector = tuple(h_vector)
     _check_order_at_least(h_vector, 2, "H")
     big = TQuotientRing(h_vector[0].ring, torder + 1)
-    big_ht = tuple(t_scale_series(embed_series(h, big)) for h in h_vector)
+    big_ht = tuple(embed_series(h, big, 1) for h in h_vector)
     big_mt = _fixed_point(big_ht, substitute)
     if any(not t_residue_series(s, 0).is_zero() for s in big_mt):
         raise AssertionError("special deformation produced a t-constant term")
@@ -117,10 +118,9 @@ def solves_cauchy_problem(u_t, initial, rhs) -> bool:
     u_t = tuple(u_t)
     if tuple(t_residue_series(s, 0) for s in u_t) != tuple(initial):
         return False
-    km = u_t[0].ring.torder - 1
-    if km < 0:
+    if u_t[0].ring.torder < 1:
         return True
-    return t_equal_vector(t_derivative_vector(u_t), rhs(u_t), km)
+    return t_agree(t_derivative_vector(u_t), rhs(u_t))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ class DeformedMap:
     F_t(G_t) = id = G_t(F_t) exactly at (D, K).
     """
 
-    __slots__ = ("base_ring", "tring", "arity", "degree", "torder", "h_t", "f_t", "g_t", "m_t")
+    __slots__ = ("tring", "arity", "degree", "torder", "h_t", "f_t", "g_t", "m_t")
 
     def __init__(self, h_t, m_t=None):
         h_t = tuple(h_t)
@@ -147,7 +147,6 @@ class DeformedMap:
         if not isinstance(tring, TQuotientRing):
             raise ValueError("a deformed map needs t-quotient coefficients")
         _check_order_at_least(h_t, 2, "H_t")
-        self.base_ring = tring.base
         self.tring = tring
         self.arity = first.arity
         self.degree = first.degree
@@ -164,19 +163,11 @@ class DeformedMap:
 
     def h_derivation(self) -> Derivation:
         """h(t): components (dM_t/dt)(F_t); t-order only valid to K-1."""
-        cache = {}
-        comps = [
-            compose(s, self.f_t, cache) for s in t_derivative_vector(self.m_t)
-        ]
-        return Derivation(comps)
+        return Derivation(compose_vector(t_derivative_vector(self.m_t), self.f_t))
 
     def m_derivation(self) -> Derivation:
         """m(t): components (dH_t/dt)(G_t); t-order only valid to K-1."""
-        cache = {}
-        comps = [
-            compose(s, self.g_t, cache) for s in t_derivative_vector(self.h_t)
-        ]
-        return Derivation(comps)
+        return Derivation(compose_vector(t_derivative_vector(self.h_t), self.g_t))
 
 
 class SpecialDeformation(DeformedMap):
@@ -234,42 +225,32 @@ def check_inverse_flow_identities(d: DeformedMap) -> bool:
         return False
     if d.h_t != tuple(compose_vector(d.m_t, d.f_t)):
         return False
-    km = d.torder - 1
-    if km < 0:
-        return True
     lhs3 = t_derivative_vector(d.h_t)
     rhs3 = d.h_derivation().apply_vector(d.f_t.components)
-    if not t_equal_vector(lhs3, rhs3, km):
+    if not t_agree(lhs3, rhs3):
         return False
     lhs4 = t_derivative_vector(d.m_t)
     rhs4 = d.m_derivation().apply_vector(d.g_t.components)
-    return t_equal_vector(lhs4, rhs4, km)
+    return t_agree(lhs4, rhs4)
 
 
 def check_pushforward_swap(d: DeformedMap) -> bool:
     """Transport along the inverse pair swaps h(t) and m(t): pushing h
     forward through G_t gives m, and pushing m through F_t gives h."""
-    km = d.torder - 1
-    if km < 0:
-        return True
     h = d.h_derivation()
     m = d.m_derivation()
     via_g = star_action(d.f_t, d.g_t, h)  # (G_t)_* h
-    if not t_equal_vector(via_g.components, m.components, km):
+    if not t_agree(via_g.components, m.components):
         return False
     via_f = star_action(d.g_t, d.f_t, m)  # (F_t)_* m
-    return t_equal_vector(via_f.components, h.components, km)
+    return t_agree(via_f.components, h.components)
 
 
 def check_substitution_flow(d: DeformedMap, u: NCSeries) -> bool:
     """How u(F_t) and u(G_t) evolve in t, both equality chains each:
     d/dt u(F_t) = -(m(t)u)(F_t) = -h(t) u(F_t) and
     d/dt u(G_t) =  (h(t)u)(G_t) =  m(t) u(G_t), for base-ring u."""
-    km = d.torder - 1
-    if km < 0:
-        return True
-    tring = d.tring
-    u_t = embed_series(u, tring)
+    u_t = embed_series(u, d.tring)
     h = d.h_derivation()
     m = d.m_derivation()
 
@@ -277,14 +258,14 @@ def check_substitution_flow(d: DeformedMap, u: NCSeries) -> bool:
     lhs = t_derivative_series(u_f)
     first = -compose(m.apply(u_t), d.f_t)
     second = -h.apply(u_f)
-    if not (t_equal(lhs, first, km) and t_equal(lhs, second, km)):
+    if not t_agree((lhs, lhs), (first, second)):
         return False
 
     u_g = compose(u_t, d.g_t)
     lhs = t_derivative_series(u_g)
     first = compose(h.apply(u_t), d.g_t)
     second = m.apply(u_g)
-    return t_equal(lhs, first, km) and t_equal(lhs, second, km)
+    return t_agree((lhs, lhs), (first, second))
 
 
 def check_inversion_pde(n_t, h_base) -> bool:
@@ -299,28 +280,24 @@ def check_h_m_structure(sd: SpecialDeformation) -> bool:
     m = sd.m_derivation()
     if tuple(m.components) != sd.n_t:
         return False
-    km = sd.torder - 1
-    if km < 0:
-        return True
     h = sd.h_derivation()
     tring = sd.tring
     cs = c_sequence(sd.h_base, sd.torder + 1)
     expect = tuple(
         NCSeries.sum(
             tring, sd.arity, sd.degree,
-            (t_scale_series(embed_series(c_vec[i], tring), mm) for mm, c_vec in enumerate(cs)),
+            (embed_series(c_vec[i], tring, mm) for mm, c_vec in enumerate(cs)),
         )
         for i in range(sd.arity)
     )
-    return t_equal_vector(h.components, expect, km)
+    return t_agree(h.components, expect)
 
 
 def check_composed_with_forward_map(sd: SpecialDeformation) -> bool:
     """N_t(F_t) = H exactly at full t-order: composing the deformation's
     N_t with F_t recovers the undeformed displacement."""
     image = compose_vector(sd.n_t, sd.f_t)
-    expect = embed_vector(sd.h_base, sd.tring)
-    return tuple(image) == expect
+    return image == tuple(embed_series(h, sd.tring) for h in sd.h_base)
 
 
 def check_shifted_inverse_family(h_vector, t0, s0) -> bool:

@@ -410,15 +410,14 @@ class NCSeries:
         return cls.from_terms(ring, data["arity"], data["degree"], terms)
 
 
-def embed_series(series: NCSeries, tring) -> NCSeries:
-    """Reinterpret a base-ring series as t-constant over the quotient ring."""
-    return series.map_coefficients(tring.embed, new_ring=tring)
-
-
-def t_scale_series(series: NCSeries, k: int = 1) -> NCSeries:
-    """Multiply every coefficient by t^k."""
-    tring = series.ring
-    return series.map_coefficients(lambda c: tring.times_t(c, k))
+def embed_series(series: NCSeries, tring, k: int = 0) -> NCSeries:
+    """series * t^k over the quotient ring: each base-ring coefficient c
+    becomes c*t^k, which is 0 once k passes the ring's t-order."""
+    if k > tring.torder:
+        return type(series).zero(tring, series.arity, series.degree)
+    zero = tring.zero()
+    head, tail = zero[:k], zero[k + 1:]
+    return series.map_coefficients(lambda c: head + (c,) + tail, new_ring=tring)
 
 
 def t_residue_series(series: NCSeries, j: int) -> NCSeries:
@@ -731,6 +730,4 @@ def star_action(f_map: FormalMap, f_inv: FormalMap, delta: Derivation) -> Deriva
     check = f_map.after(f_inv)
     if not check.is_identity():
         raise ValueError("supplied inverse fails f(g) = id at this truncation")
-    cache = {}
-    comps = [compose(delta.apply(c), f_inv, cache) for c in f_map.components]
-    return Derivation(comps)
+    return Derivation(compose_vector(delta.apply_vector(f_map.components), f_inv))

@@ -40,7 +40,6 @@ from .freealg import (
     compose,
     embed_series,
     t_residue_series,
-    t_scale_series,
     word_key,
 )
 from .rings import IntPolyRing, PrimeField, TQuotientRing
@@ -206,7 +205,7 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     if len(prev_terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
     tring = TQuotientRing(ring, m - 1)
-    th = [t_scale_series(embed_series(h, tring)) for h in h_vector]
+    th = [embed_series(h, tring, 1) for h in h_vector]
     variables = [NCSeries.variable(tring, n, D, i) for i in range(n)]
     shifted = FormalMap([v - h for v, h in zip(variables, th)])
     cache = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .freealg import NCSeries, embed_series, t_scale_series
+from .freealg import NCSeries, embed_series
 from .rings import TQuotientRing
 
 
@@ -93,6 +93,6 @@ def random_deformed_displacement(
             if j > 0 and rng.random() < 0.5:
                 continue
             layer = random_series(rng, base_ring, arity, degree, 2, max_deg, terms)
-            acc = acc + t_scale_series(embed_series(layer, tring), j)
+            acc = acc + embed_series(layer, tring, j)
         out.append(acc)
     return tuple(out)

@@ -208,6 +208,14 @@ def test_stdin_map_source(capsys, monkeypatch):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("command, degree", [("invert", "-d"), ("bench", "--degrees")])
+def test_empty_expr_is_an_empty_map_not_a_read_of_stdin(capsys, monkeypatch, command, degree):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x - x*x"))
+    code, out, err = run_cli(capsys, command, "--expr", "", "--vars", "x", degree, "3")
+    assert (code, out) == (2, "")
+    assert err == "parse error: 1:1: no map components found\n"
+
+
 def test_trees_list(capsys):
     code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--list")
     assert code == 0
@@ -335,6 +343,15 @@ def test_malformed_degrees_exit_3_naming_the_option_and_the_accepted_forms(capsy
     assert err == (
         f"error: malformed --degrees {degrees!r}; use 'LO:HI' or a comma list of integers\n"
     )
+
+
+def test_bench_refuses_a_repeated_engine(capsys):
+    code, out, err = run_cli(
+        capsys, "bench", "--expr", "x - x*x", "--vars", "x", "--degrees", "3",
+        "--engines", "recurrent,fixed-point, recurrent",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: --engines names 'recurrent' twice\n"
 
 
 def test_bench_reports_where_engines_differ(capsys, monkeypatch):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncinvert.deformation import (
     DeformedMap,
@@ -19,11 +21,10 @@ from ncinvert.deformation import (
     embed_series,
     n_sequence_via_deformation,
     solves_cauchy_problem,
+    t_agree,
     t_derivative_series,
     t_derivative_vector,
-    t_equal,
     t_residue_series,
-    t_scale_series,
 )
 from ncinvert.freealg import Derivation, NCSeries, compose, compose_vector
 from ncinvert.inversion import n_seq_recurrent, verify_inverse
@@ -78,7 +79,7 @@ def test_squared_parameter_shifts_orders():
     D, K = 5, 4
     h = commutator_displacement(QQ, D)
     tring = TQuotientRing(QQ, K)
-    h_t = tuple(t_scale_series(embed_series(s, tring), 2) for s in h)
+    h_t = tuple(embed_series(s, tring, 2) for s in h)
     d = DeformedMap(h_t)
     for s in d.m_t:
         for j in (0, 1):
@@ -119,13 +120,9 @@ def test_composition_flow_pdes_directly():
     u = random_series(rng, QQ, 2, 5, 0, 3, terms=3)
     u_t = embed_series(u, d.tring)
     big_u = compose(u_t, d.f_t)
-    assert t_equal(
-        t_derivative_series(big_u), -d.h_derivation().apply(big_u), d.torder - 1
-    )
+    assert t_agree((t_derivative_series(big_u),), (-d.h_derivation().apply(big_u),))
     big_v = compose(u_t, d.g_t)
-    assert t_equal(
-        t_derivative_series(big_v), d.m_derivation().apply(big_v), d.torder - 1
-    )
+    assert t_agree((t_derivative_series(big_v),), (d.m_derivation().apply(big_v),))
 
 
 def test_parameter_chain_rule():
@@ -134,15 +131,13 @@ def test_parameter_chain_rule():
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
     d = DeformedMap(h_t)
     u_t = embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), d.tring)
-    u_t = u_t + t_scale_series(
-        embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), d.tring), 2
-    )
+    u_t = u_t + embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), d.tring, 2)
     lhs = t_derivative_series(compose(u_t, d.f_t))
     carried = Derivation(compose_vector(t_derivative_vector(d.f_t.components), d.g_t))
     rhs = compose(t_derivative_series(u_t), d.f_t) + compose(
         carried.apply(u_t), d.f_t
     )
-    assert t_equal(lhs, rhs, K - 1)
+    assert t_agree((lhs,), (rhs,))
 
 
 def test_inversion_pde_and_boundary():
@@ -204,7 +199,7 @@ def test_transport_pde_rejects_perturbed_solution():
     flow = Derivation(sd.n_t).apply_vector
     assert solves_cauchy_problem((big_u,), (u,), flow)
     w = NCSeries.variable(QQ, 2, 5, 1) * NCSeries.variable(QQ, 2, 5, 0)
-    perturbed = big_u + t_scale_series(embed_series(w, sd.tring))
+    perturbed = big_u + embed_series(w, sd.tring, 1)
     assert not solves_cauchy_problem((perturbed,), (u,), flow)
 
 
@@ -218,3 +213,60 @@ def test_star_action_swap_over_special_family():
     h = commutator_displacement(QQ, 4)
     sd = SpecialDeformation(h, torder=3)
     assert check_pushforward_swap(sd)
+
+
+@st.composite
+def base_series(draw, ring, n=2, D=3):
+    words = st.lists(st.integers(0, n - 1), max_size=D).map(tuple)
+    terms = draw(st.lists(st.tuples(words, st.integers(-3, 3)), min_size=1, max_size=5))
+    return NCSeries.from_terms(ring, n, D, [(w, ring.from_int(c)) for w, c in terms])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_embed_series_puts_each_coefficient_at_t_k(data):
+    ring = data.draw(st.sampled_from([QQ, PrimeField(3)]))
+    K = data.draw(st.integers(0, 4))
+    k = data.draw(st.integers(0, K + 1))
+    tring = TQuotientRing(ring, K)
+    s = data.draw(base_series(ring))
+    lifted = embed_series(s, tring, k)
+    assert lifted.ring == tring
+    assert lifted.term_count() == (s.term_count() if k <= K else 0)
+    for word, c in s.terms():
+        coeff = lifted.coefficient(word)
+        assert coeff == tring.times_t(tring.embed(c), k)
+        for j in range(K + 1):
+            assert tring.residue_at(coeff, j) == (c if j == k else ring.zero())
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_t_agree_compares_through_t_order_k_minus_1(data):
+    ring = data.draw(st.sampled_from([QQ, PrimeField(3)]))
+    K = data.draw(st.integers(0, 4))
+    tring = TQuotientRing(ring, K)
+    vector = tuple(
+        embed_series(data.draw(base_series(ring)), tring, data.draw(st.integers(0, K)))
+        for _ in range(2)
+    )
+    other = tuple(embed_series(data.draw(base_series(ring)), tring) for _ in range(2))
+    with pytest.raises(ValueError, match="lengths 1 and 2"):
+        t_agree(vector[:1], other)
+    with pytest.raises(ValueError, match="lengths 2 and 1"):
+        t_agree(vector, other[:1])
+    if K == 0:
+        assert t_agree(vector, other)
+        return
+    i = data.draw(st.integers(0, 1))
+    word = tuple(data.draw(st.lists(st.integers(0, 1), max_size=3)))
+    bump = NCSeries.from_terms(ring, 2, 3, [(word, ring.one())])
+
+    def bumped(j):
+        # vector with the coefficient of word in component i changed at t^j
+        step = embed_series(bump, tring, j)
+        return tuple(s + step if c == i else s for c, s in enumerate(vector))
+
+    assert t_agree(vector, vector)
+    assert not t_agree(vector, bumped(K - 1))
+    assert t_agree(vector, bumped(K))

@@ -8,6 +8,9 @@ import inspect
 from collections import defaultdict
 from pathlib import Path
 
+from ncinvert import freealg
+from ncinvert.rings import QQ
+
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
 
@@ -73,3 +76,10 @@ def test_every_span_name_the_tracer_reads_is_traced():
     assert hooked and agg.names
     for name in hooked + agg.names:
         assert _is_traced(layertrace, name), name
+
+
+def test_compose_takes_the_image_cache_the_tracer_passes_positionally():
+    # the tracer's compose wrapper calls ``original(u, f_map, cache)``
+    x = freealg.NCSeries.variable(QQ, 1, 3, 0)
+    f_map = freealg.FormalMap.f_form((x * x,))
+    inspect.signature(freealg.compose).bind(x, f_map, {})
