@@ -81,9 +81,13 @@ def _dump_json(payload) -> str:
 
 
 def _split_vars(text):
-    if not text:
+    """The names of ``--vars``, or None when it is not given."""
+    if text is None:
         return None
-    return [v.strip() for v in text.split(",") if v.strip()]
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names:
+        raise ParseError(f"--vars {text!r} names no variable")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +269,20 @@ def cmd_bench(args) -> int:
     degrees = _parse_degrees(args.degrees)
     for degree in degrees:
         _check_degree(degree)
-    engines = (
-        [e.strip() for e in args.engines.split(",")]
-        if args.engines
-        else list(engines_for_ring(ring))
-    )
+    if args.engines is None:
+        engines = list(engines_for_ring(ring))
+    else:
+        engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+        if not engines:
+            raise ValueError(f"--engines {args.engines!r} names no engine")
+    variables = _split_vars(args.vars)
     for e in engines:
         check_engine(e, ring)
         if engines.count(e) > 1:
             raise ValueError(f"--engines names {e!r} twice")
     rows = ["engine,n,D,wall_ms,term_count,max_coeff_bits"]
     for degree in degrees:
-        parsed = parse_map(source, ring, degree, _split_vars(args.vars))
+        parsed = parse_map(source, ring, degree, variables)
         h_vector = parsed.f_map.h_vector()
         outputs = {}
         for engine in engines:

@@ -311,14 +311,14 @@ def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
         else n_seq_charp_direct(h_vector)
     )
 
-    def evaluated(c):
-        powers = accumulate([c] * (len(nseq) - 1), ring.mul, initial=ring.one())
-        return nseq.weighted_sum(powers)
+    def shifted(s, c):
+        """z + s*N(c): layer m weighted once, by s*c^(m-1)."""
+        weights = accumulate([c] * (len(nseq) - 1), ring.mul, initial=s)
+        layers = [tuple(x.scale(w) for x in vec) for vec, w in zip(nseq.terms, weights)]
+        return NSequence(ring, nseq.arity, nseq.degree, layers).assemble()
 
-    n_at_t0 = evaluated(t0)
-    n_at_sum = evaluated(ring.add(t0, s0))
-    u_map = FormalMap.f_form(tuple(s.scale(s0) for s in n_at_t0))
-    v_map = FormalMap.g_form(tuple(s.scale(s0) for s in n_at_sum))
+    u_map = shifted(ring.neg(s0), t0)
+    v_map = shifted(s0, ring.add(t0, s0))
     return verify_inverse(u_map, v_map).ok
 
 

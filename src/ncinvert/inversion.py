@@ -17,17 +17,15 @@ one table, and ``check_engine`` is the one test of a name against a ring:
 
 The layered engines (recurrent, tree, charp-direct, and charp-lift through
 the recurrence) build their terms with the one loop
-``NSequence.from_layers`` and differ only in the layer they hand it.  The
-inverse of z - H is z + sum_m N_[m]; more generally z + sum_m t0^m N_[m]
-inverts z - t0*H for any scalar t0, and ``NSequence.weighted_sum`` is the
-one weighted sum of the layers.  Since o(N_[m]) >= m+1, the terms with
-m >= D are invisible at truncation degree D, so engines compute D-1 of them.
+``NSequence.from_layers`` and differ only in the layer they hand it; the
+inverse of z - H is then z + sum_m N_[m], which ``NSequence.assemble`` sums.
+Since o(N_[m]) >= m+1, the terms with m >= D are invisible at truncation
+degree D, so engines compute D-1 of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .freealg import (
     Derivation,
@@ -99,19 +97,12 @@ class NSequence:
         """N_[m] (1-based)."""
         return self.terms[m - 1]
 
-    def weighted_sum(self, weights):
-        """The vector sum_m w_m N_[m], one weight per term."""
+    def assemble(self) -> FormalMap:
+        """The map z + sum_m N_[m], the inverse of z - H."""
         ring, n, D = self.ring, self.arity, self.degree
-        weights = list(weights)
-        return tuple(
-            NCSeries.sum(ring, n, D, (vec[i].scale(w) for vec, w in zip(self.terms, weights)))
-            for i in range(n)
+        return FormalMap.g_form(
+            NCSeries.sum(ring, n, D, (vec[i] for vec in self.terms)) for i in range(n)
         )
-
-    def assemble(self, t0) -> FormalMap:
-        """The map z + sum_m t0^m N_[m]; at t0 = 1 the inverse of z - H."""
-        powers = accumulate([t0] * len(self.terms), self.ring.mul)
-        return FormalMap.g_form(self.weighted_sum(powers))
 
     def validate_bounds(self, h_vector):
         """Check the order / degree / homogeneity bounds of every term.
@@ -172,15 +163,19 @@ def c_sequence(h_vector, count: int):
     return out
 
 
+def _check_characteristic_zero(ring, what):
+    """ValueError unless ``ring`` has characteristic 0, which ``what`` needs."""
+    if ring.characteristic != 0:
+        raise ValueError(
+            f"{what} need characteristic 0, not {ring.characteristic}; "
+            "use the charp-direct or charp-lift engine"
+        )
+
+
 def n_seq_recurrent(h_vector) -> NSequence:
     """The characteristic-0 recurrence for N_[1..D-1]."""
     h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
-    if ring.characteristic != 0:
-        raise ValueError(
-            "the recurrence divides by m-1, which fails in characteristic "
-            f"{ring.characteristic}; use the charp-direct or charp-lift engine"
-        )
+    _check_characteristic_zero(h_vector[0].ring, "the recurrence's divisions by m-1")
     return NSequence.from_layers(h_vector, _divided_convolution)
 
 
@@ -237,9 +232,7 @@ def n_seq_charp_direct(h_vector) -> NSequence:
 
 
 def invert_charp_direct(h_vector) -> FormalMap:
-    h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
-    return n_seq_charp_direct(h_vector).assemble(ring.one())
+    return n_seq_charp_direct(h_vector).assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +255,7 @@ def invert_charp_lift(h_vector) -> FormalMap:
         raise ValueError("the lift starts from PrimeField coefficients")
     lift_ring = IntPolyRing()
     lifted = tuple(h.map_coefficients(int, new_ring=lift_ring) for h in h_vector)
-    g_tilde = n_seq_recurrent(lifted).assemble(lift_ring.one())
+    g_tilde = n_seq_recurrent(lifted).assemble()
     return FormalMap(
         [c.map_coefficients(field.from_int, new_ring=field) for c in g_tilde.components]
     )
@@ -363,7 +356,7 @@ def _engine_table():
 
     return {
         "fixed-point": (invert_fixed_point, None),
-        "recurrent": (lambda h: n_seq_recurrent(h).assemble(h[0].ring.one()), True),
+        "recurrent": (lambda h: n_seq_recurrent(h).assemble(), True),
         "tree": (trees.invert_tree, True),
         "charp-direct": (invert_charp_direct, False),
         "charp-lift": (invert_charp_lift, False),

@@ -287,7 +287,9 @@ def parse_map(text, ring, degree, variables=None) -> ParsedMap:
     header_vars, header_line, pieces = split_map_source(text)
     if not pieces:
         raise ParseError("no map components found", 1, 1)
-    names, line = (list(variables), None) if variables else (header_vars, header_line)
+    names, line = (
+        (list(variables), None) if variables is not None else (header_vars, header_line)
+    )
     if names is None:
         names = [f"z{i + 1}" for i in range(len(pieces))]
     else:

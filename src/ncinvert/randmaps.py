@@ -14,15 +14,18 @@ import random
 from .freealg import NCSeries, embed_series
 from .rings import TQuotientRing
 
+#: characteristic-0 coefficients are drawn from [-COEFF_BOUND, COEFF_BOUND] minus 0
+COEFF_BOUND = 3
 
-def random_coefficient(rng: random.Random, ring, bound: int = 3):
+
+def random_coefficient(rng: random.Random, ring):
     """A nonzero ring element drawn from small integers."""
     p = ring.characteristic
     if p:
         return ring.from_int(rng.randrange(1, p))
     n = 0
     while n == 0:
-        n = rng.randint(-bound, bound)
+        n = rng.randint(-COEFF_BOUND, COEFF_BOUND)
     return ring.from_int(n)
 
 
@@ -38,14 +41,13 @@ def random_series(
     min_deg: int,
     max_deg: int,
     terms: int = 3,
-    bound: int = 3,
 ) -> NCSeries:
     """A sparse series with ``terms`` random words in the degree window."""
     max_deg = min(max_deg, degree)
     pairs = []
     for _ in range(terms):
         d = rng.randint(min_deg, max_deg)
-        pairs.append((random_word(rng, arity, d), random_coefficient(rng, ring, bound)))
+        pairs.append((random_word(rng, arity, d), random_coefficient(rng, ring)))
     return NCSeries.from_terms(ring, arity, degree, pairs)
 
 
@@ -56,11 +58,10 @@ def random_displacement(
     degree: int,
     max_deg: int = 3,
     terms: int = 2,
-    bound: int = 3,
 ):
     """A random H with order >= 2 componentwise, suitable for z - H."""
     return tuple(
-        random_series(rng, ring, arity, degree, 2, max_deg, terms, bound)
+        random_series(rng, ring, arity, degree, 2, max_deg, terms)
         for _ in range(arity)
     )
 

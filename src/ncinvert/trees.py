@@ -18,28 +18,31 @@ from fractions import Fraction
 from math import comb
 
 from .freealg import Derivation, FormalMap, NCSeries
-from .inversion import NSequence
+from .inversion import NSequence, _check_characteristic_zero
 
 #: the most trees ``enumerate_pbtrees`` builds in one call
 MAX_TREES = 10**6
 
 
 class PBTree:
-    """A planar binary rooted tree; immutable, leaves counted eagerly."""
+    """A planar binary rooted tree; immutable.  Its leaf count and the
+    factorial T^! of its reduced tree are priced at construction, from
+    those of its two subtrees."""
 
-    __slots__ = ("left", "right", "leaves", "_serial", "_rfact")
+    __slots__ = ("left", "right", "leaves", "factorial", "_serial")
 
     def __init__(self, left=None, right=None):
         if (left is None) != (right is None):
             raise ValueError("a node needs both subtrees, a leaf neither")
         self.left = left
         self.right = right
-        self._rfact = None
         if left is None:
             self.leaves = 1
+            self.factorial = 1
             self._serial = "o"
         else:
             self.leaves = left.leaves + right.leaves
+            self.factorial = (self.leaves - 1) * left.factorial * right.factorial
             self._serial = "(" + left._serial + right._serial + ")"
 
     @property
@@ -105,23 +108,8 @@ def enumerate_pbtrees(m: int):
 
 
 def reduced_factorial(tree: PBTree) -> int:
-    """T^! of the reduced tree: 1 on a leaf, else (leaves-1) * left^! * right^!.
-
-    Cached on the tree; enumeration shares subtree objects, so each distinct
-    subtree is priced once.
-    """
-    got = tree._rfact
-    if got is None:
-        if tree.is_leaf:
-            got = 1
-        else:
-            got = (
-                (tree.leaves - 1)
-                * reduced_factorial(tree.left)
-                * reduced_factorial(tree.right)
-            )
-        tree._rfact = got
-    return got
+    """T^! of the reduced tree: 1 on a leaf, else (leaves-1) * left^! * right^!."""
+    return tree.factorial
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +136,6 @@ def _tree_series(tree, h_vector, memo):
     return result
 
 
-def _check_characteristic_zero(ring):
-    if ring.characteristic != 0:
-        raise ValueError(
-            "tree weights 1/T^! need characteristic 0; "
-            "use the charp-direct or charp-lift engine"
-        )
-
-
 def tree_expansion_term(h_vector, m: int, memo=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
@@ -165,13 +145,13 @@ def tree_expansion_term(h_vector, m: int, memo=None):
     """
     h_vector = tuple(h_vector)
     ring = h_vector[0].ring
-    _check_characteristic_zero(ring)
+    _check_characteristic_zero(ring, "tree weights 1/T^!")
     n, D = h_vector[0].arity, h_vector[0].degree
     if memo is None:
         memo = {}
     groups = {}
     for tree in enumerate_pbtrees(m):
-        groups.setdefault(reduced_factorial(tree), []).append(tree)
+        groups.setdefault(tree.factorial, []).append(tree)
 
     weighted = []
     for w, trees in sorted(groups.items()):
@@ -194,14 +174,14 @@ def invert_tree(h_vector) -> FormalMap:
     trees from H alone (reading the earlier terms would fold it into the
     recurrence); equals the other characteristic-0 engines term for term."""
     h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
-    _check_characteristic_zero(ring)  # here too: at D <= 2 no layer runs
+    # here too: at D <= 2 no layer runs
+    _check_characteristic_zero(h_vector[0].ring, "tree weights 1/T^!")
     _check_tree_count(max(1, h_vector[0].degree - 1))
     memo = {}
     nseq = NSequence.from_layers(
         h_vector, lambda _, m: tree_expansion_term(h_vector, m, memo=memo)
     )
-    return nseq.assemble(ring.one())
+    return nseq.assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +192,7 @@ def invert_tree(h_vector) -> FormalMap:
 def factorial_reciprocal_sum(m: int) -> Fraction:
     """sum over trees with m leaves of 1/T^!, as an exact rational."""
     return sum(
-        (Fraction(1, reduced_factorial(t)) for t in enumerate_pbtrees(m)),
+        (Fraction(1, t.factorial) for t in enumerate_pbtrees(m)),
         Fraction(0),
     )
 

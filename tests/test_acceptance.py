@@ -150,7 +150,7 @@ def test_criterion_3_engine_equivalence_50_maps():
             n = rng.choice([1, 2, 3])
             h = random_displacement(rng, QQ, n, 8, max_deg=3, terms=2)
             g_fixed = invert_fixed_point(h)
-            g_rec = n_seq_recurrent(h).assemble(QQ.one())
+            g_rec = n_seq_recurrent(h).assemble()
             g_tree = invert_tree(h)
             assert g_fixed == g_rec == g_tree
             assert verify_inverse(FormalMap.f_form(h), g_fixed).ok

@@ -345,6 +345,33 @@ def test_malformed_degrees_exit_3_naming_the_option_and_the_accepted_forms(capsy
     )
 
 
+@pytest.mark.parametrize("engines", ["", ",", " "])
+def test_bench_rejects_an_empty_engine_list(capsys, engines):
+    code, out, err = run_cli(
+        capsys, "bench", "--expr", "x - x*x", "--vars", "x", "--degrees", "3",
+        "--engines", engines,
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: --engines {engines!r} names no engine\n"
+
+
+@pytest.mark.parametrize("names", ["", ",", " "])
+@pytest.mark.parametrize("command", ["invert", "verify", "bench"])
+def test_vars_naming_no_variable_exits_2(tmp_path, capsys, command, names):
+    f = tmp_path / "f.txt"
+    g = tmp_path / "g.txt"
+    f.write_text("z1 - z1*z1\n")
+    g.write_text("z1 + z1*z1 + 2*z1*z1*z1\n")
+    argv = {
+        "invert": ["invert", str(f), "-d", "3"],
+        "verify": ["verify", str(f), str(g), "-d", "3"],
+        "bench": ["bench", str(f), "--degrees", "3"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--vars", names)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: --vars {names!r} names no variable\n"
+
+
 def test_bench_refuses_a_repeated_engine(capsys):
     code, out, err = run_cli(
         capsys, "bench", "--expr", "x - x*x", "--vars", "x", "--degrees", "3",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncinvert.deformation as deformation
 from ncinvert.deformation import (
     DeformedMap,
     SpecialDeformation,
@@ -177,6 +178,38 @@ def test_shifted_inverse_family_cases():
     # t0 = 0, s = 1 recovers the plain inverse pair
     assert check_shifted_inverse_family(h, Fraction(0), Fraction(1))
     assert check_shifted_inverse_family(h, Fraction(1, 3), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "ring, degree, sequence",
+    [(QQ, 6, "n_seq_recurrent"), (PrimeField(5), 7, "n_seq_charp_direct")],
+    ids=["QQ-D6", "GF5-D7"],
+)
+def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, degree, sequence):
+    x = NCSeries.variable(ring, 2, degree, 0)
+    y = NCSeries.variable(ring, 2, degree, 1)
+    three = ring.from_int(3)
+    h = (x * y + (y * x).scale(three), x * x - y * y * x)
+    original = getattr(deformation, sequence)
+    # N_[D-1] is visible at D; over GF(5) at D = 7 it is the residue layer m = 6
+    assert any(not s.is_zero() for s in original(h).term(degree - 1))
+    pairs = [(ring.from_int(t), ring.from_int(s)) for t, s in ((0, 1), (2, 3), (1, 4), (3, 2))]
+    for t0, s0 in pairs:
+        assert check_shifted_inverse_family(h, t0, s0)
+
+    def doubled(h_vector):
+        nseq = original(h_vector)
+        n2 = list(nseq.terms[1])
+        i = next(i for i, s in enumerate(n2) if not s.is_zero())
+        word, c = next(n2[i].terms())
+        n2[i] = n2[i] + NCSeries.from_terms(ring, 2, degree, [(word, c)])
+        nseq.terms[1] = tuple(n2)
+        return nseq
+
+    monkeypatch.setattr(deformation, sequence, doubled)
+    for t0, s0 in pairs:
+        assert not check_shifted_inverse_family(h, t0, s0)
+        assert check_shifted_inverse_family(h, t0, ring.zero())
 
 
 def test_transport_pde_cases():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import ncinvert.inversion as inversion
 import ncinvert.trees as trees
-from ncinvert.deformation import n_sequence_via_deformation
+from ncinvert.deformation import check_shifted_inverse_family, n_sequence_via_deformation
 from ncinvert.freealg import FormalMap, NCSeries
 from ncinvert.inversion import (
     alt_recurrent_step,
@@ -116,16 +116,10 @@ def test_recurrent_refuses_prime_characteristic():
         n_seq_recurrent(h)
 
 
-def test_assemble_at_zero_is_identity():
-    h = commutator_displacement(QQ, 5)
-    nseq = n_seq_recurrent(h)
-    assert nseq.assemble(QQ.zero()).is_identity()
-
-
 def test_assemble_at_one_matches_geometric_sum():
     D = 4
     h = commutator_displacement(QQ, D)
-    g = n_seq_recurrent(h).assemble(QQ.one())
+    g = n_seq_recurrent(h).assemble()
     expect = NCSeries.variable(QQ, 2, D, 0)
     for m in range(1, D):
         expect = expect + ad_y_power(QQ, D, m)
@@ -133,13 +127,10 @@ def test_assemble_at_one_matches_geometric_sum():
 
 
 def test_assemble_at_half_inverts_scaled_map():
+    # z - H/2 is inverted by z + sum_m 2^-m N_[m]
     rng = random.Random(42)
     h = random_displacement(rng, QQ, 2, 6)
-    nseq = n_seq_recurrent(h)
-    t0 = Fraction(1, 2)
-    g = nseq.assemble(t0)
-    f_scaled = FormalMap.f_form(tuple(s.scale(t0) for s in h))
-    assert verify_inverse(f_scaled, g).ok
+    assert check_shifted_inverse_family(h, Fraction(0), Fraction(1, 2))
 
 
 def test_engine_equivalence_random_instances():
@@ -148,7 +139,7 @@ def test_engine_equivalence_random_instances():
         n = rng.choice([1, 2, 3])
         h = random_displacement(rng, QQ, n, 6)
         g_fixed = invert_fixed_point(h)
-        g_rec = n_seq_recurrent(h).assemble(QQ.one())
+        g_rec = n_seq_recurrent(h).assemble()
         g_tree = invert_tree(h)
         assert g_fixed == g_rec == g_tree
         assert verify_inverse(FormalMap.f_form(h), g_fixed).ok
@@ -160,7 +151,7 @@ def test_engine_equivalence_homogeneous_quadratic():
     rng = random.Random(88)
     h = random_homogeneous_displacement(rng, QQ, 2, 8, deg=2, terms=3)
     g_fixed = invert_fixed_point(h)
-    assert n_seq_recurrent(h).assemble(QQ.one()) == g_fixed
+    assert n_seq_recurrent(h).assemble() == g_fixed
     assert verify_inverse(FormalMap.f_form(h), g_fixed).ok
 
 

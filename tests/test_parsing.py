@@ -230,6 +230,9 @@ def test_map_shape_errors():
         parse_map("x*x; y", QQ, 4, variables=["x", "y"])
     with pytest.raises(MapFormError, match="components but"):
         parse_map("x - x^2", QQ, 4, variables=["x", "y"])
+    # an explicit empty list names no variable; it does not fall back to the header
+    with pytest.raises(MapFormError, match="2 components but 0 variables"):
+        parse_map("vars: x, y\nx - y*y; y", QQ, 4, variables=[])
 
 
 def test_empty_source_is_a_parse_error():
