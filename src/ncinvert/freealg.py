@@ -609,6 +609,71 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     return tuple(compose(u, f_map, cache) for u in vector)
 
 
+def replace_letters(u: NCSeries, images, j: int, cache=None) -> NCSeries:
+    """S_j(u): each word of ``u`` becomes the sum, over the ways to choose
+    exactly ``j`` of its letters, of the word with each chosen letter z_i
+    replaced by ``images[i]`` and the other letters kept.  Expanding
+    z - t*H letter by letter gives [t^j] u(z - t*H) = (-1)^j S_j(u) with
+    ``images`` = H, computed here over the base ring.
+
+    The passes are those of ``compose``, from the right end to the left, with
+    j + 1 states: state s holds the terms with s letters replaced so far.
+    The words of ``u`` of length k+1 join state 0 before the pass at position
+    k; in that pass state s keeps its own terms (the letter at k is kept) and
+    takes the terms of state s - 1 with the images spliced at k.  State s is
+    dropped once its j - s missing replacements no longer fit: after pass k,
+    when j - s > k positions would be needed, and, with r = o(images), every
+    term of degree d + (j - s)(r - 1) > D, since each replacement still to
+    come adds at least r - 1 to the degree.  S_0 is u itself, and with no
+    images (H = 0, of order infinity) S_j is 0 for j >= 1, so the prune only
+    ever sees a finite r.  The images must have order >= 1, as in
+    ``compose``, so that no term of degree > D can come back below D.
+    ``cache`` may be a dict shared between calls with the *same* images: it
+    holds their image table under the key ``()``.
+    """
+    images = _check_vector(images)
+    images[0]._check_compatible(u)
+    for i, image in enumerate(images):
+        if image.order() < 1:
+            raise ValueError(f"image {i + 1} has a constant term")
+    if j == 0:
+        return u
+    if cache is None:
+        cache = {}
+    table = cache.get(())
+    if table is None:
+        table = cache[()] = _image_table(images)
+    D, rmul, words = u.degree, u.ring.mul, u.buckets
+    empty = NCSeries(u.ring, u.arity, D)
+    if not table:
+        # r = inf would turn the prune's 0 * inf at s = j into nan
+        return empty
+    r = table[0][0]
+    # room[s]: the largest degree a term of state s may reach
+    room = [D - (j - s) * (r - 1) for s in range(j + 1)]
+    states = [empty] * (j + 1)
+
+    def spliced(source, s, k):
+        # the terms of ``source`` (state s - 1) with the images spliced at k
+        for d, bucket in source.buckets.items():
+            fits = [(du, row) for du, row in table if d - 1 + du <= room[s]]
+            yield from u._splices(bucket, d, fits, rmul, (k,))
+
+    for k in range(max(words, default=0) - 1, -1, -1):
+        if k + 1 in words and j <= k + 1 <= room[0]:
+            # state 0 holds raw words of u, so no key is shared
+            states[0] = NCSeries(
+                u.ring, u.arity, D, {**states[0].buckets, k + 1: words[k + 1]}
+            )
+        low = max(j - k, 0)
+        states = [empty] * low + [
+            states[s]._collect(spliced(states[s - 1], s, k), start=states[s])
+            if s else states[0]
+            for s in range(low, j + 1)
+        ]
+    return states[j]
+
+
 def _substitute(vector, point):
     """vector(point) for NCSeries: the substitution of the fixed-point loop."""
     return compose_vector(vector, FormalMap(point))

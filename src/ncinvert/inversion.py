@@ -11,7 +11,12 @@ one table, and ``check_engine`` is the one test of a name against a ring:
   m leaves weighted by 1/T^!, characteristic 0;
 * ``charp-direct``: over GF(p), the recurrence where m-1 is invertible and a
   division-free residue-extraction step at the layers m = kp+1 where it is
-  not;
+  not: N_[m] = -sum_l [t^(m-l)] N_[l](z - t*H), read through
+  [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j (``freealg.replace_letters``)
+  replaces exactly j letters of each word by their images under H.  S_j
+  runs over the base ring, with one state per count of letters replaced so
+  far; a state is pruned once its missing replacements outnumber the
+  positions left or would push the degree past D;
 * ``charp-lift``: over GF(p), lift the coefficients of H to their integer
   representatives, run the recurrence over the integers, reduce mod p.
 
@@ -35,12 +40,10 @@ from .freealg import (
     _check_vector,
     _fixed_point,
     _substitute,
-    compose,
-    embed_series,
-    t_residue_series,
+    replace_letters,
     word_key,
 )
-from .rings import IntPolyRing, PrimeField, TQuotientRing
+from .rings import IntPolyRing, PrimeField
 
 def _vector_meta(h_vector):
     h_vector = _check_vector(h_vector)
@@ -193,24 +196,27 @@ def alt_recurrent_step(prev_terms, h_vector, m):
         N_[m](z) = - sum_{l=1..m-1}  [t^(m-l)]  N_[l](z - t*H),
 
     which uses no division at all and therefore works in any characteristic.
+    Expanding each letter z_i - t*H_i gives [t^j] N(z - t*H) = (-1)^j S_j(N),
+    where S_j (``replace_letters``) replaces exactly j letters of each word
+    by their images under H and keeps the others, so the step runs over the
+    base ring: N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]), with one image
+    table of H shared by every l and every component.
     """
     h_vector, ring, n, D = _vector_meta(h_vector)
     if m < 2:
         raise ValueError("residue step starts at m = 2")
     if len(prev_terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
-    tring = TQuotientRing(ring, m - 1)
-    th = [embed_series(h, tring, 1) for h in h_vector]
-    variables = [NCSeries.variable(tring, n, D, i) for i in range(n)]
-    shifted = FormalMap([v - h for v, h in zip(variables, th)])
     cache = {}
 
     def extracted(i, l):
-        image = compose(embed_series(prev_terms[l - 1][i], tring), shifted, cache)
-        return t_residue_series(image, m - l)
+        # -(-1)^j S_j: odd j adds S_j, even j subtracts it
+        j = m - l
+        s = replace_letters(prev_terms[l - 1][i], h_vector, j, cache)
+        return s if j % 2 else -s
 
     return tuple(
-        -NCSeries.sum(ring, n, D, (extracted(i, l) for l in range(1, m)))
+        NCSeries.sum(ring, n, D, (extracted(i, l) for l in range(1, m)))
         for i in range(n)
     )
 

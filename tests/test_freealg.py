@@ -28,9 +28,12 @@ from ncinvert.freealg import (
     _substitute,
     compose,
     compose_vector,
+    embed_series,
     jacobian_tilde,
     matrix_derivation_apply,
+    replace_letters,
     star_action,
+    t_residue_series,
 )
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
@@ -191,6 +194,22 @@ def test_compose_rejects_constant_terms():
     )
     with pytest.raises(ValueError):
         compose(u, bad)
+
+
+def test_replace_letters_replaces_exactly_j_letters():
+    # x*y with x -> yy, y -> xx: one letter gives yyy + xxx, both give yyxx
+    images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
+    u = series(2, 4, ((0, 1), 1), ((), 5))
+    assert replace_letters(u, images, 0) == u
+    assert replace_letters(u, images, 1) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
+    assert replace_letters(u, images, 2) == series(2, 4, ((1, 1, 0, 0), 1))
+    assert replace_letters(u, images, 3).is_zero()
+
+
+def test_replace_letters_rejects_constant_images():
+    u = series(2, 3, ((0,), 1))
+    with pytest.raises(ValueError, match="image 1 has a constant term"):
+        replace_letters(u, [NCSeries.one(QQ, 2, 3), NCSeries.zero(QQ, 2, 3)], 1)
 
 
 def test_compose_associativity():
@@ -571,6 +590,49 @@ def test_compose_vector_shares_one_image_table(data):
     # the map's image table is all the cache holds, and a second pass reuses it
     assert list(cache) == [()]
     assert compose_vector(vector, f_map, cache) == shared
+
+
+def _t_residue_route(u, h_vector, j):
+    """(-1)^j [t^j] u(z - t*H), composed over R[t]/(t^(j+1))."""
+    ring, n, D = u.ring, u.arity, u.degree
+    tring = TQuotientRing(ring, j)
+    shifted = FormalMap(
+        [NCSeries.variable(tring, n, D, i) - embed_series(h, tring, 1)
+         for i, h in enumerate(h_vector)]
+    )
+    image = t_residue_series(compose(embed_series(u, tring), shifted), j)
+    return image if j % 2 == 0 else -image
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_replace_letters_matches_the_t_residue_route(data):
+    ring = data.draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3))))
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 7))
+    j = data.draw(st.integers(0, 4))
+    # words of every length, shorter than j too, and a constant term
+    u = data.draw(reaching_series(ring, n, D, 0)) + NCSeries.constant(
+        ring, n, D, ring.from_int(data.draw(st.integers(-2, 2)))
+    )
+    zero = NCSeries.zero(ring, n, D)
+    if data.draw(st.booleans()):
+        # H = 0, of order infinity: S_0 is u and every other S_j is 0
+        h_vector = [zero] * n
+    else:
+        # some components may be zero; order 1 is allowed as in compose
+        h_vector = [
+            data.draw(st.sampled_from([zero, data.draw(reaching_series(ring, n, D, 1))]))
+            for _ in range(n)
+        ]
+    cache = {}
+    got = replace_letters(u, h_vector, j, cache)
+    assert got == _t_residue_route(u, h_vector, j)
+    _assert_stored_clean(got)
+    # S_0 is u without a table; otherwise the image table is all the cache
+    # holds, and a second call reuses it
+    assert list(cache) == ([()] if j else [])
+    assert replace_letters(u, h_vector, j, cache) == got
 
 
 def _tuple_product(a, b):

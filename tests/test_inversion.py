@@ -223,6 +223,21 @@ def test_residue_step_matches_recurrence_in_char_zero():
         assert list(step) == list(nseq.term(m))
 
 
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_residue_step_starts_at_m_2(m):
+    h = commutator_displacement(PrimeField(3), 5)
+    with pytest.raises(ValueError, match=r"^residue step starts at m = 2$"):
+        alt_recurrent_step([h], h, m)
+
+
+def test_residue_step_needs_every_lower_term():
+    h = commutator_displacement(PrimeField(3), 6)
+    with pytest.raises(ValueError, match=r"^need N_\[1\.\.3\], got 2 terms$"):
+        alt_recurrent_step([h, h], h, 4)
+    with pytest.raises(ValueError, match=r"^need N_\[1\.\.1\], got 0 terms$"):
+        alt_recurrent_step([], h, 2)
+
+
 def test_residue_step_on_commutator_example():
     h = commutator_displacement(QQ, 5)
     step = alt_recurrent_step([h], h, 2)
