@@ -37,7 +37,6 @@ from .trees import (
     enumerate_pbtrees,
     factorial_identity_check,
     invert_tree,
-    reduced_factorial,
     tree_expansion_term,
 )
 from .deformation import (
@@ -78,7 +77,6 @@ __all__ = [
     "enumerate_pbtrees",
     "factorial_identity_check",
     "invert_tree",
-    "reduced_factorial",
     "tree_expansion_term",
     "DeformedMap",
     "SpecialDeformation",

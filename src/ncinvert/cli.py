@@ -180,7 +180,7 @@ def cmd_trees(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFY
     # default: list the trees with their factorials
     rows = [
-        (t.serialize(), trees_mod.reduced_factorial(t))
+        (t.serialize(), t.factorial)
         for t in trees_mod.enumerate_pbtrees(args.leaves)
     ]
     if args.format == "json":
@@ -364,14 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = subs.add_parser("trees", help="planar binary trees: list and identities")
     p_tr.add_argument("--leaves", type=int, required=True, help="leaf count m")
-    group = p_tr.add_mutually_exclusive_group()
-    group.add_argument("--list", action="store_true", help="list trees and factorials")
-    group.add_argument(
-        "--identity", action="store_true", help="check sum 1/T^! = 1 up to m"
+    p_tr.add_argument(
+        "--identity", action="store_true",
+        help="check sum 1/T^! = 1 up to m (default: list the trees and factorials)",
     )
     _add_output(
         p_tr, default=None,
-        format_help="output format (default text with --list, json with --identity)",
+        format_help="output format (default text, json with --identity)",
     )
     p_tr.set_defaults(func=cmd_trees)
 

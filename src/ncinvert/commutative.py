@@ -9,10 +9,10 @@ and the inverse-flow PDE becomes dN_t/dt = (J N_t) N_t.
 
 :class:`CommPoly` is an :class:`~ncinvert.freealg.NCSeries` whose degree
 buckets are keyed by exponent vectors instead of words.  It overrides only
-the key methods of ``NCSeries`` (degree, unit keys, validation, the pairs of
-a product, JSON and text forms), and inherits everything written on top of
-them: construction, ``coefficient``, arithmetic, powers, ``terms``, ``==``,
-``repr`` and JSON.  The calculus of the quotient stays here: the power-rule
+the key methods of ``NCSeries`` (degree, unit keys, validation, the stored
+form, the pairs of a product, the text form), and inherits everything
+written on top of them: construction, ``coefficient``, arithmetic, powers,
+``terms``, ``==`` and ``repr``.  The calculus of the quotient stays here: the power-rule
 partials, the Jacobian and substitution, so the commutative PDE check shares
 no calculus with the noncommutative side.
 """
@@ -33,8 +33,6 @@ class CommPoly(NCSeries):
     __slots__ = ()
 
     # -- keys: the key methods of NCSeries, for exponent vectors ----------
-
-    _JSON_KEY = "exponents"
 
     _key_degree = staticmethod(sum)
 
@@ -61,9 +59,6 @@ class CommPoly(NCSeries):
             for e1, c1 in b1.items()
             for e2, c2 in b2.items()
         ]
-
-    _key_to_json = staticmethod(list)
-    _key_from_json = staticmethod(tuple)
 
     @staticmethod
     def _key_text(expo):

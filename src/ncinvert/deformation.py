@@ -37,17 +37,29 @@ from .freealg import (
     _substitute,
     compose,
     compose_vector,
-    embed_series,
     star_action,
-    t_residue_series,
 )
 from .inversion import NSequence, c_sequence, n_seq_charp_direct, n_seq_recurrent, verify_inverse
 from .rings import TQuotientRing
 
 
 # ---------------------------------------------------------------------------
-# coefficient-level helpers
+# series-level t-helpers
 # ---------------------------------------------------------------------------
+
+
+def embed_series(series: NCSeries, tring, k: int = 0) -> NCSeries:
+    """series * t^k over the quotient ring: each base-ring coefficient c
+    becomes c*t^k, which is 0 once k passes the ring's t-order."""
+    return series.map_coefficients(lambda c: tring.embed(c, k), new_ring=tring)
+
+
+def t_residue_series(series: NCSeries, j: int) -> NCSeries:
+    """The base-ring series sitting at t^j."""
+    tring = series.ring
+    return series.map_coefficients(
+        lambda c: tring.residue_at(c, j), new_ring=tring.base
+    )
 
 
 def t_derivative_series(series: NCSeries) -> NCSeries:

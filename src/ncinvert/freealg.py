@@ -51,14 +51,17 @@ class NCSeries:
     ``divmod`` and a multiply-add.  Two series are equal iff type, ring,
     arity, truncation degree and term mappings agree.
 
-    Only the key methods below read a stored key; every other method works
-    on the buckets as they are or goes through the key methods, so a
-    subclass keyed by other graded monomials
+    Only the key methods below read a stored key: ``_key_degree``,
+    ``_unit_key``, ``_check_key``, ``_key_in``, ``_key_out``, ``_products``,
+    ``_splices`` and ``_key_text`` (the text of a key in ``repr``).  Every
+    other method works on the buckets as they are or goes through the key
+    methods, so a subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
     just those.  ``terms()``, ``coefficient()`` and ``from_terms()`` take
     and yield keys as tuples, encoding and decoding them with ``_key_in``
     and ``_key_out``: words here, exponent vectors (stored as they are) in
-    the subclass.
+    the subclass.  A series has no JSON form of its own: the one writer is
+    :meth:`FormalMap.to_json_list`, and nothing reads JSON back.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -74,9 +77,6 @@ class NCSeries:
         self.buckets = buckets if buckets is not None else {}
 
     # -- keys: the only code that reads a stored key ------------------------
-
-    #: the JSON field that holds a key
-    _JSON_KEY = "word"
 
     #: the degree of a key in its boundary form (a tuple word)
     _key_degree = staticmethod(len)
@@ -148,14 +148,6 @@ class NCSeries:
                     for hi, letter, lo, c in split
                     for uw, uc in by_letter[letter]
                 ]
-
-    @staticmethod
-    def _key_to_json(word):
-        return [i + 1 for i in word]
-
-    @staticmethod
-    def _key_from_json(letters):
-        return tuple(i - 1 for i in letters)
 
     @staticmethod
     def _key_text(word):
@@ -394,39 +386,6 @@ class NCSeries:
                 buckets[d] = tgt
         return type(self)(ring, self.arity, self.degree, buckets)
 
-    def to_json_dict(self):
-        """Interchange form; words use 1-based letters externally."""
-        field, to_json, to_string = self._JSON_KEY, self._key_to_json, self.ring.to_string
-        return {
-            "arity": self.arity,
-            "degree": self.degree,
-            "terms": [{field: to_json(k), "coeff": to_string(c)} for k, c in self.terms()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, ring, data):
-        field, from_json = cls._JSON_KEY, cls._key_from_json
-        terms = [(from_json(t[field]), ring.from_string(t["coeff"])) for t in data["terms"]]
-        return cls.from_terms(ring, data["arity"], data["degree"], terms)
-
-
-def embed_series(series: NCSeries, tring, k: int = 0) -> NCSeries:
-    """series * t^k over the quotient ring: each base-ring coefficient c
-    becomes c*t^k, which is 0 once k passes the ring's t-order."""
-    if k > tring.torder:
-        return type(series).zero(tring, series.arity, series.degree)
-    zero = tring.zero()
-    head, tail = zero[:k], zero[k + 1:]
-    return series.map_coefficients(lambda c: head + (c,) + tail, new_ring=tring)
-
-
-def t_residue_series(series: NCSeries, j: int) -> NCSeries:
-    """The base-ring series sitting at t^j."""
-    tring = series.ring
-    return series.map_coefficients(
-        lambda c: tring.residue_at(c, j), new_ring=tring.base
-    )
-
 
 # ---------------------------------------------------------------------------
 # formal maps
@@ -515,7 +474,21 @@ class FormalMap:
         return FormalMap(compose_vector(self.components, other))
 
     def to_json_list(self):
-        return [c.to_json_dict() for c in self.components]
+        """The interchange form, one dict per component: arity, degree and
+        the terms in degree-lexicographic order, each word as its 1-based
+        letters and each coefficient as its ring string."""
+        to_string = self.ring.to_string
+        return [
+            {
+                "arity": self.arity,
+                "degree": self.degree,
+                "terms": [
+                    {"word": [i + 1 for i in word], "coeff": to_string(c)}
+                    for word, c in comp.terms()
+                ],
+            }
+            for comp in self.components
+        ]
 
 
 def _check_vector(vector):

@@ -322,7 +322,7 @@ def _check_unitriangular(comps, ring):
                 raise ValueError(f"component {i + 1} has a stray linear term in z{j + 1}")
             if j == i and ring.is_zero(c):
                 raise ValueError(f"component {i + 1} is missing its z{i + 1} term")
-            if j == i and not ring.is_one(c):
+            if j == i and c != ring.one():
                 raise ValueError(f"component {i + 1}: coefficient of z{i + 1} must be 1")
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .freealg import NCSeries, embed_series
+from .deformation import embed_series
+from .freealg import NCSeries
 from .rings import TQuotientRing
 
 #: characteristic-0 coefficients are drawn from [-COEFF_BOUND, COEFF_BOUND] minus 0
@@ -81,11 +82,10 @@ def random_deformed_displacement(
     arity: int,
     degree: int,
     torder: int,
-    max_deg: int = 3,
-    terms: int = 2,
 ):
     """A genuinely t-dependent H_t: a random t-polynomial of t-degree <= K
-    whose z-part has order >= 2, over TQuotientRing(base, K)."""
+    whose z-part has order >= 2 and degree <= 3, two words per t-layer,
+    over TQuotientRing(base, K)."""
     tring = TQuotientRing(base_ring, torder)
     out = []
     for _ in range(arity):
@@ -93,7 +93,7 @@ def random_deformed_displacement(
         for j in range(torder + 1):
             if j > 0 and rng.random() < 0.5:
                 continue
-            layer = random_series(rng, base_ring, arity, degree, 2, max_deg, terms)
+            layer = random_series(rng, base_ring, arity, degree, 2, 3, 2)
             acc = acc + embed_series(layer, tring, j)
         out.append(acc)
     return tuple(out)

@@ -9,7 +9,9 @@ mutated after construction.
 
 Every ring knows its characteristic (0 or a prime) and supports exact
 division by integers through ``div_by_int``; there is no floating point
-anywhere.
+anywhere.  Values are printed with ``to_string`` and never read back.
+Only :class:`TQuotientRing` knows that a value of R[t]/(t^(K+1)) is the
+tuple of its K+1 base-ring coefficients.
 
 A ring works on single values.  Terms are summed into series in one place,
 :meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
@@ -64,28 +66,15 @@ class Ring:
     """Common interface of all coefficient rings.
 
     Subclasses define ``zero()``, ``one()``, ``add``, ``neg``, ``mul``,
-    ``from_int``, ``div_by_int``, ``to_string``/``from_string`` and a
-    ``characteristic`` attribute.  Values are compared with ``==``.
+    ``is_zero``, ``from_int``, ``div_by_int``, ``to_string`` and a
+    ``characteristic`` attribute; ``mul_int`` defaults to ``mul`` by
+    ``from_int(n)``.  Values are compared with ``==``.
     """
 
     characteristic = None  # type: int
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
-
-    def is_one(self, a) -> bool:
-        return a == self.one()
-
     def mul_int(self, a, n: int):
         return self.mul(a, self.from_int(n))
-
-    def pow(self, a, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
 
 
 class RationalField(Ring):
@@ -141,10 +130,6 @@ class RationalField(Ring):
                 f"{sys.get_int_max_str_digits()} decimal digits that can be printed"
             ) from None
 
-    def from_string(self, s: str):
-        f = Fraction(s)
-        return f.numerator if f.denominator == 1 else f
-
     def __eq__(self, other):
         return type(other) is RationalField
 
@@ -196,9 +181,6 @@ class PrimeField(Ring):
 
     def to_string(self, a) -> str:
         return str(a)
-
-    def from_string(self, s: str):
-        return int(s) % self.p
 
     def __eq__(self, other):
         return type(other) is PrimeField and other.p == self.p
@@ -272,18 +254,13 @@ class TQuotientRing(Ring):
     def from_int(self, n: int):
         return (self.base.from_int(n),) + self._zero[1:]
 
-    def embed(self, c):
-        """Lift a base-ring value to a t-constant."""
-        return (c,) + self._zero[1:]
-
-    def times_t(self, a, k: int = 1):
-        """Multiply by t^k (shifting coefficients up, truncating at K)."""
-        self._check(a)
-        if k == 0:
-            return a
+    def embed(self, c, k: int = 0):
+        """The base-ring value c lifted to c*t^k, which is 0 once k > K."""
+        if k < 0:
+            raise ValueError(f"cannot multiply by t^{k}: negative t-exponent")
         if k > self.torder:
             return self._zero
-        return self._zero[:k] + a[: self.torder + 1 - k]
+        return self._zero[:k] + (c,) + self._zero[k + 1:]
 
     def t_derivative(self, a):
         """d/dt on a truncated polynomial; the top coefficient becomes 0."""
@@ -301,8 +278,13 @@ class TQuotientRing(Ring):
         return a[j]
 
     def shift_down(self, a, k: int = 1):
-        """Divide by t^k; requires the k lowest coefficients to vanish."""
+        """Divide by t^k, 0 <= k <= K+1; requires the k lowest coefficients
+        to vanish."""
         self._check(a)
+        if not 0 <= k <= self.torder + 1:
+            raise ValueError(
+                f"cannot divide by t^{k}: t-exponent out of range [0, {self.torder + 1}]"
+            )
         bzero = self.base.zero()
         for j in range(k):
             if a[j] != bzero:
@@ -323,15 +305,6 @@ class TQuotientRing(Ring):
 
     def to_string(self, a) -> str:
         return "[" + ", ".join(self.base.to_string(x) for x in a) + "]"
-
-    def from_string(self, s: str):
-        s = s.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"bad t-quotient literal: {s!r}")
-        parts = [p.strip() for p in s[1:-1].split(",")]
-        if len(parts) != self.torder + 1:
-            raise ValueError("t-quotient literal has wrong length")
-        return tuple(self.base.from_string(p) for p in parts)
 
     def __eq__(self, other):
         return (

@@ -107,11 +107,6 @@ def enumerate_pbtrees(m: int):
     return out[m]
 
 
-def reduced_factorial(tree: PBTree) -> int:
-    """T^! of the reduced tree: 1 on a leaf, else (leaves-1) * left^! * right^!."""
-    return tree.factorial
-
-
 # ---------------------------------------------------------------------------
 # the tree expansion
 # ---------------------------------------------------------------------------

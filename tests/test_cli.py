@@ -217,13 +217,13 @@ def test_empty_expr_is_an_empty_map_not_a_read_of_stdin(capsys, monkeypatch, com
 
 
 def test_trees_list(capsys):
-    code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--list")
+    code, out, _ = run_cli(capsys, "trees", "--leaves", "3")
     assert code == 0
     assert out.splitlines() == ["(o(oo)) 2", "((oo)o) 2"]
 
 
 def test_trees_list_json(capsys):
-    code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--list", "--format", "json")
+    code, out, _ = run_cli(capsys, "trees", "--leaves", "3", "--format", "json")
     assert code == 0
     assert json.loads(out) == {
         "leaves": 3,
@@ -241,7 +241,7 @@ def test_trees_identity_json(capsys):
 
 def test_trees_refuses_too_many_leaves_at_once(capsys):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "trees", "--leaves", "40", "--list")
+    code, out, err = run_cli(capsys, "trees", "--leaves", "40")
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == ""
@@ -256,6 +256,7 @@ def test_trees_refuses_too_many_leaves_at_once(capsys):
         ("trees", "--leaves", "4", "-d", "4"),
         ("trees", "--leaves", "4", "--no-timings"),
         ("verify", "F.map", "G.map", "-d", "4", "--no-timings"),
+        ("trees", "--leaves", "4", "--list"),
     ],
 )
 def test_removed_options_are_unknown_arguments(capsys, argv):
@@ -491,7 +492,7 @@ def test_identities_rejects_out_of_range_options(capsys, option, value, message)
 
 def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "ncinvert.cli", "trees", "--leaves", "2", "--list"],
+        [sys.executable, "-m", "ncinvert.cli", "trees", "--leaves", "2"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

@@ -87,6 +87,12 @@ def test_squared_parameter_shifts_orders():
             assert t_residue_series(s, j).is_zero()
 
 
+def test_embed_series_refuses_a_negative_t_exponent():
+    x = NCSeries.variable(QQ, 1, 2, 0)
+    with pytest.raises(ValueError, match=r"t\^-1"):
+        embed_series(x, TQuotientRing(QQ, 2), -1)
+
+
 def test_inverse_flow_identities_random():
     rng = random.Random(21)
     for _ in range(4):
@@ -268,7 +274,6 @@ def test_embed_series_puts_each_coefficient_at_t_k(data):
     assert lifted.term_count() == (s.term_count() if k <= K else 0)
     for word, c in s.terms():
         coeff = lifted.coefficient(word)
-        assert coeff == tring.times_t(tring.embed(c), k)
         for j in range(K + 1):
             assert tring.residue_at(coeff, j) == (c if j == k else ring.zero())
 

@@ -1,6 +1,5 @@
 """Series arithmetic, substitution, derivations, Jacobians, chain rules."""
 
-import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +16,7 @@ from ncinvert.commutative import (
     substitute_vector,
 )
 from ncinvert import deformation
-from ncinvert.deformation import special_inverse
+from ncinvert.deformation import embed_series, special_inverse, t_residue_series
 from ncinvert.freealg import (
     Derivation,
     FormalMap,
@@ -28,12 +27,10 @@ from ncinvert.freealg import (
     _substitute,
     compose,
     compose_vector,
-    embed_series,
     jacobian_tilde,
     matrix_derivation_apply,
     replace_letters,
     star_action,
-    t_residue_series,
 )
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
@@ -153,12 +150,30 @@ def test_terms_sorted_degree_lex():
     assert [w for w, _ in s.terms()] == [(0,), (0, 1), (1, 0)]
 
 
-def test_json_roundtrip_uses_one_based_words():
-    s = series(2, 3, ((0, 1), -3), ((1,), 2))
-    data = s.to_json_dict()
-    assert data["terms"][0]["word"] == [2]
-    assert data["terms"][1]["word"] == [1, 2]
-    assert NCSeries.from_json_dict(QQ, data) == s
+def test_map_json_form_is_pinned():
+    # a zero component, the constant word, 1-based letters, a QQ fraction
+    # and a GF(5) residue, as the CLI writes them
+    f_map = FormalMap([
+        series(2, 3, ((), 2), ((1,), 1), ((0, 1), Fraction(-3, 7))),
+        NCSeries.zero(QQ, 2, 3),
+    ])
+    assert f_map.to_json_list() == [
+        {
+            "arity": 2,
+            "degree": 3,
+            "terms": [
+                {"word": [], "coeff": "2"},
+                {"word": [2], "coeff": "1"},
+                {"word": [1, 2], "coeff": "-3/7"},
+            ],
+        },
+        {"arity": 2, "degree": 3, "terms": []},
+    ]
+    gf5 = PrimeField(5)
+    g_map = FormalMap([NCSeries.from_terms(gf5, 1, 2, [((0, 0), gf5.from_int(-1))])])
+    assert g_map.to_json_list() == [
+        {"arity": 1, "degree": 2, "terms": [{"word": [1, 1], "coeff": "4"}]}
+    ]
 
 
 # -- composition ------------------------------------------------------------
@@ -480,9 +495,9 @@ def test_tagged_form_validates_linear_part():
 def test_tquotient_coefficients_supported():
     tring = TQuotientRing(QQ, 2)
     x = NCSeries.variable(tring, 1, 3, 0)
-    tx = x.scale(tring.times_t(tring.one()))
+    tx = x.scale(tring.embed(1, 1))
     prod = tx * tx
-    assert prod.coefficient((0, 0)) == tring.times_t(tring.one(), 2)
+    assert prod.coefficient((0, 0)) == tring.embed(1, 2)
 
 
 def test_power_equals_repeated_product():
@@ -510,10 +525,10 @@ KERNEL_RINGS = (QQ, PrimeField(3), TQuotientRing(QQ, 2))
 
 @st.composite
 def coefficients(draw, ring, min_t):
-    c = ring.from_int(draw(st.integers(-2, 2)))
+    n = draw(st.integers(-2, 2))
     if isinstance(ring, TQuotientRing):
-        c = ring.times_t(c, draw(st.integers(min_t, ring.torder)))
-    return c
+        return ring.embed(ring.base.from_int(n), draw(st.integers(min_t, ring.torder)))
+    return ring.from_int(n)
 
 
 @st.composite
@@ -700,7 +715,6 @@ def test_packed_kernels_match_a_tuple_word_reference(data):
         delta.components, a, positions
     )
     assert NCSeries.from_terms(ring, n, D, a.terms()) == a
-    assert NCSeries.from_json_dict(ring, json.loads(json.dumps(a.to_json_dict()))) == a
 
 
 def _assert_stored_clean(s):

@@ -273,7 +273,7 @@ def test_charp_engines_match_reduced_power_series():
     h = commutator_displacement(field, D, scale=4)
     expect = NCSeries.variable(field, 2, D, 0)
     for m in range(1, D):
-        expect = expect + ad_y_power(field, D, m, coefficient=field.pow(field.from_int(4), m))
+        expect = expect + ad_y_power(field, D, m, coefficient=pow(4, m, p))
     g_direct = invert_charp_direct(h)
     g_lift = invert_charp_lift(h)
     assert g_direct.component(0) == expect

@@ -18,7 +18,6 @@ from ncinvert.trees import (
     factorial_reciprocal_sum,
     gf_identity_check,
     invert_tree,
-    reduced_factorial,
     tree_expansion_term,
 )
 
@@ -112,9 +111,9 @@ def test_malformed_node_rejected():
 
 
 def test_reduced_factorial_base_cases():
-    assert reduced_factorial(LEAF) == 1
-    assert reduced_factorial(PBTree(LEAF, LEAF)) == 1
-    assert [reduced_factorial(t) for t in enumerate_pbtrees(3)] == [2, 2]
+    assert LEAF.factorial == 1
+    assert PBTree(LEAF, LEAF).factorial == 1
+    assert [t.factorial for t in enumerate_pbtrees(3)] == [2, 2]
 
 
 def test_reduced_factorial_matches_general_factorial_of_reduced_tree():
@@ -122,7 +121,7 @@ def test_reduced_factorial_matches_general_factorial_of_reduced_tree():
     # with the grafting recursion used everywhere else
     for m in range(2, 8):
         for t in enumerate_pbtrees(m):
-            assert reduced_factorial(t) == rooted_factorial(reduced_tree(t))
+            assert t.factorial == rooted_factorial(reduced_tree(t))
 
 
 def chain_tree(m):
