@@ -234,10 +234,12 @@ def cmd_identities(args) -> int:
 
 
 def _parse_degrees(text):
+    """The degrees of ``--degrees``: 'LO:HI' as a range, which is checked
+    without being walked, or a comma list; each degree must be >= 1."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            degrees = list(range(int(lo), int(hi) + 1))
+            degrees = range(int(lo), int(hi) + 1)
         else:
             degrees = [int(d) for d in text.split(",") if d.strip()]
     except ValueError:
@@ -246,6 +248,8 @@ def _parse_degrees(text):
         ) from None
     if not degrees:
         raise ValueError(f"--degrees {text!r} names no truncation degree")
+    # a range ascends, so its first degree is its least
+    _check_degree(degrees[0] if isinstance(degrees, range) else min(degrees))
     return degrees
 
 
@@ -267,8 +271,6 @@ def cmd_bench(args) -> int:
     ring = parse_ring(args.ring)
     source = _read_source(args)
     degrees = _parse_degrees(args.degrees)
-    for degree in degrees:
-        _check_degree(degree)
     if args.engines is None:
         engines = list(engines_for_ring(ring))
     else:

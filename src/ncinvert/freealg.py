@@ -392,12 +392,10 @@ class NCSeries:
 # ---------------------------------------------------------------------------
 
 
-class FormalMap:
-    """An n-vector of series, i.e. an endomorphism z_i -> components[i].
-
-    The constructor checks only that the components form a vector;
-    ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.
-    """
+class _SeriesVector:
+    """An n-vector of NCSeries of one ring, arity and truncation: what a
+    map and a derivation hold.  Two are equal iff they are of one class and
+    their components are equal."""
 
     __slots__ = ("ring", "arity", "degree", "components")
 
@@ -408,6 +406,21 @@ class FormalMap:
         self.arity = first.arity
         self.degree = first.degree
         self.components = components
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.components == other.components
+
+
+class FormalMap(_SeriesVector):
+    """An n-vector of series, i.e. an endomorphism z_i -> components[i].
+
+    The constructor checks only that the components form a vector;
+    ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.
+    """
+
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------
 
@@ -459,11 +472,6 @@ class FormalMap:
     def is_identity(self) -> bool:
         return all(v.is_zero() for v in self.displacement())
 
-    def __eq__(self, other):
-        if not isinstance(other, FormalMap):
-            return NotImplemented
-        return self.components == other.components
-
     def __repr__(self):
         return f"FormalMap({list(self.components)!r})"
 
@@ -513,6 +521,15 @@ def _check_order_at_least(vector, bound, name):
             raise ValueError(
                 f"{name} component {i + 1} has order {s.order()}, need >= {bound}"
             )
+
+
+def vector_sum(ring, arity, degree, vectors):
+    """The componentwise sum of ``vectors``, each ``arity`` series over
+    ``ring`` truncated at ``degree``; the zero vector if there are none."""
+    vectors = list(vectors)
+    return tuple(
+        NCSeries.sum(ring, arity, degree, (v[i] for v in vectors)) for i in range(arity)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +599,7 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     return tuple(compose(u, f_map, cache) for u in vector)
 
 
-def replace_letters(u: NCSeries, images, j: int, cache=None) -> NCSeries:
+def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     """S_j(u): each word of ``u`` becomes the sum, over the ways to choose
     exactly ``j`` of its letters, of the word with each chosen letter z_i
     replaced by ``images[i]`` and the other letters kept.  Expanding
@@ -601,8 +618,8 @@ def replace_letters(u: NCSeries, images, j: int, cache=None) -> NCSeries:
     images (H = 0, of order infinity) S_j is 0 for j >= 1, so the prune only
     ever sees a finite r.  The images must have order >= 1, as in
     ``compose``, so that no term of degree > D can come back below D.
-    ``cache`` may be a dict shared between calls with the *same* images: it
-    holds their image table under the key ``()``.
+    The image table is built on each call: it holds only the terms of the
+    images.
     """
     images = _check_vector(images)
     images[0]._check_compatible(u)
@@ -611,11 +628,7 @@ def replace_letters(u: NCSeries, images, j: int, cache=None) -> NCSeries:
             raise ValueError(f"image {i + 1} has a constant term")
     if j == 0:
         return u
-    if cache is None:
-        cache = {}
-    table = cache.get(())
-    if table is None:
-        table = cache[()] = _image_table(images)
+    table = _image_table(images)
     D, rmul, words = u.degree, u.ring.mul, u.buckets
     empty = NCSeries(u.ring, u.arity, D)
     if not table:
@@ -683,7 +696,7 @@ def _fixed_point(h_vector, substitute):
 # ---------------------------------------------------------------------------
 
 
-class Derivation:
+class Derivation(_SeriesVector):
     """The coefficient-linear derivation sending z_i to components[i].
 
     Application follows the Leibniz rule letter by letter: the image of a
@@ -693,15 +706,7 @@ class Derivation:
     sends x to u (and y to 0) to the word yx yields y*u, not u*y.
     """
 
-    __slots__ = ("ring", "arity", "degree", "components")
-
-    def __init__(self, components):
-        components = _check_vector(components)
-        first = components[0]
-        self.ring = first.ring
-        self.arity = first.arity
-        self.degree = first.degree
-        self.components = components
+    __slots__ = ()
 
     @classmethod
     def coordinate(cls, ring, arity, degree, i):
@@ -712,11 +717,6 @@ class Derivation:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.components == other.components
 
     def apply(self, f: NCSeries) -> NCSeries:
         """Apply to a series, truncating at its degree bound."""

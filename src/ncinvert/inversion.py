@@ -5,13 +5,13 @@ so they can check each other; ``invert`` dispatches to them by name through
 one table, and ``check_engine`` is the one test of a name against a ring:
 
 * ``fixed-point``: the substitution M <- H(z + M), over any ring;
-* ``recurrent``: the characteristic-0 recurrence
+* ``recurrent``: the characteristic-0 engine of the recurrence
   N_[1] = H,  (m-1) N_[m] = sum_{k+l=m} [N_[k] d/dz] N_[l];
 * ``tree`` (in ``trees``): N_[m] as the sum over planar binary trees with
   m leaves weighted by 1/T^!, characteristic 0;
-* ``charp-direct``: over GF(p), the recurrence where m-1 is invertible and a
-  division-free residue-extraction step at the layers m = kp+1 where it is
-  not: N_[m] = -sum_l [t^(m-l)] N_[l](z - t*H), read through
+* ``charp-direct``: the GF(p) engine of the same recurrence.  At the layers
+  m = kp+1, where m-1 is 0 in the ring, the recurrence takes its
+  division-free form N_[m] = -sum_l [t^(m-l)] N_[l](z - t*H), read through
   [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j (``freealg.replace_letters``)
   replaces exactly j letters of each word by their images under H.  S_j
   runs over the base ring, with one state per count of letters replaced so
@@ -20,8 +20,10 @@ one table, and ``check_engine`` is the one test of a name against a ring:
 * ``charp-lift``: over GF(p), lift the coefficients of H to their integer
   representatives, run the recurrence over the integers, reduce mod p.
 
-The layered engines (recurrent, tree, charp-direct, and charp-lift through
-the recurrence) build their terms with the one loop
+``n_seq_recurrent`` is the one sequence of the recurrence, in every
+characteristic; ``recurrent`` runs it over Q and ``charp-direct`` over GF(p),
+so the two never meet on one ring.  The layered engines (the recurrence and
+the tree expansion) build their terms with the one loop
 ``NSequence.from_layers`` and differ only in the layer they hand it; the
 inverse of z - H is then z + sum_m N_[m], which ``NSequence.assemble`` sums.
 Since o(N_[m]) >= m+1, the terms with m >= D are invisible at truncation
@@ -41,6 +43,7 @@ from .freealg import (
     _fixed_point,
     _substitute,
     replace_letters,
+    vector_sum,
     word_key,
 )
 from .rings import IntPolyRing, PrimeField
@@ -102,10 +105,7 @@ class NSequence:
 
     def assemble(self) -> FormalMap:
         """The map z + sum_m N_[m], the inverse of z - H."""
-        ring, n, D = self.ring, self.arity, self.degree
-        return FormalMap.g_form(
-            NCSeries.sum(ring, n, D, (vec[i] for vec in self.terms)) for i in range(n)
-        )
+        return FormalMap.g_form(vector_sum(self.ring, self.arity, self.degree, self.terms))
 
     def validate_bounds(self, h_vector):
         """Check the order / degree / homogeneity bounds of every term.
@@ -166,20 +166,19 @@ def c_sequence(h_vector, count: int):
     return out
 
 
-def _check_characteristic_zero(ring, what):
-    """ValueError unless ``ring`` has characteristic 0, which ``what`` needs."""
-    if ring.characteristic != 0:
-        raise ValueError(
-            f"{what} need characteristic 0, not {ring.characteristic}; "
-            "use the charp-direct or charp-lift engine"
-        )
-
-
 def n_seq_recurrent(h_vector) -> NSequence:
-    """The characteristic-0 recurrence for N_[1..D-1]."""
+    """N_[1..D-1] by the recurrence, in any characteristic: from N_[1] = H,
+    the divided convolution where m-1 is invertible and the residue step
+    where m-1 is 0 in the ring, which over GF(p) is at m = kp + 1."""
     h_vector = tuple(h_vector)
-    _check_characteristic_zero(h_vector[0].ring, "the recurrence's divisions by m-1")
-    return NSequence.from_layers(h_vector, _divided_convolution)
+    p = h_vector[0].ring.characteristic
+
+    def layer(terms, m):
+        if p and (m - 1) % p == 0:
+            return alt_recurrent_step(terms, h_vector, m)
+        return _divided_convolution(terms, m)
+
+    return NSequence.from_layers(h_vector, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +198,18 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     Expanding each letter z_i - t*H_i gives [t^j] N(z - t*H) = (-1)^j S_j(N),
     where S_j (``replace_letters``) replaces exactly j letters of each word
     by their images under H and keeps the others, so the step runs over the
-    base ring: N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]), with one image
-    table of H shared by every l and every component.
+    base ring: N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]).
     """
     h_vector, ring, n, D = _vector_meta(h_vector)
     if m < 2:
         raise ValueError("residue step starts at m = 2")
     if len(prev_terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
-    cache = {}
 
     def extracted(i, l):
         # -(-1)^j S_j: odd j adds S_j, even j subtracts it
         j = m - l
-        s = replace_letters(prev_terms[l - 1][i], h_vector, j, cache)
+        s = replace_letters(prev_terms[l - 1][i], h_vector, j)
         return s if j % 2 else -s
 
     return tuple(
@@ -222,19 +219,12 @@ def alt_recurrent_step(prev_terms, h_vector, m):
 
 
 def n_seq_charp_direct(h_vector) -> NSequence:
-    """The GF(p) sequence: the recurrence where m-1 is invertible, the
-    residue step at the layers m = kp + 1 where it is not."""
+    """The GF(p) sequence of the charp-direct engine: ``n_seq_recurrent``,
+    once the coefficients are known to lie in a prime field."""
     h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
-    if not isinstance(ring, PrimeField):
+    if not isinstance(h_vector[0].ring, PrimeField):
         raise ValueError("charp-direct requires PrimeField coefficients")
-
-    def layer(terms, m):
-        if (m - 1) % ring.p == 0:
-            return alt_recurrent_step(terms, h_vector, m)
-        return _divided_convolution(terms, m)
-
-    return NSequence.from_layers(h_vector, layer)
+    return n_seq_recurrent(h_vector)
 
 
 def invert_charp_direct(h_vector) -> FormalMap:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .freealg import Derivation, FormalMap, NCSeries
-from .inversion import NSequence, _check_characteristic_zero
+from .freealg import Derivation, FormalMap, vector_sum
+from .inversion import NSequence
 
 #: the most trees ``enumerate_pbtrees`` builds in one call
 MAX_TREES = 10**6
@@ -112,6 +112,16 @@ def enumerate_pbtrees(m: int):
 # ---------------------------------------------------------------------------
 
 
+def _check_characteristic_zero(ring):
+    """ValueError unless ``ring`` has characteristic 0, which the tree
+    weights 1/T^! need."""
+    if ring.characteristic != 0:
+        raise ValueError(
+            f"tree weights 1/T^! need characteristic 0, not {ring.characteristic}; "
+            "use the charp-direct or charp-lift engine"
+        )
+
+
 def _tree_series(tree, h_vector, memo):
     """N_T: the leaf carries H, grafting applies [N_T1 d/dz] N_T2.
 
@@ -139,9 +149,8 @@ def tree_expansion_term(h_vector, m: int, memo=None):
     and groups are processed in sorted order so output is deterministic.
     """
     h_vector = tuple(h_vector)
-    ring = h_vector[0].ring
-    _check_characteristic_zero(ring, "tree weights 1/T^!")
-    n, D = h_vector[0].arity, h_vector[0].degree
+    ring, n, D = h_vector[0].ring, h_vector[0].arity, h_vector[0].degree
+    _check_characteristic_zero(ring)
     if memo is None:
         memo = {}
     groups = {}
@@ -150,18 +159,11 @@ def tree_expansion_term(h_vector, m: int, memo=None):
 
     weighted = []
     for w, trees in sorted(groups.items()):
-        vecs = [_tree_series(t, h_vector, memo) for t in trees]
+        group = vector_sum(ring, n, D, [_tree_series(t, h_vector, memo) for t in trees])
         weighted.append(
-            tuple(
-                NCSeries.sum(ring, n, D, [v[i] for v in vecs]).map_coefficients(
-                    lambda c: ring.div_by_int(c, w)
-                )
-                for i in range(n)
-            )
+            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in group)
         )
-    return tuple(
-        NCSeries.sum(ring, n, D, [vec[i] for vec in weighted]) for i in range(n)
-    )
+    return vector_sum(ring, n, D, weighted)
 
 
 def invert_tree(h_vector) -> FormalMap:
@@ -170,7 +172,7 @@ def invert_tree(h_vector) -> FormalMap:
     recurrence); equals the other characteristic-0 engines term for term."""
     h_vector = tuple(h_vector)
     # here too: at D <= 2 no layer runs
-    _check_characteristic_zero(h_vector[0].ring, "tree weights 1/T^!")
+    _check_characteristic_zero(h_vector[0].ring)
     _check_tree_count(max(1, h_vector[0].degree - 1))
     memo = {}
     nseq = NSequence.from_layers(

@@ -346,6 +346,24 @@ def test_malformed_degrees_exit_3_naming_the_option_and_the_accepted_forms(capsy
     )
 
 
+def test_bench_refuses_a_span_from_degree_0_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "bench", "--expr", "x - x*x", "--vars", "x",
+        "--degrees", "0:100000000000000000000",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: truncation degree must be >= 1\n"
+    assert time.perf_counter() - start < 5
+
+
+def test_degree_span_is_kept_lazy():
+    # a list of 10^20 degrees could not be built; the range is never walked
+    degrees = cli._parse_degrees("3:" + "9" * 20)
+    assert isinstance(degrees, range)
+    assert degrees == range(3, 10**20)
+
+
 @pytest.mark.parametrize("engines", ["", ",", " "])
 def test_bench_rejects_an_empty_engine_list(capsys, engines):
     code, out, err = run_cli(

@@ -187,16 +187,14 @@ def test_shifted_inverse_family_cases():
 
 
 @pytest.mark.parametrize(
-    "ring, degree, sequence",
-    [(QQ, 6, "n_seq_recurrent"), (PrimeField(5), 7, "n_seq_charp_direct")],
-    ids=["QQ-D6", "GF5-D7"],
+    "ring, degree", [(QQ, 6), (PrimeField(5), 7)], ids=["QQ-D6", "GF5-D7"]
 )
-def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, degree, sequence):
+def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, degree):
     x = NCSeries.variable(ring, 2, degree, 0)
     y = NCSeries.variable(ring, 2, degree, 1)
     three = ring.from_int(3)
     h = (x * y + (y * x).scale(three), x * x - y * y * x)
-    original = getattr(deformation, sequence)
+    original = deformation.n_seq_recurrent
     # N_[D-1] is visible at D; over GF(5) at D = 7 it is the residue layer m = 6
     assert any(not s.is_zero() for s in original(h).term(degree - 1))
     pairs = [(ring.from_int(t), ring.from_int(s)) for t, s in ((0, 1), (2, 3), (1, 4), (3, 2))]
@@ -212,7 +210,7 @@ def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, de
         nseq.terms[1] = tuple(n2)
         return nseq
 
-    monkeypatch.setattr(deformation, sequence, doubled)
+    monkeypatch.setattr(deformation, "n_seq_recurrent", doubled)
     for t0, s0 in pairs:
         assert not check_shifted_inverse_family(h, t0, s0)
         assert check_shifted_inverse_family(h, t0, ring.zero())

@@ -31,6 +31,7 @@ from ncinvert.freealg import (
     matrix_derivation_apply,
     replace_letters,
     star_action,
+    vector_sum,
 )
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
@@ -468,6 +469,30 @@ def test_star_action_rejects_wrong_inverse():
         star_action(f, not_inverse, delta)
 
 
+# -- vectors of series ------------------------------------------------------------
+
+
+def test_vector_sum_adds_componentwise():
+    x = NCSeries.variable(QQ, 2, 3, 0)
+    y = NCSeries.variable(QQ, 2, 3, 1)
+    zero = NCSeries.zero(QQ, 2, 3)
+    vectors = [(x * y, zero), (-(x * y), y * y), (x, y * y)]
+    assert vector_sum(QQ, 2, 3, iter(vectors)) == (x, (y * y).scale_int(2))
+    assert vector_sum(QQ, 2, 3, []) == (zero, zero)
+    with pytest.raises(ValueError, match="truncation degree mismatch"):
+        vector_sum(QQ, 2, 4, vectors)
+
+
+def test_a_map_and_a_derivation_with_equal_components_differ():
+    comps = [series(2, 4, ((0, 1), 1)), series(2, 4, ((1, 1), -2))]
+    assert FormalMap(comps) == FormalMap(list(comps))
+    assert Derivation(comps) == Derivation(list(comps))
+    assert FormalMap(comps) != Derivation(comps)
+    assert Derivation(comps) != FormalMap(comps)
+    with pytest.raises(ValueError, match="3 components for arity 2"):
+        Derivation(comps + comps[:1])
+
+
 # -- form validation -----------------------------------------------------------
 
 
@@ -640,14 +665,9 @@ def test_replace_letters_matches_the_t_residue_route(data):
             data.draw(st.sampled_from([zero, data.draw(reaching_series(ring, n, D, 1))]))
             for _ in range(n)
         ]
-    cache = {}
-    got = replace_letters(u, h_vector, j, cache)
+    got = replace_letters(u, h_vector, j)
     assert got == _t_residue_route(u, h_vector, j)
     _assert_stored_clean(got)
-    # S_0 is u without a table; otherwise the image table is all the cache
-    # holds, and a second call reuses it
-    assert list(cache) == ([()] if j else [])
-    assert replace_letters(u, h_vector, j, cache) == got
 
 
 def _tuple_product(a, b):

@@ -110,10 +110,10 @@ def test_recurrent_terms_are_ad_powers():
         assert nseq.term(m)[1].is_zero()
 
 
-def test_recurrent_refuses_prime_characteristic():
-    h = commutator_displacement(PrimeField(5), 4)
-    with pytest.raises(ValueError, match="charp"):
-        n_seq_recurrent(h)
+def test_charp_direct_refuses_characteristic_zero():
+    h = commutator_displacement(QQ, 4)
+    with pytest.raises(ValueError, match="^charp-direct requires PrimeField coefficients$"):
+        n_seq_charp_direct(h)
 
 
 def test_assemble_at_one_matches_geometric_sum():
@@ -398,6 +398,18 @@ def test_characteristic_p_engines_agree(data):
     field = PrimeField(data.draw(st.sampled_from([2, 3])))
     h = data.draw(sparse_displacements(field, 2, 8))
     _assert_engines_agree(h, ("fixed-point", "charp-direct", "charp-lift"))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_recurrence_runs_over_every_prime_field(data):
+    # one recurrence in every characteristic: over GF(p) it is charp-direct's
+    # sequence, residue layers m = kp+1 included, and it sums to the inverse
+    field = PrimeField(data.draw(st.sampled_from([2, 3, 5, 7])))
+    h = data.draw(sparse_displacements(field, 3, 9))
+    nseq = n_seq_recurrent(h)
+    assert nseq.terms == n_seq_charp_direct(h).terms
+    assert nseq.assemble() == invert_fixed_point(h)
 
 
 # -- verification ----------------------------------------------------------------
