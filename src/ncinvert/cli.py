@@ -17,9 +17,11 @@ byte-identical across runs for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import trees as trees_mod
 from .inversion import (
@@ -76,8 +78,62 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _letter_lines(arity):
+    """The line of each letter 1..arity inside a word of an indent-2
+    ``"map"``, indexed by the letter (index 0 is unused)."""
+    return tuple("\n            " + str(a) for a in range(arity + 1))
+
+
+def _map_json_parts(value, parts):
+    """Append to ``parts`` the text of a ``FormalMap.to_json_list`` value
+    as a field of an indent-2 ``json.dumps`` payload.
+
+    CPython runs its C encoder only when ``indent`` is None, so with an
+    indent every term would go through the generators of the pure-Python
+    encoder.  Here each term is one string of fixed layout, the letters'
+    lines and the coefficient, quoted by the function that ``json.dumps``
+    quotes strings with.
+    """
+    sep = "["
+    for comp in value:
+        letter = _letter_lines(comp["arity"]).__getitem__
+        parts.append(
+            f'{sep}\n    {{\n      "arity": {comp["arity"]},\n      "degree": {comp["degree"]},'
+            '\n      "terms": '
+        )
+        sep = ","
+        if comp["terms"]:
+            parts.append("[")
+            parts.append(",".join([
+                '\n        {\n          "word": '
+                + (f'[{",".join(map(letter, t["word"]))}\n          ]' if t["word"] else "[]")
+                + f',\n          "coeff": {encode_basestring_ascii(t["coeff"])}\n        }}'
+                for t in comp["terms"]
+            ]))
+            parts.append("\n      ]\n    }")
+        else:
+            parts.append("[]\n    }")
+    parts.append("\n  ]" if value else "[]")
+
+
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\n"`` of a payload dict, written
+    field by field: an ``invert`` payload's ``"map"`` by ``_map_json_parts``,
+    every other field by ``json.dumps``.  The pieces are joined once, so no
+    copy of the whole text is made on the way, and the text is complete
+    before ``_emit`` opens ``--output``."""
+    parts = []
+    sep = "{"
+    for key, value in payload.items():
+        parts.append(f"{sep}\n  {encode_basestring_ascii(key)}: ")
+        sep = ","
+        if key == "map":
+            _map_json_parts(value, parts)
+        else:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _split_vars(text):
@@ -108,17 +164,17 @@ def cmd_invert(args) -> int:
     report = verify_inverse(parsed.f_map, g_map)
     verify_ms = (time.perf_counter() - start) * 1000.0
 
-    payload = {
-        "engine": engine,
-        "map": g_map.to_json_list(),
-        "verified": report.ok,
-    }
-    if args.timings:
-        payload["timings_ms"] = {
-            "invert": round(invert_ms, 3),
-            "verify": round(verify_ms, 3),
-        }
     if args.format == "json":
+        payload = {
+            "engine": engine,
+            "map": g_map.to_json_list(),
+            "verified": report.ok,
+        }
+        if args.timings:
+            payload["timings_ms"] = {
+                "invert": round(invert_ms, 3),
+                "verify": round(verify_ms, 3),
+            }
         _emit(args, _dump_json(payload))
     else:
         lines = [format_map(g_map, parsed.variables).rstrip("\n")]

@@ -60,8 +60,9 @@ class NCSeries:
     just those.  ``terms()``, ``coefficient()`` and ``from_terms()`` take
     and yield keys as tuples, encoding and decoding them with ``_key_in``
     and ``_key_out``: words here, exponent vectors (stored as they are) in
-    the subclass.  A series has no JSON form of its own: the one writer is
-    :meth:`FormalMap.to_json_list`, and nothing reads JSON back.
+    the subclass.  A series has no JSON form of its own: the one JSON value
+    of series is :meth:`FormalMap.to_json_list`, whose indent-2 text the
+    CLI writes in one pass, and nothing reads JSON back.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -484,7 +485,8 @@ class FormalMap(_SeriesVector):
     def to_json_list(self):
         """The interchange form, one dict per component: arity, degree and
         the terms in degree-lexicographic order, each word as its 1-based
-        letters and each coefficient as its ring string."""
+        letters and each coefficient as its ring string.  ``cli._dump_json``
+        writes its indent-2 text in one pass."""
         to_string = self.ring.to_string
         return [
             {

@@ -11,11 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncinvert.cli as cli
 import ncinvert.inversion as inversion
 from ncinvert.cli import main
 from ncinvert.freealg import FormalMap, NCSeries
+from ncinvert.rings import QQ, PrimeField
 
 PAPER_MAP = "x - (y*x - x*y); y"
 
@@ -527,20 +530,80 @@ def test_python_m_ncinvert_runs_the_cli_from_a_checkout():
     assert proc.stdout.startswith("usage: ncinvert")
 
 
-def test_unprintable_output_coefficient_exits_3(capsys):
-    code, out, err = run_cli(
-        capsys, "invert", "--expr", "x - 3^30000*x*x", "--vars", "x", "-d", "3",
-        "--no-timings",
-    )
-    assert code == 3
-    assert out == ""
+def test_unprintable_output_coefficient_exits_3(capsys, tmp_path):
     width = (3**30000).bit_length()
     limit = sys.get_int_max_str_digits()
-    assert err == (
+    message = (
         f"error: a coefficient of {width} bits has more than the "
         f"{limit} decimal digits that can be printed\n"
     )
+    argv = ["invert", "--expr", "x - 3^30000*x*x", "--vars", "x", "-d", "3", "--no-timings"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == message
     assert "set_int_max_str_digits" not in err
+    # the whole text is built before --output is opened: a missing file is
+    # not created and an existing one is not truncated
+    missing, existing = tmp_path / "missing.json", tmp_path / "existing.json"
+    existing.write_text("earlier output\n")
+    for path in (missing, existing):
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == message
+    assert not missing.exists()
+    assert existing.read_text() == "earlier output\n"
+
+
+def test_text_format_builds_no_json(capsys, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("JSON built for --format text")
+
+    monkeypatch.setattr(FormalMap, "to_json_list", refuse)
+    monkeypatch.setattr(cli, "_dump_json", refuse)
+    code, out, _ = run_cli(
+        capsys, "invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4",
+        "--format", "text", "--no-timings",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "verified: both compositions equal the identity"
+
+
+@st.composite
+def invert_payloads(draw):
+    """An ``invert`` payload as ``cmd_invert`` builds it, around a random
+    map: QQ or GF(2), GF(3), GF(5), 1-3 letters or 10-11 (two-digit letters),
+    words from the constant word up, components that may be zero."""
+    ring = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(10, 11)))
+    degree = draw(st.integers(0, 3))
+    words = st.lists(st.integers(0, n - 1), max_size=degree).map(tuple)
+    if ring is QQ:
+        coeffs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+    else:
+        coeffs = st.integers(-9, 9).map(ring.from_int)
+    components = [
+        NCSeries.from_terms(ring, n, degree, draw(st.lists(st.tuples(words, coeffs), max_size=4)))
+        for _ in range(n)
+    ]
+    payload = {
+        "engine": draw(st.sampled_from(list(inversion._engine_table()))),
+        "map": FormalMap(components).to_json_list(),
+        "verified": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        millis = st.floats(0, 1e7, allow_nan=False).map(lambda ms: round(ms, 3))
+        payload["timings_ms"] = {"invert": draw(millis), "verify": draw(millis)}
+    return payload
+
+
+@given(invert_payloads())
+@settings(max_examples=200, deadline=None)
+def test_invert_payload_text_is_the_indent_2_dump(payload):
+    text = cli._dump_json(payload)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert json.loads(text) == payload
 
 
 DIGEST_MAP = "x - 2*x*y + y*x - x*x; y - y*y + 3*x*y - y*x*x"

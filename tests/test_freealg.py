@@ -1,5 +1,6 @@
 """Series arithmetic, substitution, derivations, Jacobians, chain rules."""
 
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -16,6 +17,7 @@ from ncinvert.commutative import (
     substitute_vector,
 )
 from ncinvert import deformation
+from ncinvert.cli import _dump_json
 from ncinvert.deformation import embed_series, special_inverse, t_residue_series
 from ncinvert.freealg import (
     Derivation,
@@ -153,12 +155,13 @@ def test_terms_sorted_degree_lex():
 
 def test_map_json_form_is_pinned():
     # a zero component, the constant word, 1-based letters, a QQ fraction
-    # and a GF(5) residue, as the CLI writes them
+    # and a GF(5) residue, as the CLI writes them: the JSON value of each
+    # map, and the same value read back from the text the CLI writes of it
     f_map = FormalMap([
         series(2, 3, ((), 2), ((1,), 1), ((0, 1), Fraction(-3, 7))),
         NCSeries.zero(QQ, 2, 3),
     ])
-    assert f_map.to_json_list() == [
+    f_expected = [
         {
             "arity": 2,
             "degree": 3,
@@ -172,9 +175,13 @@ def test_map_json_form_is_pinned():
     ]
     gf5 = PrimeField(5)
     g_map = FormalMap([NCSeries.from_terms(gf5, 1, 2, [((0, 0), gf5.from_int(-1))])])
-    assert g_map.to_json_list() == [
+    g_expected = [
         {"arity": 1, "degree": 2, "terms": [{"word": [1, 1], "coeff": "4"}]}
     ]
+    for a_map, expected in ((f_map, f_expected), (g_map, g_expected)):
+        assert a_map.to_json_list() == expected
+        text = _dump_json({"map": a_map.to_json_list()})
+        assert json.loads(text) == {"map": expected}
 
 
 # -- composition ------------------------------------------------------------
