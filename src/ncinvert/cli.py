@@ -85,9 +85,27 @@ def _letter_lines(arity):
     return tuple("\n            " + str(a) for a in range(arity + 1))
 
 
+def _map_json(f_map):
+    """The ``"map"`` JSON value of a FormalMap, one dict per component:
+    arity, degree and the terms in degree-lexicographic order, each word as
+    its 1-based letters and each coefficient as its ring string."""
+    to_string = f_map.ring.to_string
+    return [
+        {
+            "arity": f_map.arity,
+            "degree": f_map.degree,
+            "terms": [
+                {"word": [i + 1 for i in word], "coeff": to_string(c)}
+                for word, c in comp.terms()
+            ],
+        }
+        for comp in f_map.components
+    ]
+
+
 def _map_json_parts(value, parts):
-    """Append to ``parts`` the text of a ``FormalMap.to_json_list`` value
-    as a field of an indent-2 ``json.dumps`` payload.
+    """Append to ``parts`` the text of a ``_map_json`` value as a field of
+    an indent-2 ``json.dumps`` payload.
 
     CPython runs its C encoder only when ``indent`` is None, so with an
     indent every term would go through the generators of the pure-Python
@@ -167,7 +185,7 @@ def cmd_invert(args) -> int:
     if args.format == "json":
         payload = {
             "engine": engine,
-            "map": g_map.to_json_list(),
+            "map": _map_json(g_map),
             "verified": report.ok,
         }
         if args.timings:

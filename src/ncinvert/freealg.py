@@ -61,8 +61,8 @@ class NCSeries:
     and yield keys as tuples, encoding and decoding them with ``_key_in``
     and ``_key_out``: words here, exponent vectors (stored as they are) in
     the subclass.  A series has no JSON form of its own: the one JSON value
-    of series is :meth:`FormalMap.to_json_list`, whose indent-2 text the
-    CLI writes in one pass, and nothing reads JSON back.
+    of series is the ``"map"`` of the CLI's ``invert`` payload, built and
+    written by ``ncinvert.cli``, and nothing reads JSON back.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -482,24 +482,6 @@ class FormalMap(_SeriesVector):
         """The composed map self(other(z)): substitute ``other`` into self."""
         return FormalMap(compose_vector(self.components, other))
 
-    def to_json_list(self):
-        """The interchange form, one dict per component: arity, degree and
-        the terms in degree-lexicographic order, each word as its 1-based
-        letters and each coefficient as its ring string.  ``cli._dump_json``
-        writes its indent-2 text in one pass."""
-        to_string = self.ring.to_string
-        return [
-            {
-                "arity": self.arity,
-                "degree": self.degree,
-                "terms": [
-                    {"word": [i + 1 for i in word], "coeff": to_string(c)}
-                    for word, c in comp.terms()
-                ],
-            }
-            for comp in self.components
-        ]
-
 
 def _check_vector(vector):
     """The vector as a tuple, once its entries are known to be NCSeries of
@@ -628,6 +610,8 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     for i, image in enumerate(images):
         if image.order() < 1:
             raise ValueError(f"image {i + 1} has a constant term")
+    if j < 0:
+        raise ValueError(f"cannot replace j = {j} letters: j must be >= 0")
     if j == 0:
         return u
     table = _image_table(images)

@@ -344,27 +344,38 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
+def _any_ring(ring):
+    return True
+
+
+def _char_zero(ring):
+    return ring.characteristic == 0
+
+
+def _prime_field(ring):
+    return isinstance(ring, PrimeField)
+
+
 def _engine_table():
-    """Engine name -> (function of H, needs characteristic 0: True, False
-    for GF(p), None for any ring).  Rebuilt on every call, so a function
-    patched onto its module after import is the one dispatched to."""
+    """Engine name -> (function of H, the engine's rule on the coefficient
+    ring: any ring, characteristic 0, or a PrimeField).  Rebuilt on every
+    call, so a function patched onto its module after import is the one
+    dispatched to."""
     from . import trees
 
     return {
-        "fixed-point": (invert_fixed_point, None),
-        "recurrent": (lambda h: n_seq_recurrent(h).assemble(), True),
-        "tree": (trees.invert_tree, True),
-        "charp-direct": (invert_charp_direct, False),
-        "charp-lift": (invert_charp_lift, False),
+        "fixed-point": (invert_fixed_point, _any_ring),
+        "recurrent": (lambda h: n_seq_recurrent(h).assemble(), _char_zero),
+        "tree": (trees.invert_tree, _char_zero),
+        "charp-direct": (invert_charp_direct, _prime_field),
+        "charp-lift": (invert_charp_lift, _prime_field),
     }
 
 
 def engines_for_ring(ring):
     """Engine names applicable over the given coefficient ring."""
-    zero = ring.characteristic == 0
     return tuple(
-        name for name, (_, needs_zero) in _engine_table().items()
-        if needs_zero in (None, zero)
+        name for name, (_, applies) in _engine_table().items() if applies(ring)
     )
 
 

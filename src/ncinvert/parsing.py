@@ -47,7 +47,7 @@ MAX_NESTING = 100
 #: the widest coefficients of its two operands together do
 MAX_COEFF_BITS = 1 << 16
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 @dataclass

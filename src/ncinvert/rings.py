@@ -11,7 +11,11 @@ Every ring knows its characteristic (0 or a prime) and supports exact
 division by integers through ``div_by_int``; there is no floating point
 anywhere.  Values are printed with ``to_string`` and never read back.
 Only :class:`TQuotientRing` knows that a value of R[t]/(t^(K+1)) is the
-tuple of its K+1 base-ring coefficients.
+tuple of its K+1 base-ring coefficients.  Its operations do not check the
+t-order of their values: a series over one t-order meets a series over
+another only in ``NCSeries._check_compatible``, which refuses it because
+the rings differ.  Equality, hash and repr are stated once, in
+:class:`Ring`, from each ring's tuple of constructor arguments.
 
 A ring works on single values.  Terms are summed into series in one place,
 :meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
@@ -69,12 +73,26 @@ class Ring:
     ``is_zero``, ``from_int``, ``div_by_int``, ``to_string`` and a
     ``characteristic`` attribute; ``mul_int`` defaults to ``mul`` by
     ``from_int(n)``.  Values are compared with ``==``.
+
+    ``_args`` is the tuple of a ring's constructor arguments.  Two rings are
+    equal when they are of the same exact type with equal ``_args``, and
+    the repr is the constructor call, so no subclass states either rule.
     """
 
     characteristic = None  # type: int
+    _args = ()
 
     def mul_int(self, a, n: int):
         return self.mul(a, self.from_int(n))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._args == self._args
+
+    def __hash__(self):
+        return hash((type(self), self._args))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._args))})"
 
 
 class RationalField(Ring):
@@ -130,15 +148,6 @@ class RationalField(Ring):
                 f"{sys.get_int_max_str_digits()} decimal digits that can be printed"
             ) from None
 
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash(RationalField)
-
-    def __repr__(self):
-        return "RationalField()"
-
 
 #: shared instance; the ring is stateless
 QQ = RationalField()
@@ -152,6 +161,7 @@ class PrimeField(Ring):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.characteristic = p
+        self._args = (p,)
 
     def zero(self):
         return 0
@@ -182,22 +192,13 @@ class PrimeField(Ring):
     def to_string(self, a) -> str:
         return str(a)
 
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
-
-    def __hash__(self):
-        return hash((PrimeField, self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
 
 class TQuotientRing(Ring):
     """R[t]/(t^(K+1)) over a base ring R; t is central.
 
     Values are tuples ``(c_0, ..., c_K)`` of base-ring values.  The bound K
-    is part of the ring identity: values of different bounds never meet, so
-    a truncation mismatch is a structural error rather than a silent loss.
+    is part of the ring identity, so a truncation mismatch is refused where
+    two series meet rather than lost in silence.
     """
 
     def __init__(self, base: Ring, torder: int):
@@ -205,6 +206,7 @@ class TQuotientRing(Ring):
             raise ValueError("t-order must be >= 0")
         self.base = base
         self.torder = torder
+        self._args = (base, torder)
         self.characteristic = base.characteristic
         self._zero = (base.zero(),) * (torder + 1)
         self._one = (base.one(),) + (base.zero(),) * torder
@@ -215,26 +217,13 @@ class TQuotientRing(Ring):
     def one(self):
         return self._one
 
-    def _check(self, a):
-        if len(a) != self.torder + 1:
-            raise ValueError(
-                f"t-order mismatch: value has {len(a) - 1}, ring has {self.torder}"
-            )
-
     def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        badd = self.base.add
-        return tuple(badd(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.add, a, b))
 
     def neg(self, a):
-        self._check(a)
-        bneg = self.base.neg
-        return tuple(bneg(x) for x in a)
+        return tuple(map(self.base.neg, a))
 
     def mul(self, a, b):
-        self._check(a)
-        self._check(b)
         base = self.base
         bzero = base.zero()
         out = [bzero] * (self.torder + 1)
@@ -264,7 +253,6 @@ class TQuotientRing(Ring):
 
     def t_derivative(self, a):
         """d/dt on a truncated polynomial; the top coefficient becomes 0."""
-        self._check(a)
         base = self.base
         out = [base.mul_int(a[j + 1], j + 1) for j in range(self.torder)]
         out.append(base.zero())
@@ -272,52 +260,29 @@ class TQuotientRing(Ring):
 
     def residue_at(self, a, j: int):
         """The base-ring coefficient of t^j."""
-        self._check(a)
         if not 0 <= j <= self.torder:
             raise ValueError(f"t-exponent {j} out of range [0, {self.torder}]")
         return a[j]
 
-    def shift_down(self, a, k: int = 1):
-        """Divide by t^k, 0 <= k <= K+1; requires the k lowest coefficients
-        to vanish."""
-        self._check(a)
-        if not 0 <= k <= self.torder + 1:
-            raise ValueError(
-                f"cannot divide by t^{k}: t-exponent out of range [0, {self.torder + 1}]"
-            )
+    def shift_down(self, a):
+        """Divide by t; requires the constant coefficient to vanish."""
         bzero = self.base.zero()
-        for j in range(k):
-            if a[j] != bzero:
-                raise ValueError(f"coefficient of t^{j} is nonzero, cannot divide by t^{k}")
-        return a[k:] + (bzero,) * k
+        if a[0] != bzero:
+            raise ValueError("coefficient of t^0 is nonzero, cannot divide by t")
+        return a[1:] + (bzero,)
 
     def restrict(self, a, torder: int):
         """Re-truncate a value into TQuotientRing(base, torder), torder <= K."""
-        self._check(a)
         if torder > self.torder:
             raise ValueError("cannot extend the t-order of a truncated value")
         return a[: torder + 1]
 
     def div_by_int(self, a, m: int):
-        self._check(a)
         bdiv = self.base.div_by_int
         return tuple(bdiv(x, m) for x in a)
 
     def to_string(self, a) -> str:
         return "[" + ", ".join(self.base.to_string(x) for x in a) + "]"
-
-    def __eq__(self, other):
-        return (
-            type(other) is TQuotientRing
-            and other.base == self.base
-            and other.torder == self.torder
-        )
-
-    def __hash__(self):
-        return hash((TQuotientRing, self.base, self.torder))
-
-    def __repr__(self):
-        return f"TQuotientRing({self.base!r}, {self.torder})"
 
 
 class IntPolyRing(RationalField):
@@ -342,12 +307,3 @@ class IntPolyRing(RationalField):
                 f"charp-lift: integer coefficient {a} is not divisible by {m}"
             )
         return q
-
-    def __eq__(self, other):
-        return type(other) is IntPolyRing
-
-    def __hash__(self):
-        return hash(IntPolyRing)
-
-    def __repr__(self):
-        return "IntPolyRing()"

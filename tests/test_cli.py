@@ -117,6 +117,16 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_map_literals_take_only_ascii_digits(capsys):
+    # ARABIC-INDIC DIGIT THREE is a digit to Python's int(), not to the grammar
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "x - \u0663*x*x", "--vars", "x", "-d", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: 1:5: unexpected character '\u0663'\n"
+
+
 @pytest.mark.parametrize(
     "source, names, message",
     [
@@ -560,7 +570,7 @@ def test_text_format_builds_no_json(capsys, monkeypatch):
     def refuse(*args):
         raise RuntimeError("JSON built for --format text")
 
-    monkeypatch.setattr(FormalMap, "to_json_list", refuse)
+    monkeypatch.setattr(cli, "_map_json", refuse)
     monkeypatch.setattr(cli, "_dump_json", refuse)
     code, out, _ = run_cli(
         capsys, "invert", "--expr", PAPER_MAP, "--vars", "x,y", "-d", "4",
@@ -589,7 +599,7 @@ def invert_payloads(draw):
     ]
     payload = {
         "engine": draw(st.sampled_from(list(inversion._engine_table()))),
-        "map": FormalMap(components).to_json_list(),
+        "map": cli._map_json(FormalMap(components)),
         "verified": draw(st.booleans()),
     }
     if draw(st.booleans()):

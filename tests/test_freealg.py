@@ -17,7 +17,7 @@ from ncinvert.commutative import (
     substitute_vector,
 )
 from ncinvert import deformation
-from ncinvert.cli import _dump_json
+from ncinvert.cli import _dump_json, _map_json
 from ncinvert.deformation import embed_series, special_inverse, t_residue_series
 from ncinvert.freealg import (
     Derivation,
@@ -179,8 +179,8 @@ def test_map_json_form_is_pinned():
         {"arity": 1, "degree": 2, "terms": [{"word": [1, 1], "coeff": "4"}]}
     ]
     for a_map, expected in ((f_map, f_expected), (g_map, g_expected)):
-        assert a_map.to_json_list() == expected
-        text = _dump_json({"map": a_map.to_json_list()})
+        assert _map_json(a_map) == expected
+        text = _dump_json({"map": _map_json(a_map)})
         assert json.loads(text) == {"map": expected}
 
 
@@ -227,6 +227,14 @@ def test_replace_letters_replaces_exactly_j_letters():
     assert replace_letters(u, images, 1) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
     assert replace_letters(u, images, 2) == series(2, 4, ((1, 1, 0, 0), 1))
     assert replace_letters(u, images, 3).is_zero()
+
+
+def test_replace_letters_refuses_a_negative_j():
+    u = series(2, 4, ((0, 1), 1))
+    images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
+    for v in (u, NCSeries.zero(QQ, 2, 4)):
+        with pytest.raises(ValueError, match="j = -1"):
+            replace_letters(v, images, -1)
 
 
 def test_replace_letters_rejects_constant_images():

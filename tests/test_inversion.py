@@ -29,7 +29,7 @@ from ncinvert.inversion import (
     verify_inverse,
 )
 from ncinvert.randmaps import random_displacement
-from ncinvert.rings import QQ, IntPolyRing, PrimeField
+from ncinvert.rings import QQ, IntPolyRing, PrimeField, TQuotientRing
 from ncinvert.trees import invert_tree
 
 
@@ -330,6 +330,24 @@ def test_engine_sets_per_ring():
         "charp-direct",
         "charp-lift",
     )
+
+
+def test_engine_sets_over_the_t_ring_follow_each_engines_rule():
+    # the charp engines need PrimeField coefficients, not characteristic p
+    tq3 = TQuotientRing(PrimeField(3), 2)
+    assert engines_for_ring(tq3) == ("fixed-point",)
+    with pytest.raises(ValueError, match="valid engines: fixed-point$"):
+        invert(commutator_displacement(tq3, 4), engine="charp-direct")
+    tq0 = TQuotientRing(QQ, 2)
+    assert engines_for_ring(tq0) == ("fixed-point", "recurrent", "tree")
+    h = (
+        NCSeries.variable(tq0, 2, 4, 1) * NCSeries.variable(tq0, 2, 4, 0)
+        + commutator_displacement(tq0, 4)[0].scale(tq0.embed(Fraction(1, 2), 1)),
+        NCSeries.variable(tq0, 2, 4, 0) * NCSeries.variable(tq0, 2, 4, 0),
+    )
+    g = invert(h, engine="fixed-point")
+    assert not g.is_identity()
+    assert invert(h, engine="recurrent") == g == invert(h, engine="tree")
 
 
 def test_dispatch_rejects_mismatched_engine():

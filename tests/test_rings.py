@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncinvert.freealg import NCSeries
 from ncinvert.rings import QQ, IntPolyRing, PrimeField, TQuotientRing
 
 GF5 = PrimeField(5)
@@ -206,33 +207,42 @@ def test_tquotient_truncates_product():
 
 
 def test_tquotient_rejects_mixed_torders():
+    # the rings differ, so series over them are refused where they meet
     R2 = TQuotientRing(QQ, 2)
     R3 = TQuotientRing(QQ, 3)
-    with pytest.raises(ValueError):
-        R2.add(R2.one(), R3.one())
+    with pytest.raises(ValueError, match="coefficient rings differ"):
+        NCSeries.one(R2, 1, 2) + NCSeries.one(R3, 1, 2)
     assert R2 != R3
     assert R2 == TQuotientRing(QQ, 2)
 
 
 def test_shift_down_requires_zero_lower_coefficients():
     R = TQuotientRing(QQ, 3)
-    x = R.embed(4, 2)
-    assert R.shift_down(x, 2) == R.from_int(4)
-    assert R.shift_down(R.zero(), 4) == R.zero()
-    with pytest.raises(ValueError):
-        R.shift_down(R.one(), 1)
+    assert R.shift_down(R.embed(4, 2)) == R.embed(4, 1)
+    assert R.shift_down(R.embed(4, 3)) == R.embed(4, 2)
+    assert R.shift_down(R.zero()) == R.zero()
+    with pytest.raises(ValueError, match=r"t\^0 is nonzero"):
+        R.shift_down(R.one())
 
 
-def test_shift_down_refuses_a_negative_t_exponent():
-    R = TQuotientRing(QQ, 2)
-    with pytest.raises(ValueError, match=r"t\^-1"):
-        R.shift_down((1, 2, 3), -1)
-
-
-def test_shift_down_refuses_a_t_exponent_past_k_plus_1():
-    R = TQuotientRing(QQ, 2)
-    with pytest.raises(ValueError, match=r"t\^5: t-exponent out of range \[0, 3\]"):
-        R.shift_down((0, 0, 0), 5)
+def test_equality_hash_and_repr_come_from_the_constructor_arguments():
+    rings = [QQ, IntPolyRing(), GF5, GF3, TQuotientRing(QQ, 2), TQuotientRing(GF5, 2)]
+    assert [repr(r) for r in rings] == [
+        "RationalField()",
+        "IntPolyRing()",
+        "PrimeField(5)",
+        "PrimeField(3)",
+        "TQuotientRing(RationalField(), 2)",
+        "TQuotientRing(PrimeField(5), 2)",
+    ]
+    for i, a in enumerate(rings):
+        for j, b in enumerate(rings):
+            assert (a == b) == (i == j), (a, b)
+    # a subclass with the same arguments is another ring
+    assert IntPolyRing() != QQ
+    assert PrimeField(5) == GF5 and hash(PrimeField(5)) == hash(GF5)
+    assert TQuotientRing(QQ, 2) == TQuotientRing(QQ, 2)
+    assert hash(TQuotientRing(QQ, 2)) == hash(TQuotientRing(QQ, 2))
 
 
 def test_restrict():

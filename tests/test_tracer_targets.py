@@ -31,6 +31,16 @@ def test_every_traced_method_is_defined_in_its_own_class():
         assert meth in cls.__dict__, (short, cls_name, meth)
 
 
+def test_every_counted_method_is_a_plain_function():
+    # the tracer's counter is bound as a method, so it stands in only for a
+    # plain function: a staticmethod or a builtin would get an extra self
+    layertrace = load_layertrace()
+    assert layertrace.COUNTED
+    for short, cls_name, meth, _ in layertrace.COUNTED:
+        cls = getattr(importlib.import_module(f"ncinvert.{short}"), cls_name)
+        assert inspect.isfunction(cls.__dict__[meth]), (short, cls_name, meth)
+
+
 def test_every_span_module_imports():
     layertrace = load_layertrace()
     assert layertrace.SPAN_MODULES
