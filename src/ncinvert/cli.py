@@ -32,7 +32,7 @@ from .inversion import (
     invert,
     verify_inverse,
 )
-from .parsing import MapFormError, ParseError, format_map, parse_map
+from .parsing import MapFormError, ParseError, format_map, parse_map, split_names
 from .rings import QQ, PrimeField
 from .suite import SuiteBounds, run_identity_suite
 
@@ -158,7 +158,7 @@ def _split_vars(text):
     """The names of ``--vars``, or None when it is not given."""
     if text is None:
         return None
-    names = [v.strip() for v in text.split(",") if v.strip()]
+    names = split_names(text)
     if not names:
         raise ParseError(f"--vars {text!r} names no variable")
     return names

@@ -531,24 +531,40 @@ def _image_table(components):
     ]
 
 
+def _splice_pass(target, source, table, k, room):
+    """``target`` plus the terms of ``source`` with the images of ``table``
+    (see ``_image_table``) spliced at position ``k``, keeping the spliced
+    terms of degree <= ``room``: one right-to-left pass of a substitution."""
+    rmul = source.ring.mul
+    spliced = (
+        pairs
+        for d, bucket in source.buckets.items()
+        for pairs in source._splices(
+            bucket, d, [(du, row) for du, row in table if d - 1 + du <= room], rmul, (k,)
+        )
+    )
+    return target._collect(spliced, start=target)
+
+
 def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     """Substitute the map into the series: each word z_i1...z_im of ``u``
     becomes the ordered product F_i1 * ... * F_im.
 
-    The letters are replaced one position at a time, from the right end to
-    the left.  Before the pass at position k each term is a raw prefix of
-    k+1 letters followed by a tail that is already substituted; the words of
-    ``u`` of length k+1 join, and the pass splices the terms of F for the
-    letter at position k in its place (``NCSeries._splices`` at that one
-    position).  Terms that share a raw prefix and a tail merge before the
-    next pass.
+    With F = z + V, substituting into a word chooses, letter by letter, to
+    keep z_i or to put V_i in its place.  The letters are replaced one
+    position at a time, from the right end to the left.  Before the pass at
+    position k each term is a raw prefix of k+1 letters followed by a tail
+    that is already substituted; the words of ``u`` of length k+1 join, and
+    the pass keeps every term (the letter at k stays z_i) and adds the terms
+    with V spliced at k (``_splice_pass``).  Terms that share a raw prefix
+    and a tail merge before the next pass.
 
     Requires every component of the map to have order >= 1 (a constant term
     would make substitution non-convergent degree by degree).  So every raw
     letter still adds degree >= 1, a term whose length passes D is dropped
     at once, and the result stays exact.  ``cache`` may be a dict shared
-    between calls composing with the *same* map: it holds the map's image
-    table, the terms of each component grouped by degree, under the key
+    between calls composing with the *same* map: it holds the image table of
+    V = F - z, the terms of each component grouped by degree, under the key
     ``()``.
     """
     f_map.components[0]._check_compatible(u)
@@ -557,23 +573,19 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
             raise ValueError(f"map component {i + 1} has a constant term")
     if cache is None:
         cache = {}
-    images = cache.get(())
-    if images is None:
-        images = cache[()] = _image_table(f_map.components)
-    rmul, words = u.ring.mul, u.buckets
-    terms = {}
+    table = cache.get(())
+    if table is None:
+        table = cache[()] = _image_table(f_map.displacement())
+    words = u.buckets
+    out = NCSeries(u.ring, u.arity, u.degree)
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words:
-            # a spliced term is longer than k + 1, so no key is shared
-            terms[k + 1] = words[k + 1]
-        terms = u._collect(
-            (e, pairs)
-            for d, bucket in terms.items()
-            for e, pairs in u._splices(bucket, d, images, rmul, (k,))
-        ).buckets
+            # every term so far is longer than k + 1, so no key is shared
+            out = NCSeries(u.ring, u.arity, u.degree, {**out.buckets, k + 1: words[k + 1]})
+        out = _splice_pass(out, out, table, k, u.degree)
     if 0 in words:
-        terms[0] = dict(words[0])
-    return NCSeries(u.ring, u.arity, u.degree, terms)
+        out = NCSeries(u.ring, u.arity, u.degree, {**out.buckets, 0: words[0]})
+    return out
 
 
 def compose_vector(vector, f_map: FormalMap, cache=None):
@@ -615,7 +627,7 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     if j == 0:
         return u
     table = _image_table(images)
-    D, rmul, words = u.degree, u.ring.mul, u.buckets
+    D, words = u.degree, u.buckets
     empty = NCSeries(u.ring, u.arity, D)
     if not table:
         # r = inf would turn the prune's 0 * inf at s = j into nan
@@ -624,13 +636,6 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     # room[s]: the largest degree a term of state s may reach
     room = [D - (j - s) * (r - 1) for s in range(j + 1)]
     states = [empty] * (j + 1)
-
-    def spliced(source, s, k):
-        # the terms of ``source`` (state s - 1) with the images spliced at k
-        for d, bucket in source.buckets.items():
-            fits = [(du, row) for du, row in table if d - 1 + du <= room[s]]
-            yield from u._splices(bucket, d, fits, rmul, (k,))
-
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words and j <= k + 1 <= room[0]:
             # state 0 holds raw words of u, so no key is shared
@@ -639,8 +644,7 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
             )
         low = max(j - k, 0)
         states = [empty] * low + [
-            states[s]._collect(spliced(states[s - 1], s, k), start=states[s])
-            if s else states[0]
+            _splice_pass(states[s], states[s - 1], table, k, room[s]) if s else states[0]
             for s in range(low, j + 1)
         ]
     return states[j]
@@ -689,10 +693,15 @@ class Derivation(_SeriesVector):
     word z_i1...z_im is the sum over positions j of
     z_i1...z_i(j-1) * u_ij * z_i(j+1)...z_im.  This is substitution at each
     letter position, *not* left multiplication: applying the derivation that
-    sends x to u (and y to 0) to the word yx yields y*u, not u*y.
+    sends x to u (and y to 0) to the word yx yields y*u, not u*y.  The
+    image table of the components is built once, with the derivation.
     """
 
-    __slots__ = ()
+    __slots__ = ("images",)
+
+    def __init__(self, components):
+        super().__init__(components)
+        self.images = _image_table(self.components)
 
     @classmethod
     def coordinate(cls, ring, arity, degree, i):
@@ -707,11 +716,11 @@ class Derivation(_SeriesVector):
     def apply(self, f: NCSeries) -> NCSeries:
         """Apply to a series, truncating at its degree bound."""
         self.components[0]._check_compatible(f)
-        images, rmul = _image_table(self.components), self.ring.mul
+        images, rmul = self.images, self.ring.mul
         return f._collect(
-            (e, pairs)
+            pairs
             for d, bucket in f.buckets.items()
-            for e, pairs in f._splices(bucket, d, images, rmul)
+            for pairs in f._splices(bucket, d, images, rmul)
         )
 
     def apply_vector(self, vector):

@@ -47,7 +47,16 @@ MAX_NESTING = 100
 #: the widest coefficients of its two operands together do
 MAX_COEFF_BITS = 1 << 16
 
-_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+#: the characters that separate tokens; any other character, Unicode spaces
+#: and control characters included, is a token or an error
+_BLANKS = " \t"
+
+_TOKEN = re.compile(
+    rf"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>[^{_BLANKS}])"
+)
+
+#: a line ends at \n, \r\n or \r only, as universal newlines reads a file
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 @dataclass
@@ -60,14 +69,15 @@ class Token:
 
 def tokenize(text: str, first_line: int = 1):
     tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=first_line):
+    lines = _LINE_END.split(text)
+    for lineno, line in enumerate(lines, start=first_line):
         for m in _TOKEN.finditer(line):
             kind = m.lastgroup
             col = m.start() + 1
             if kind == "bad":
                 raise ParseError(f"unexpected character {m.group()!r}", lineno, col)
             tokens.append(Token(kind, m.group(), lineno, col))
-    tokens.append(Token("end", "", first_line + max(0, text.count("\n")), len(text) + 1))
+    tokens.append(Token("end", "", first_line + len(lines) - 1, len(text) + 1))
     return tokens
 
 
@@ -238,27 +248,33 @@ class ParsedMap:
     variables: list
 
 
+def split_names(text):
+    """The comma-separated names of a ``vars:`` header or of ``--vars``,
+    blanks around each stripped and empty names dropped."""
+    return [v.strip(_BLANKS) for v in text.split(",") if v.strip(_BLANKS)]
+
+
 def split_map_source(text):
     """Split a map file into (variables or None, the line number of the
     ``vars:`` header or None, [(line_no, component_text)])."""
     variables = header_line = None
     pieces = []
-    lines = text.splitlines()
+    lines = _LINE_END.split(text)
     start = 0
     for i, line in enumerate(lines):
-        stripped = line.strip()
+        stripped = line.strip(_BLANKS)
         if not stripped:
             start = i + 1
             continue
         if stripped.startswith("vars:"):
-            variables = [v.strip() for v in stripped[len("vars:"):].split(",") if v.strip()]
+            variables = split_names(stripped[len("vars:"):])
             if not variables:
                 raise ParseError("empty vars: header", i + 1, 1)
             header_line = start = i + 1
         break
     for i in range(start, len(lines)):
         for chunk in lines[i].split(";"):
-            if chunk.strip():
+            if chunk.strip(_BLANKS):
                 pieces.append((i + 1, chunk))
     return variables, header_line, pieces
 

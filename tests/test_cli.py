@@ -127,6 +127,45 @@ def test_map_literals_take_only_ascii_digits(capsys):
     assert err == "parse error: 1:5: unexpected character '\u0663'\n"
 
 
+@pytest.mark.parametrize("char", ["\x1c", "\x85", "\u2028", "\u2029", "\x0c", "\xa0"])
+def test_unicode_line_and_space_characters_are_unexpected(capsys, char):
+    # each is a line break to str.splitlines() or a space to str.isspace();
+    # to the grammar a line ends only at \n, \r\n or \r, and only a space or
+    # a tab separates tokens
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", f"x - x*x{char}; y", "--vars", "x,y", "-d", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"parse error: 1:8: unexpected character {char!r}\n"
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\u2028"])
+def test_unicode_space_in_a_vars_header_or_option_is_no_blank(tmp_path, capsys, char):
+    f = tmp_path / "f.txt"
+    f.write_text(f"vars: x{char}, y\nx - x*x\ny\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "invert", str(f), "-d", "3")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: 1:1: {'x' + char!r} is not a variable name\n"
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "x - x*x; y", "--vars", f"x{char},y", "-d", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {'x' + char!r} is not a variable name\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_components_split_at_every_universal_newline(capsys, newline):
+    expected = run_cli(
+        capsys, "invert", "--expr", "x - y*x; y", "--vars", "x,y", "-d", "4", "--no-timings"
+    )
+    got = run_cli(
+        capsys, "invert", "--expr", f"x - y*x{newline}y", "--vars", "x,y", "-d", "4",
+        "--no-timings",
+    )
+    assert got == expected
+    assert got[0] == 0
+
+
 @pytest.mark.parametrize(
     "source, names, message",
     [

@@ -16,7 +16,7 @@ from ncinvert.commutative import (
     substitute,
     substitute_vector,
 )
-from ncinvert import deformation
+from ncinvert import deformation, freealg
 from ncinvert.cli import _dump_json, _map_json
 from ncinvert.deformation import embed_series, special_inverse, t_residue_series
 from ncinvert.freealg import (
@@ -38,7 +38,7 @@ from ncinvert.freealg import (
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
 from ncinvert.randmaps import random_displacement, random_series
-from ncinvert.rings import QQ, PrimeField, TQuotientRing
+from ncinvert.rings import QQ, PrimeField, RationalField, TQuotientRing
 
 
 def series(n, degree, *terms):
@@ -200,6 +200,29 @@ def test_compose_identity_fixes_everything():
     u = random_series(rng, QQ, 2, 5, 0, 4, terms=5)
     ident = FormalMap.identity(QQ, 2, 5)
     assert compose(u, ident) == u
+
+
+class CountingField(RationalField):
+    """QQ that counts its products."""
+
+    def __init__(self):
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_compose_multiplies_no_kept_letter():
+    # the identity map keeps every letter, so composing with it multiplies
+    # no coefficient at all
+    ring = CountingField()
+    terms = [((), 3), ((0,), 1), ((1, 0), -2), ((0, 1, 1, 0), Fraction(1, 2))]
+    u = NCSeries.from_terms(ring, 2, 5, [(w, Fraction(c)) for w, c in terms])
+    ident = FormalMap.identity(ring, 2, 5)
+    ring.muls = 0
+    assert compose(u, ident) == u
+    assert ring.muls == 0
 
 
 def test_compose_example_with_commutator():
@@ -388,6 +411,15 @@ def test_leibniz_rule(seed):
 
 
 # -- Jacobians ----------------------------------------------------------------
+
+
+def test_derivation_builds_its_image_table_once():
+    rng = random.Random(5)
+    delta = Derivation(random_displacement(rng, QQ, 2, 5))
+    vector = random_displacement(rng, QQ, 2, 5)
+    expect = delta.apply_vector(vector)
+    with mock.patch.object(freealg, "_image_table", side_effect=AssertionError):
+        assert delta.apply_vector(vector) == expect
 
 
 def identity_rows(n, D):
@@ -627,6 +659,10 @@ def test_compose_matches_word_by_word_reference(data):
         ring, n, D, (_word_product(w, f_map.components).scale(c) for w, c in u.terms())
     )
     assert compose(u, f_map) == expect
+    # keeping z_i or splicing V_i = F_i - z_i at each letter: u(z + V) is the
+    # sum over j of the terms with exactly j letters replaced
+    v = f_map.displacement()
+    assert expect == NCSeries.sum(ring, n, D, (replace_letters(u, v, j) for j in range(D + 1)))
     poly, vector = abelianize(u), abelianize_vector(f_map.components)
     assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)
 
@@ -648,14 +684,21 @@ def test_compose_vector_shares_one_image_table(data):
 
 
 def _t_residue_route(u, h_vector, j):
-    """(-1)^j [t^j] u(z - t*H), composed over R[t]/(t^(j+1))."""
+    """(-1)^j [t^j] u(z - t*H) over R[t]/(t^(j+1)), one word product per
+    term of u (products only, no substitution pass)."""
     ring, n, D = u.ring, u.arity, u.degree
     tring = TQuotientRing(ring, j)
-    shifted = FormalMap(
-        [NCSeries.variable(tring, n, D, i) - embed_series(h, tring, 1)
-         for i, h in enumerate(h_vector)]
+    shifted = [
+        NCSeries.variable(tring, n, D, i) - embed_series(h, tring, 1)
+        for i, h in enumerate(h_vector)
+    ]
+    image = t_residue_series(
+        NCSeries.sum(
+            tring, n, D,
+            (_word_product(w, shifted).scale(tring.embed(c)) for w, c in u.terms()),
+        ),
+        j,
     )
-    image = t_residue_series(compose(embed_series(u, tring), shifted), j)
     return image if j % 2 == 0 else -image
 
 
