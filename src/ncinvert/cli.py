@@ -24,6 +24,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from . import trees as trees_mod
+from .freealg import word_text
 from .inversion import (
     _engine_table,
     _first_residual,
@@ -333,9 +334,8 @@ def _describe_difference(ref_engine, ref_map, engine, g_map) -> str:
     _, i, word, _ = _first_residual(
         [b - a for a, b in zip(ref_map.components, g_map.components)]
     )
-    letters = "".join(f"z{j + 1}" for j in word) or "1"
     return (
-        f"component {i + 1}, word {letters}: {ref_engine} has "
+        f"component {i + 1}, word {word_text(word)}: {ref_engine} has "
         f"{ring.to_string(ref_map.components[i].coefficient(word))}, {engine} has "
         f"{ring.to_string(g_map.components[i].coefficient(word))}"
     )

@@ -39,6 +39,11 @@ def word_key(word):
     return (len(word), word)
 
 
+def word_text(word) -> str:
+    """A word of 0-based letters as z1z2...; the empty word as 1."""
+    return "".join("z%d" % (i + 1) for i in word) or "1"
+
+
 class NCSeries:
     """A degree-truncated noncommutative power series.
 
@@ -150,9 +155,7 @@ class NCSeries:
                     for uw, uc in by_letter[letter]
                 ]
 
-    @staticmethod
-    def _key_text(word):
-        return "".join("z%d" % (i + 1) for i in word) or "1"
+    _key_text = staticmethod(word_text)
 
     # -- constructors -------------------------------------------------
 

@@ -45,6 +45,7 @@ from .freealg import (
     replace_letters,
     vector_sum,
     word_key,
+    word_text,
 )
 from .rings import IntPolyRing, PrimeField
 
@@ -283,7 +284,7 @@ class VerifyReport:
     def describe(self) -> str:
         if self.ok:
             return "verified: both compositions equal the identity"
-        letters = "".join(f"z{i}" for i in self.word) if self.word else "1"
+        letters = word_text(j - 1 for j in self.word)
         return (
             f"residual in {self.side}, component {self.component}: "
             f"{self.coefficient} * {letters} at degree {self.degree}"

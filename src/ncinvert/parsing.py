@@ -67,17 +67,20 @@ class Token:
     col: int
 
 
-def tokenize(text: str, first_line: int = 1):
+def tokenize(text: str, start=(1, 1)):
+    """The tokens of ``text``, whose first character is at (line, column)
+    ``start``; each later line starts at column 1."""
     tokens = []
-    lines = _LINE_END.split(text)
-    for lineno, line in enumerate(lines, start=first_line):
+    lineno, offset = start
+    for lineno, line in enumerate(_LINE_END.split(text), start=lineno):
         for m in _TOKEN.finditer(line):
             kind = m.lastgroup
-            col = m.start() + 1
+            col = m.start() + offset
             if kind == "bad":
                 raise ParseError(f"unexpected character {m.group()!r}", lineno, col)
             tokens.append(Token(kind, m.group(), lineno, col))
-    tokens.append(Token("end", "", first_line + len(lines) - 1, len(text) + 1))
+        end, offset = len(line) + offset, 1
+    tokens.append(Token("end", "", lineno, end))
     return tokens
 
 
@@ -230,9 +233,10 @@ class _Parser:
         self.error(f"unexpected {tok.text!r}", tok)
 
 
-def parse_expression(text, variables, ring, degree, first_line=1) -> NCSeries:
-    """Parse a single expression into a series over the given ring."""
-    parser = _Parser(tokenize(text, first_line), variables, ring, degree)
+def parse_expression(text, variables, ring, degree, start=(1, 1)) -> NCSeries:
+    """Parse a single expression into a series over the given ring; error
+    positions count from ``start``, the (line, column) of its first character."""
+    parser = _Parser(tokenize(text, start), variables, ring, degree)
     out = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
@@ -256,7 +260,7 @@ def split_names(text):
 
 def split_map_source(text):
     """Split a map file into (variables or None, the line number of the
-    ``vars:`` header or None, [(line_no, component_text)])."""
+    ``vars:`` header or None, [((line_no, column), component_text)])."""
     variables = header_line = None
     pieces = []
     lines = _LINE_END.split(text)
@@ -273,9 +277,11 @@ def split_map_source(text):
             header_line = start = i + 1
         break
     for i in range(start, len(lines)):
+        col = 1
         for chunk in lines[i].split(";"):
             if chunk.strip(_BLANKS):
-                pieces.append((i + 1, chunk))
+                pieces.append(((i + 1, col), chunk))
+            col += len(chunk) + 1
     return variables, header_line, pieces
 
 
@@ -315,8 +321,7 @@ def parse_map(text, ring, degree, variables=None) -> ParsedMap:
             f"{len(pieces)} components but {len(names)} variables ({', '.join(names)})"
         )
     comps = [
-        parse_expression(chunk, names, ring, degree, first_line=line_no)
-        for line_no, chunk in pieces
+        parse_expression(chunk, names, ring, degree, start) for start, chunk in pieces
     ]
     try:
         _check_unitriangular(comps, ring)

@@ -309,9 +309,9 @@ def _tree_agreement(rng, bounds):
     n, D, _ = bounds.draw(rng)
     h = random_displacement(rng, QQ, n, D)
     nseq = n_seq_recurrent(h)
-    memo = {}
+    table = []
     for m in range(1, len(nseq) + 1):
-        if list(trees.tree_expansion_term(h, m, memo=memo)) != list(nseq.term(m)):
+        if list(trees.tree_expansion_term(h, m, table)) != list(nseq.term(m)):
             return False
     return True
 

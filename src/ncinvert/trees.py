@@ -10,18 +10,28 @@ written T^! below weights the expansion
 where N_leaf = H and N_(T1,T2) = [N_T1 d/dz] N_T2.  The reciprocal weights
 are exact rationals summing to 1 in every leaf count, which is one of the
 testable identities shipped here.
+
+One recursion, ``_grow``, grafts the trees of each leaf count; it carries a
+``PBTree`` for the listing, the int T^! for the identities and the pair
+(T^!, N_T) for the engine, whose table keeps one entry per tree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 from .freealg import Derivation, FormalMap, vector_sum
 from .inversion import NSequence
 
-#: the most trees ``enumerate_pbtrees`` builds in one call
+#: the most trees with one leaf count that ``_grow`` builds
 MAX_TREES = 10**6
+
+
+def _graft_factorial(s, a, b):
+    """T^! of a tree with s leaves from the factorials of its subtrees."""
+    return (s - 1) * a * b
 
 
 class PBTree:
@@ -42,7 +52,7 @@ class PBTree:
             self._serial = "o"
         else:
             self.leaves = left.leaves + right.leaves
-            self.factorial = (self.leaves - 1) * left.factorial * right.factorial
+            self.factorial = _graft_factorial(self.leaves, left.factorial, right.factorial)
             self._serial = "(" + left._serial + right._serial + ")"
 
     @property
@@ -89,22 +99,24 @@ def _check_tree_count(m: int):
     )
 
 
-def enumerate_pbtrees(m: int):
-    """All planar binary trees with m leaves, in a fixed deterministic order
-    (left leaf count ascending, then recursively); Catalan(m-1) of them,
-    refused with a ValueError past MAX_TREES."""
+def _grow(table, m: int, leaf, graft):
+    """``table`` (seeded with ``leaf`` if empty) extended through m leaves,
+    refused past MAX_TREES: ``table[s]`` lists ``graft(s, a, b)`` over
+    k = 1..s-1, a in ``table[k]``, b in ``table[s - k]``."""
     _check_tree_count(m)
-    out = [[], [LEAF]]
-    for size in range(2, m + 1):
-        out.append(
-            [
-                PBTree(a, b)
-                for k in range(1, size)
-                for a in out[k]
-                for b in out[size - k]
-            ]
+    if not table:
+        table += [[], [leaf]]
+    for s in range(len(table), m + 1):
+        table.append(
+            [graft(s, a, b) for k in range(1, s) for a in table[k] for b in table[s - k]]
         )
-    return out[m]
+    return table
+
+
+def enumerate_pbtrees(m: int):
+    """All planar binary trees with m leaves, in ``_grow``'s order;
+    Catalan(m-1) of them, refused with a ValueError past MAX_TREES."""
+    return _grow([], m, LEAF, lambda s, a, b: PBTree(a, b))[m]
 
 
 # ---------------------------------------------------------------------------
@@ -122,46 +134,32 @@ def _check_characteristic_zero(ring):
         )
 
 
-def _tree_series(tree, h_vector, memo):
-    """N_T: the leaf carries H, grafting applies [N_T1 d/dz] N_T2.
-
-    ``memo`` maps tree serializations to computed vectors; structurally equal
-    subtrees share one evaluation, which collapses the Catalan blowup.
-    """
-    got = memo.get(tree._serial)
-    if got is not None:
-        return got
-    if tree.is_leaf:
-        result = h_vector
-    else:
-        left = _tree_series(tree.left, h_vector, memo)
-        right = _tree_series(tree.right, h_vector, memo)
-        result = Derivation(left).apply_vector(right)
-    memo[tree._serial] = result
-    return result
+def _graft_series(s, a, b):
+    """(T^!, N_T) of a tree with s leaves from the pairs of its subtrees."""
+    return _graft_factorial(s, a[0], b[0]), Derivation(a[1]).apply_vector(b[1])
 
 
-def tree_expansion_term(h_vector, m: int, memo=None):
+def tree_expansion_term(h_vector, m: int, table=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
-    Trees sharing a factorial are summed first and divided once per group;
-    exact arithmetic makes every grouping and reduction order equivalent,
-    and groups are processed in sorted order so output is deterministic.
+    ``table`` holds (T^!, N_T) per tree and leaf count for this H; it grows
+    through m, so calls that share it evaluate each tree once.  Trees
+    sharing a factorial are summed first and divided once per group, in
+    sorted order so output is deterministic.
     """
     h_vector = tuple(h_vector)
     ring, n, D = h_vector[0].ring, h_vector[0].arity, h_vector[0].degree
     _check_characteristic_zero(ring)
-    if memo is None:
-        memo = {}
+    table = _grow([] if table is None else table, m, (1, h_vector), _graft_series)
     groups = {}
-    for tree in enumerate_pbtrees(m):
-        groups.setdefault(tree.factorial, []).append(tree)
+    for w, series in table[m]:
+        groups.setdefault(w, []).append(series)
 
     weighted = []
-    for w, trees in sorted(groups.items()):
-        group = vector_sum(ring, n, D, [_tree_series(t, h_vector, memo) for t in trees])
+    for w, group in sorted(groups.items()):
+        total = vector_sum(ring, n, D, group)
         weighted.append(
-            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in group)
+            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in total)
         )
     return vector_sum(ring, n, D, weighted)
 
@@ -174,9 +172,9 @@ def invert_tree(h_vector) -> FormalMap:
     # here too: at D <= 2 no layer runs
     _check_characteristic_zero(h_vector[0].ring)
     _check_tree_count(max(1, h_vector[0].degree - 1))
-    memo = {}
+    table = []
     nseq = NSequence.from_layers(
-        h_vector, lambda _, m: tree_expansion_term(h_vector, m, memo=memo)
+        h_vector, lambda _, m: tree_expansion_term(h_vector, m, table)
     )
     return nseq.assemble()
 
@@ -188,18 +186,18 @@ def invert_tree(h_vector) -> FormalMap:
 
 def factorial_reciprocal_sum(m: int) -> Fraction:
     """sum over trees with m leaves of 1/T^!, as an exact rational."""
-    return sum(
-        (Fraction(1, t.factorial) for t in enumerate_pbtrees(m)),
-        Fraction(0),
-    )
+    return factorial_identity_check(m)[-1][1]
 
 
 def factorial_identity_check(m_max: int):
     """[(m, sum of 1/T^!)] for m = 1..m_max; every sum should be exactly 1."""
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    _check_tree_count(m_max)
-    return [(m, factorial_reciprocal_sum(m)) for m in range(1, m_max + 1)]
+    table = _grow([], m_max, 1, _graft_factorial)
+    return [
+        (m, sum(Fraction(count, w) for w, count in Counter(table[m]).items()))
+        for m in range(1, m_max + 1)
+    ]
 
 
 def gf_identity_check(m_max: int, sums=None) -> bool:
@@ -207,7 +205,7 @@ def gf_identity_check(m_max: int, sums=None) -> bool:
     sums against its defining ODE a' = a^2, a(0) = 1, coefficientwise:
     (m-1) a_m = sum_{k+l=m} a_k a_l for every m <= m_max."""
     if sums is None:
-        sums = [factorial_reciprocal_sum(m) for m in range(1, m_max + 1)]
+        sums = [total for _, total in factorial_identity_check(m_max)]
     if len(sums) < m_max:
         raise ValueError("need one sum per leaf count")
     if sums[0] != 1:

@@ -139,6 +139,27 @@ def test_unicode_line_and_space_characters_are_unexpected(capsys, char):
     assert err == f"parse error: 1:8: unexpected character {char!r}\n"
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("x - x*x; y - $y", "1:14: unexpected character '$'"),
+        ("x - x*x; y - (y", "1:16: expected ')'"),
+        ("vars: x, y\nx - x*x;  y - y*$\n", "2:17: unexpected character '$'"),
+    ],
+    ids=["expr-character", "expr-end", "file-line"],
+)
+def test_parse_error_columns_count_from_the_start_of_the_line(
+    tmp_path, capsys, source, message
+):
+    # a component after ';' keeps its place on the line
+    path = tmp_path / "map.txt"
+    path.write_text(source, encoding="utf-8")
+    argv = ["--expr", source, "--vars", "x,y"] if "\n" not in source else [str(path)]
+    code, out, err = run_cli(capsys, "invert", *argv, "-d", "3")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
 @pytest.mark.parametrize("char", ["\x1c", "\u2028"])
 def test_unicode_space_in_a_vars_header_or_option_is_no_blank(tmp_path, capsys, char):
     f = tmp_path / "f.txt"

@@ -843,3 +843,9 @@ def test_every_kernel_stores_no_empty_bucket_and_no_zero(data):
     for s in (a, b, p):
         assert (s + (-s)).buckets == {}
         assert (s - s).buckets == {}
+
+
+def test_repr_prints_words_as_z_letters():
+    s = NCSeries.from_terms(QQ, 2, 3, [((), 2), ((1, 0), -1), ((0, 0, 1), 3)])
+    assert repr(s) == "NCSeries(2*1, -1*z2z1, 3*z1z1z2; n=2, D=3)"
+    assert repr(NCSeries.zero(QQ, 2, 3)) == "NCSeries(0; n=2, D=3)"

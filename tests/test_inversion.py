@@ -449,6 +449,13 @@ def test_verify_reports_missing_displacement():
     # F(id) - id = -H = xy - yx: the first residual term degree-lex is +1 * xy
     assert report.word == (1, 2)
     assert report.coefficient == "1"
+    assert report.describe() == "residual in F(G), component 1: 1 * z1z2 at degree 2"
+    assert verify_inverse(f, f).describe() == (
+        "residual in F(G), component 1: 2 * z1z2 at degree 2"
+    )
+    assert inversion.VerifyReport(
+        ok=False, side="G(F)", component=2, word=(), degree=0, coefficient="3"
+    ).describe() == "residual in G(F), component 2: 3 * 1 at degree 0"
 
 
 def test_mutating_any_coefficient_is_detected_at_its_degree():

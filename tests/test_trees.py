@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ncinvert.freealg import NCSeries
+from ncinvert.freealg import Derivation, NCSeries
 from ncinvert.inversion import n_seq_recurrent
 from ncinvert.randmaps import random_displacement, random_homogeneous_displacement
 from ncinvert.rings import QQ, PrimeField
 from ncinvert.trees import (
     LEAF,
     PBTree,
-    _tree_series,
     enumerate_pbtrees,
     factorial_identity_check,
     factorial_reciprocal_sum,
@@ -47,8 +46,12 @@ def reduced_tree(tree: PBTree):
 
 
 def tree_series(tree: PBTree, h_vector):
-    """N_T of one tree, with a fresh memo."""
-    return _tree_series(tree, tuple(h_vector), {})
+    """N_T of one tree, by its own recursion: the leaf carries H, grafting
+    applies [N_T1 d/dz] N_T2.  The per-tree reference for the engine."""
+    if tree.is_leaf:
+        return tuple(h_vector)
+    left = tree_series(tree.left, h_vector)
+    return Derivation(left).apply_vector(tree_series(tree.right, h_vector))
 
 
 def catalan_numbers(count):
@@ -201,9 +204,44 @@ def test_expansion_matches_recurrence():
     for n in (1, 2, 3):
         h = random_displacement(rng, QQ, n, 6)
         nseq = n_seq_recurrent(h)
-        memo = {}
+        table = []
         for m in range(1, len(nseq) + 1):
-            assert list(tree_expansion_term(h, m, memo=memo)) == list(nseq.term(m))
+            assert list(tree_expansion_term(h, m, table)) == list(nseq.term(m))
+
+
+def test_engine_table_holds_each_tree_in_enumeration_order():
+    rng = random.Random(21)
+    h = random_displacement(rng, QQ, 2, 7)
+    table = []
+    tree_expansion_term(h, 6, table)
+    assert len(table) == 7
+    for s in range(1, 7):
+        assert table[s] == [
+            (t.factorial, tree_series(t, h)) for t in enumerate_pbtrees(s)
+        ], s
+
+
+def test_identities_and_engine_build_no_pbtree(monkeypatch):
+    built = []
+    real_init = PBTree.__init__
+
+    def counting_init(self, left=None, right=None):
+        built.append(1)
+        real_init(self, left, right)
+
+    monkeypatch.setattr(PBTree, "__init__", counting_init)
+    assert len(enumerate_pbtrees(8)) == 429
+    assert len(built) == sum(catalan_numbers(8)[1:])  # sizes 2..8, each once
+
+    def refuse(self, left=None, right=None):
+        raise AssertionError("a PBTree was built")
+
+    monkeypatch.setattr(PBTree, "__init__", refuse)
+    assert all(total == 1 for _, total in factorial_identity_check(8))
+    assert factorial_reciprocal_sum(8) == 1
+    h = random_displacement(random.Random(4), QQ, 2, 7)
+    tree_expansion_term(h, 6)
+    assert invert_tree(h) == n_seq_recurrent(h).assemble()
 
 
 def test_expansion_needs_characteristic_zero():
@@ -231,6 +269,11 @@ def test_enumeration_is_bounded():
     h = (NCSeries.zero(QQ, 1, 16),)
     with pytest.raises(ValueError, match="limit of 1,000,000"):
         invert_tree(h)
+    with pytest.raises(ValueError, match=r"Catalan\(14\) = 2,674,440 .* limit of 1,000,000"):
+        tree_expansion_term(h, 15)
+    for refused in (enumerate_pbtrees, lambda m: tree_expansion_term(h, m)):
+        with pytest.raises(ValueError, match="leaf count must be >= 1"):
+            refused(0)
 
 
 def test_engine_completes_through_429_trees():
@@ -240,3 +283,4 @@ def test_engine_completes_through_429_trees():
     h = (ad_y_power(D, 1), NCSeries.zero(QQ, 2, D))
     g = invert_tree(h)
     assert g.component(0).coefficient((1,) * 8 + (0,)) == 1  # y^8 x from ad^8
+    assert g == n_seq_recurrent(h).assemble()
