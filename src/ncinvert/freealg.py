@@ -716,18 +716,33 @@ class Derivation(_SeriesVector):
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def apply(self, f: NCSeries) -> NCSeries:
-        """Apply to a series, truncating at its degree bound."""
+    def _leibniz_terms(self, f: NCSeries):
+        """The Leibniz terms of the derivation on ``f``, uncollected: the
+        (degree, [(stored key, coefficient), ...]) stream of
+        ``NCSeries._splices`` over the buckets of ``f``, truncated at its
+        degree bound.  ``apply`` collects it into a series, and
+        ``derivation_sum`` collects many of them into one."""
         self.components[0]._check_compatible(f)
         images, rmul = self.images, self.ring.mul
-        return f._collect(
-            pairs
-            for d, bucket in f.buckets.items()
-            for pairs in f._splices(bucket, d, images, rmul)
-        )
+        for d, bucket in f.buckets.items():
+            yield from f._splices(bucket, d, images, rmul)
+
+    def apply(self, f: NCSeries) -> NCSeries:
+        """Apply to a series, truncating at its degree bound."""
+        return f._collect(self._leibniz_terms(f))
 
     def apply_vector(self, vector):
         return tuple(self.apply(f) for f in vector)
+
+
+def derivation_sum(ring, arity, degree, applications):
+    """The sum of ``delta.apply(f)`` over the (Derivation, series) pairs of
+    ``applications``, each series ``arity`` letters over ``ring`` truncated
+    at ``degree``, in one accumulation pass: the Leibniz terms of every pair
+    go into one collection, and no ``delta.apply(f)`` is built."""
+    return NCSeries(ring, arity, degree)._collect(
+        pairs for delta, f in applications for pairs in delta._leibniz_terms(f)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,18 @@ the rings differ.  Equality, hash and repr are stated once, in
 
 A ring works on single values.  Terms are summed into series in one place,
 :meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
+A value rule may be a C builtin held as a staticmethod, so that those loops
+enter no Python frame per term: over QQ ``add``, ``neg``, ``mul`` and
+``is_zero`` are ``operator.add``, ``neg``, ``mul`` and ``not_``, and over
+GF(p) ``is_zero`` is ``operator.not_``.  ``IntPolyRing.mul`` and
+``TQuotientRing.mul`` stay plain functions in their own class bodies,
+because the layer trace (``perfbench/layertrace.py``) counts their calls
+with a wrapper that is bound as a method.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 
@@ -72,7 +80,9 @@ class Ring:
     Subclasses define ``zero()``, ``one()``, ``add``, ``neg``, ``mul``,
     ``is_zero``, ``from_int``, ``div_by_int``, ``to_string`` and a
     ``characteristic`` attribute; ``mul_int`` defaults to ``mul`` by
-    ``from_int(n)``.  Values are compared with ``==``.
+    ``from_int(n)``.  The value rules ``add``, ``neg``, ``mul`` and
+    ``is_zero`` are called on the ring with the values alone, so each may be
+    a method or a staticmethod builtin.  Values are compared with ``==``.
 
     ``_args`` is the tuple of a ring's constructor arguments.  Two rings are
     equal when they are of the same exact type with equal ``_args``, and
@@ -112,17 +122,11 @@ class RationalField(Ring):
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    #: an int or Fraction is false exactly when it is 0
+    is_zero = staticmethod(operator.not_)
 
     def from_int(self, n: int):
         return n
@@ -178,8 +182,8 @@ class PrimeField(Ring):
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def is_zero(self, a):
-        return a == 0
+    #: a residue in [0, p) is false exactly when it is 0
+    is_zero = staticmethod(operator.not_)
 
     def from_int(self, n: int):
         return n % self.p
@@ -291,12 +295,14 @@ class IntPolyRing(RationalField):
     Values are ints.  ``div_by_int`` divides exactly or raises
     AssertionError: the recurrence over Z never leaves the integers, so a
     remainder means the lift went wrong, and the CLI reports it as a failed
-    check.  The class keeps its historical name and a ``mul`` in its own
-    body because the external layer trace (``perfbench/layertrace.py``)
-    counts calls of ``IntPolyRing.__dict__["mul"]``.
+    check.  The class keeps its historical name and a plain-function ``mul``
+    in its own body, not QQ's builtin, because the external layer trace
+    (``perfbench/layertrace.py``) counts calls of
+    ``IntPolyRing.__dict__["mul"]``.
     """
 
-    mul = RationalField.mul
+    def mul(self, a, b):
+        return a * b
 
     def div_by_int(self, a, m: int):
         if m == 0:

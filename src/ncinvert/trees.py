@@ -13,17 +13,22 @@ testable identities shipped here.
 
 One recursion, ``_grow``, grafts the trees of each leaf count; it carries a
 ``PBTree`` for the listing, the int T^! for the identities and the pair
-(T^!, N_T) for the engine, whose table keeps one entry per tree.
+(T^!, N_T) for the engine, whose table keeps one entry per tree with at
+most D - 2 leaves.  The engine sums a layer over ints: T^! divides (m-1)!,
+and e(T) = (m-1)!/T^! counts the linear extensions of the reduced tree, so
+N_[m] = (sum over T of e(T) N_T) / (m-1)!, one accumulation pass per
+component and one division per term.  The trees of the last layer,
+m = D - 1, are grafted into that pass as Leibniz pairs and never stored.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .freealg import Derivation, FormalMap, vector_sum
-from .inversion import NSequence
+from .freealg import Derivation, FormalMap, NCSeries, derivation_sum
+from .inversion import NSequence, _vector_meta
 
 #: the most trees with one leaf count that ``_grow`` builds
 MAX_TREES = 10**6
@@ -139,29 +144,55 @@ def _graft_series(s, a, b):
     return _graft_factorial(s, a[0], b[0]), Derivation(a[1]).apply_vector(b[1])
 
 
+def _last_layer_applications(table, m, i):
+    """(Derivation(N_T1), component i of e(T) N_T2) per tree T = (T1, T2)
+    with m leaves, in ``_grow``'s order, so that e(T) N_T is the derivation
+    applied: T^! = (m-1) T1^! T2^! gives e(T) = (m-2)!/(T1^! T2^!)."""
+    weight = factorial(m - 2)
+    for k in range(1, m):
+        for w1, n1 in table[k]:
+            delta = Derivation(n1)
+            for w2, n2 in table[m - k]:
+                yield delta, n2[i].scale_int(weight // (w1 * w2))
+
+
 def tree_expansion_term(h_vector, m: int, table=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
-    ``table`` holds (T^!, N_T) per tree and leaf count for this H; it grows
-    through m, so calls that share it evaluate each tree once.  Trees
-    sharing a factorial are summed first and divided once per group, in
-    sorted order so output is deterministic.
-    """
-    h_vector = tuple(h_vector)
-    ring, n, D = h_vector[0].ring, h_vector[0].arity, h_vector[0].degree
-    _check_characteristic_zero(ring)
-    table = _grow([] if table is None else table, m, (1, h_vector), _graft_series)
-    groups = {}
-    for w, series in table[m]:
-        groups.setdefault(w, []).append(series)
+    Each tree T enters with the int weight e(T) = (m-1)!/T^!, the number of
+    linear extensions of its reduced tree (T^! divides (m-1)!): one
+    accumulation pass per component sums e(T) N_T over the trees, in
+    ``_grow``'s order, and each term of the sum is divided once by (m-1)!.
 
-    weighted = []
-    for w, group in sorted(groups.items()):
-        total = vector_sum(ring, n, D, group)
-        weighted.append(
-            tuple(s.map_coefficients(lambda c: ring.div_by_int(c, w)) for s in total)
-        )
-    return vector_sum(ring, n, D, weighted)
+    ``table`` holds (T^!, N_T) per tree and leaf count for this H; calls
+    that share it evaluate each tree once.  It grows through m, but no
+    layer >= D - 1 is grafted into it.  N_T has order >= m + 1, so a tree
+    with D - 1 leaves is no subtree of a tree that survives truncation at
+    D: at m = D - 1 the Leibniz terms of each graft go straight into the
+    pass (``derivation_sum``).  At m >= D every N_T is 0 and nothing is
+    grafted.
+    """
+    h_vector, ring, n, D = _vector_meta(h_vector)
+    _check_characteristic_zero(ring)
+    _check_tree_count(m)
+    if m >= D:
+        return (NCSeries.zero(ring, n, D),) * n
+    # layer 1 is the leaf that seeds the table, not a graft
+    last = 1 < m == D - 1
+    table = _grow(
+        [] if table is None else table, m - 1 if last else m, (1, h_vector), _graft_series
+    )
+    total = factorial(m - 1)
+
+    def weighted_sum(i):
+        if last:
+            return derivation_sum(ring, n, D, _last_layer_applications(table, m, i))
+        return NCSeries.sum(ring, n, D, (s[i].scale_int(total // w) for w, s in table[m]))
+
+    return tuple(
+        weighted_sum(i).map_coefficients(lambda c: ring.div_by_int(c, total))
+        for i in range(n)
+    )
 
 
 def invert_tree(h_vector) -> FormalMap:

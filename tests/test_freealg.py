@@ -29,6 +29,7 @@ from ncinvert.freealg import (
     _substitute,
     compose,
     compose_vector,
+    derivation_sum,
     jacobian_tilde,
     matrix_derivation_apply,
     replace_letters,
@@ -393,6 +394,23 @@ def test_ad_derivation_iterates():
         2, 5, ((1, 1, 1, 0), 1), ((1, 1, 0, 1), -3), ((1, 0, 1, 1), 3), ((0, 1, 1, 1), -1)
     )
     assert ad3 == expect
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_derivation_sum_is_the_sum_of_the_applications(seed):
+    rng = random.Random(seed)
+    n, D = rng.randint(1, 3), rng.randint(2, 6)
+    applications = [
+        (Derivation(random_displacement(rng, QQ, n, D)), random_series(rng, QQ, n, D, 0, D))
+        for _ in range(rng.randint(0, 3))
+    ]
+    expect = NCSeries.sum(QQ, n, D, (delta.apply(f) for delta, f in applications))
+    assert derivation_sum(QQ, n, D, iter(applications)) == expect
+    # a series of another truncation is refused, as by ``apply``
+    delta = Derivation(random_displacement(rng, QQ, n, D))
+    with pytest.raises(ValueError, match="truncation degree mismatch"):
+        derivation_sum(QQ, n, D, [(delta, NCSeries.zero(QQ, n, D + 1))])
 
 
 @given(st.integers(0, 10**6))

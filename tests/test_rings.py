@@ -253,6 +253,40 @@ def test_restrict():
         R.restrict(x, 5)
 
 
+# -- value rules held as C builtins -----------------------------------------------
+
+
+def test_is_zero_is_true_exactly_on_zero():
+    for zero in (0, Fraction(0, 5), Fraction(1, 3) - Fraction(1, 3)):
+        assert QQ.is_zero(zero) is True
+    for nonzero in (1, -2, Fraction(1, 3), Fraction(-(10**30), 7)):
+        assert QQ.is_zero(nonzero) is False
+    for ring in (GF5, GF3):
+        p = ring.characteristic
+        residues = [ring.from_int(k) for k in range(-2 * p, 2 * p)]
+        assert [ring.is_zero(r) for r in residues] == [k % p == 0 for k in range(-2 * p, 2 * p)]
+
+
+def test_rational_add_neg_and_mul():
+    total = QQ.add(Fraction(1, 2), Fraction(1, 2))
+    assert total == 1 and total.denominator == 1
+    assert QQ.neg(Fraction(-3, 7)) == Fraction(3, 7)
+    assert QQ.neg(5) == -5
+    assert QQ.mul(3, Fraction(2, 9)) == QQ.mul(Fraction(2, 9), 3) == Fraction(2, 3)
+    assert type(QQ.mul(4, -5)) is int
+    # the integer lift takes the rules it inherits and keeps its own mul
+    R = IntPolyRing()
+    assert R.add(R.neg(6), R.mul(2, 3)) == 0 and R.is_zero(0)
+
+
+def test_collect_drops_a_key_whose_fractions_cancel():
+    third = Fraction(1, 3)
+    s = NCSeries.from_terms(QQ, 2, 3, [((0, 1), third), ((1,), 2), ((0, 1), -third)])
+    assert s.buckets == {1: {1: 2}}
+    x = NCSeries.from_terms(QQ, 2, 3, [((0, 1), third), ((1, 1, 0), Fraction(-2, 7))])
+    assert (x - x).buckets == {}
+
+
 # -- the integer lift ring ----------------------------------------------------
 
 

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ncinvert.freealg import Derivation, NCSeries
+from ncinvert.freealg import Derivation, NCSeries, vector_sum
 from ncinvert.inversion import n_seq_recurrent
 from ncinvert.randmaps import random_displacement, random_homogeneous_displacement
 from ncinvert.rings import QQ, PrimeField
@@ -210,8 +212,9 @@ def test_expansion_matches_recurrence():
 
 
 def test_engine_table_holds_each_tree_in_enumeration_order():
+    # D = 8, so that layer 6 is a stored layer, not the streamed last one
     rng = random.Random(21)
-    h = random_displacement(rng, QQ, 2, 7)
+    h = random_displacement(rng, QQ, 2, 8)
     table = []
     tree_expansion_term(h, 6, table)
     assert len(table) == 7
@@ -219,6 +222,53 @@ def test_engine_table_holds_each_tree_in_enumeration_order():
         assert table[s] == [
             (t.factorial, tree_series(t, h)) for t in enumerate_pbtrees(s)
         ], s
+
+
+def test_engine_table_stops_below_the_last_layer():
+    # a tree with D - 1 leaves is no subtree of a nonzero N_T: its layer is
+    # streamed, and at m >= D nothing is grafted
+    rng = random.Random(22)
+    for n, D in ((1, 5), (2, 6), (3, 4)):
+        h = random_displacement(rng, QQ, n, D)
+        nseq = n_seq_recurrent(h)
+        table = []
+        assert list(tree_expansion_term(h, D - 1, table)) == list(nseq.term(D - 1))
+        assert len(table) == D - 1
+        for m in (D, 2 * D):
+            fresh = []
+            assert all(s.is_zero() for s in tree_expansion_term(h, m, fresh))
+            assert fresh == []
+
+
+@st.composite
+def fractional_maps(draw):
+    """H over QQ, n in {1, 2}, D <= 7, with a coefficient p/q, q > 1."""
+    n = draw(st.integers(1, 2))
+    D = draw(st.integers(2, 7))
+    words = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(3, D)).map(tuple)
+    coefficients = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)
+    )
+    terms = st.lists(st.tuples(words, coefficients), max_size=3)
+    h = tuple(NCSeries.from_terms(QQ, n, D, draw(terms)) for _ in range(n))
+    assume(any(c.denominator > 1 for s in h for _, c in s.terms()))
+    return h
+
+
+@settings(max_examples=30, deadline=None)
+@given(fractional_maps())
+def test_expansion_term_is_the_sum_over_trees_divided_by_their_factorials(h):
+    n, D = h[0].arity, h[0].degree
+    table = []
+    for m in range(1, D + 2):
+        expect = vector_sum(
+            QQ, n, D,
+            (
+                tuple(s.scale(Fraction(1, t.factorial)) for s in tree_series(t, h))
+                for t in enumerate_pbtrees(m)
+            ),
+        )
+        assert tree_expansion_term(h, m, table) == expect, m
 
 
 def test_identities_and_engine_build_no_pbtree(monkeypatch):
