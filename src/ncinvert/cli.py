@@ -89,15 +89,15 @@ def _letter_lines(arity):
 def _map_json(f_map):
     """The ``"map"`` JSON value of a FormalMap, one dict per component:
     arity, degree and the terms in degree-lexicographic order, each word as
-    its 1-based letters and each coefficient as its ring string."""
+    its 1-based letters, read from the decoder tables with letters numbered
+    from 1, and each coefficient as its ring string."""
     to_string = f_map.ring.to_string
     return [
         {
             "arity": f_map.arity,
             "degree": f_map.degree,
             "terms": [
-                {"word": [i + 1 for i in word], "coeff": to_string(c)}
-                for word, c in comp.terms()
+                {"word": list(word), "coeff": to_string(c)} for word, c in comp.terms(1)
             ],
         }
         for comp in f_map.components

@@ -48,8 +48,10 @@ class CommPoly(NCSeries):
     def _key_in(self, expo):
         return expo
 
-    def _key_out(self, expo, d):
-        return expo
+    def _keys_out(self, expos, d, first=0):
+        """Exponent vectors as they are stored; they have no letters to
+        number."""
+        return expos
 
     @staticmethod
     def _products(b1, b2, d2, rmul):

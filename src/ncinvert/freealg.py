@@ -13,6 +13,14 @@ computation in the quotient by words of degree > D.
 Coefficients live in a ring context from :mod:`ncinvert.rings` and commute
 with everything; all noncommutativity is carried by the words.
 
+Stored codes leave a series by table (``word_decoder``): for n letters the
+chunk length L is the largest with n**L <= ``WORD_TABLE_CAP`` (at least 1,
+at most ``MAX_CHUNK``), and the table lists the words of length L in code
+order, so ``table[code]`` is the word, and a shorter word is the tail of the
+entry with its code.  A code of length d decodes with ceil(d/L) lookups, one
+division by n**L per chunk.  A table is built on first use and depends on
+nothing but the arity and the number of the first letter.
+
 Every series is built by one collector, ``NCSeries._collect``: sums,
 products, derivations, compositions and ``from_terms`` hand it their
 (key, coefficient) pairs degree by degree, and it is the one place where a
@@ -26,7 +34,9 @@ and results may be shared freely.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cache, partial
+from itertools import repeat, tee
+from operator import add, floordiv, itemgetter, mod
 
 from .rings import Ring, coeff_bits
 
@@ -44,6 +54,56 @@ def word_text(word) -> str:
     return "".join("z%d" % (i + 1) for i in word) or "1"
 
 
+#: the most words that a decoder table lists, unless one letter is already
+#: more: then the table lists the n one-letter words
+WORD_TABLE_CAP = 256
+#: the longest chunk: two letters reach it at the cap, and it bounds one
+#: letter, whose table lists a single word
+MAX_CHUNK = WORD_TABLE_CAP.bit_length() - 1
+
+
+def chunk_length(arity):
+    """The letters that one table lookup decodes: the largest L <=
+    ``MAX_CHUNK`` with arity**L <= ``WORD_TABLE_CAP``, and at least 1."""
+    chunk = 1
+    while chunk < MAX_CHUNK and arity ** (chunk + 1) <= WORD_TABLE_CAP:
+        chunk += 1
+    return chunk
+
+
+@cache
+def word_decoder(arity, first=0):
+    """``decode(codes, d)``: an iterator over the tuple words of length
+    ``d`` whose base-n codes, n = ``arity``, are ``codes``, with letters
+    numbered from ``first``.
+
+    The one table lists the n**L words of length L in code order.  A code
+    of length d <= L is also the code of its word with L - d letters of
+    digit 0 put in front, so its word is the last d letters of one table
+    entry.  A longer code splits into its last L letters
+    (code % n**L) and the rest (code // n**L), each decoded by the table,
+    and the two words concatenate: ceil(d/L) lookups per word.  The words
+    come one at a time, so a bucket's words are never all held at once.
+    """
+    chunk = chunk_length(arity)
+    words = [()]
+    for _ in range(chunk):
+        words = [w + (a,) for w in words for a in range(first, first + arity)]
+    table, base = words.__getitem__, arity**chunk
+
+    def decode(codes, d):
+        if d <= chunk:
+            return map(itemgetter(slice(chunk - d, None)), map(table, codes))
+        high, low = tee(codes)
+        return map(
+            add,
+            decode(map(floordiv, high, repeat(base)), d - chunk),
+            map(table, map(mod, low, repeat(base))),
+        )
+
+    return decode
+
+
 class NCSeries:
     """A degree-truncated noncommutative power series.
 
@@ -57,17 +117,19 @@ class NCSeries:
     arity, truncation degree and term mappings agree.
 
     Only the key methods below read a stored key: ``_key_degree``,
-    ``_unit_key``, ``_check_key``, ``_key_in``, ``_key_out``, ``_products``,
-    ``_splices`` and ``_key_text`` (the text of a key in ``repr``).  Every
-    other method works on the buckets as they are or goes through the key
-    methods, so a subclass keyed by other graded monomials
+    ``_unit_key``, ``_check_key``, ``_key_in``, ``_keys_out``,
+    ``_products``, ``_splices`` and ``_key_text`` (the text of a key in
+    ``repr``).  Every other method works on the buckets as they are or goes
+    through the key methods, so a subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
-    just those.  ``terms()``, ``coefficient()`` and ``from_terms()`` take
-    and yield keys as tuples, encoding and decoding them with ``_key_in``
-    and ``_key_out``: words here, exponent vectors (stored as they are) in
-    the subclass.  A series has no JSON form of its own: the one JSON value
-    of series is the ``"map"`` of the CLI's ``invert`` payload, built and
-    written by ``ncinvert.cli``, and nothing reads JSON back.
+    just those.  ``terms()``, ``first_term()``, ``coefficient()`` and
+    ``from_terms()`` take and yield keys as tuples, encoding them one at a
+    time with ``_key_in`` and decoding a sorted bucket in one pass with
+    ``_keys_out``: words here, by the tables of ``word_decoder``, and
+    exponent vectors (stored as they are) in the subclass.  A series has
+    no JSON form of its own: the one JSON value of series is the ``"map"``
+    of the CLI's ``invert`` payload, built and written by ``ncinvert.cli``,
+    and nothing reads JSON back.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
@@ -106,13 +168,10 @@ class NCSeries:
             code = code * n + letter
         return code
 
-    def _key_out(self, code, d):
-        """The tuple word of length ``d`` whose base-n code is ``code``."""
-        n = self.arity
-        word = [0] * d
-        for j in range(d - 1, -1, -1):
-            code, word[j] = divmod(code, n)
-        return tuple(word)
+    def _keys_out(self, codes, d, first=0):
+        """The tuple words of length ``d`` whose base-n codes are ``codes``,
+        with letters numbered from ``first``, as an iterable."""
+        return word_decoder(self.arity, first)(codes, d)
 
     def _products(self, b1, b2, d2, rmul):
         """The (key, coefficient) pairs of bucket times bucket, ``b2`` of
@@ -275,14 +334,25 @@ class NCSeries:
         bucket = self.buckets.get(self._key_degree(key), {})
         return bucket.get(self._key_in(key), self.ring.zero())
 
-    def terms(self):
+    def terms(self, first=0):
         """Yield (key, coefficient) in degree-lexicographic order: within a
-        degree, the order of the stored keys is that of the keys."""
-        key_out = self._key_out
+        degree, the order of the stored keys is that of the keys.  Each
+        bucket is sorted once and decoded in one pass; ``first`` numbers
+        the letters of a word (1 for the CLI's words)."""
         for d in sorted(self.buckets):
             bucket = self.buckets[d]
-            for key in sorted(bucket):
-                yield key_out(key, d), bucket[key]
+            keys = sorted(bucket)
+            yield from zip(self._keys_out(keys, d, first), map(bucket.__getitem__, keys))
+
+    def first_term(self):
+        """The degree-lexicographically least (key, coefficient), or None
+        for zero: the least key of the lowest bucket, decoded alone."""
+        if not self.buckets:
+            return None
+        d = min(self.buckets)
+        bucket = self.buckets[d]
+        key = min(bucket)
+        return next(iter(self._keys_out([key], d))), bucket[key]
 
     # -- equality ------------------------------------------------------
 
@@ -527,9 +597,11 @@ def vector_sum(ring, arity, degree, vectors):
 def _image_table(components):
     """The terms of each component grouped by degree: a list of
     (du, [terms of degree du of component i, for each i]) in increasing du,
-    the form in which ``NCSeries._splices`` reads the images of the letters."""
+    the form in which ``NCSeries._splices`` reads the images of the letters.
+    The terms are the items views of the components' buckets, so the table
+    copies no term."""
     return [
-        (du, [list(u.buckets.get(du, {}).items()) for u in components])
+        (du, [u.buckets.get(du, {}).items() for u in components])
         for du in sorted({du for u in components for du in u.buckets})
     ]
 

@@ -42,6 +42,7 @@ from .freealg import (
     _check_vector,
     _fixed_point,
     _substitute,
+    derivation_sum,
     replace_letters,
     vector_sum,
     word_key,
@@ -134,13 +135,14 @@ class NSequence:
 
 
 def convolution_sum(terms, m):
-    """sum_{k+l=m, k,l>=1} [N_[k] d/dz] N_[l] from terms[0..m-2]."""
+    """sum_{k+l=m, k,l>=1} [N_[k] d/dz] N_[l] from terms[0..m-2]: the m - 1
+    applications of each component in one ``derivation_sum`` pass."""
     first = terms[0][0]
     ring, n, D = first.ring, first.arity, first.degree
     deltas = [Derivation(terms[k - 1]) for k in range(1, m)]
     return tuple(
-        NCSeries.sum(
-            ring, n, D, (deltas[k - 1].apply(terms[m - k - 1][i]) for k in range(1, m))
+        derivation_sum(
+            ring, n, D, ((deltas[k - 1], terms[m - k - 1][i]) for k in range(1, m))
         )
         for i in range(n)
     )
@@ -306,14 +308,16 @@ class VerifyReport:
 def _first_residual(residuals):
     """(sort key, component index, word, coefficient) of the
     degree-lexicographically first nonzero term of a vector of series, the
-    lower component first on a tie; None if every series is zero."""
+    lower component first on a tie; None if every series is zero.  Each
+    series gives its least term alone (``first_term``): no bucket is
+    sorted."""
     best = None
     for i, residual in enumerate(residuals):
-        for word, c in residual.terms():
-            cand = (word_key(word), i, word, c)
+        term = residual.first_term()
+        if term is not None:
+            cand = (word_key(term[0]), i, *term)
             if best is None or cand[:2] < best[:2]:
                 best = cand
-            break  # terms() is degree-lex sorted: first term is minimal
     return best
 
 

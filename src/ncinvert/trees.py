@@ -14,7 +14,9 @@ testable identities shipped here.
 One recursion, ``_grow``, grafts the trees of each leaf count; it carries a
 ``PBTree`` for the listing, the int T^! for the identities and the pair
 (T^!, N_T) for the engine, whose table keeps one entry per tree with at
-most D - 2 leaves.  The engine sums a layer over ints: T^! divides (m-1)!,
+most D - 2 leaves.  The engine holds N_T as the derivation [N_T d/dz],
+built once with the entry, since every entry is the left subtree of the
+grafts that use it.  The engine sums a layer over ints: T^! divides (m-1)!,
 and e(T) = (m-1)!/T^! counts the linear extensions of the reduced tree, so
 N_[m] = (sum over T of e(T) N_T) / (m-1)!, one accumulation pass per
 component and one division per term.  The trees of the last layer,
@@ -140,20 +142,25 @@ def _check_characteristic_zero(ring):
 
 
 def _graft_series(s, a, b):
-    """(T^!, N_T) of a tree with s leaves from the pairs of its subtrees."""
-    return _graft_factorial(s, a[0], b[0]), Derivation(a[1]).apply_vector(b[1])
+    """(T^!, N_T) of a tree with s leaves from the pairs of its subtrees,
+    N_T as the derivation [N_T d/dz]: the one a graft with T on the left
+    applies."""
+    return _graft_factorial(s, a[0], b[0]), Derivation(a[1].apply_vector(b[1].components))
 
 
-def _last_layer_applications(table, m, i):
-    """(Derivation(N_T1), component i of e(T) N_T2) per tree T = (T1, T2)
-    with m leaves, in ``_grow``'s order, so that e(T) N_T is the derivation
-    applied: T^! = (m-1) T1^! T2^! gives e(T) = (m-2)!/(T1^! T2^!)."""
+def _last_layer_applications(table, m, i, D):
+    """([N_T1 d/dz], component i of e(T) N_T2) per tree T = (T1, T2) with
+    m leaves, in ``_grow``'s order, so that e(T) N_T is the derivation
+    applied: T^! = (m-1) T1^! T2^! gives e(T) = (m-2)!/(T1^! T2^!).  Only
+    the terms of N_T2 of degree <= D - k are scaled: N_T1, with k leaves,
+    has order >= k + 1, so it raises every degree by at least k."""
     weight = factorial(m - 2)
     for k in range(1, m):
-        for w1, n1 in table[k]:
-            delta = Derivation(n1)
+        for w1, delta in table[k]:
             for w2, n2 in table[m - k]:
-                yield delta, n2[i].scale_int(weight // (w1 * w2))
+                # the terms of degree <= D - k, kept at truncation D
+                low = n2.components[i].truncated(D - k).truncated(D)
+                yield delta, low.scale_int(weight // (w1 * w2))
 
 
 def tree_expansion_term(h_vector, m: int, table=None):
@@ -164,13 +171,13 @@ def tree_expansion_term(h_vector, m: int, table=None):
     accumulation pass per component sums e(T) N_T over the trees, in
     ``_grow``'s order, and each term of the sum is divided once by (m-1)!.
 
-    ``table`` holds (T^!, N_T) per tree and leaf count for this H; calls
-    that share it evaluate each tree once.  It grows through m, but no
-    layer >= D - 1 is grafted into it.  N_T has order >= m + 1, so a tree
-    with D - 1 leaves is no subtree of a tree that survives truncation at
-    D: at m = D - 1 the Leibniz terms of each graft go straight into the
-    pass (``derivation_sum``).  At m >= D every N_T is 0 and nothing is
-    grafted.
+    ``table`` holds (T^!, Derivation(N_T)) per tree and leaf count for this
+    H; calls that share it evaluate each tree, and build its derivation,
+    once.  It grows through m, but no layer >= D - 1 is grafted into it.
+    N_T has order >= m + 1, so a tree with D - 1 leaves is no subtree of a
+    tree that survives truncation at D: at m = D - 1 the Leibniz terms of
+    each graft go straight into the pass (``derivation_sum``).  At m >= D
+    every N_T is 0 and nothing is grafted.
     """
     h_vector, ring, n, D = _vector_meta(h_vector)
     _check_characteristic_zero(ring)
@@ -179,15 +186,18 @@ def tree_expansion_term(h_vector, m: int, table=None):
         return (NCSeries.zero(ring, n, D),) * n
     # layer 1 is the leaf that seeds the table, not a graft
     last = 1 < m == D - 1
-    table = _grow(
-        [] if table is None else table, m - 1 if last else m, (1, h_vector), _graft_series
-    )
+    table = [] if table is None else table
+    # the leaf's derivation is built only to seed an empty table
+    leaf = None if table else (1, Derivation(h_vector))
+    table = _grow(table, m - 1 if last else m, leaf, _graft_series)
     total = factorial(m - 1)
 
     def weighted_sum(i):
         if last:
-            return derivation_sum(ring, n, D, _last_layer_applications(table, m, i))
-        return NCSeries.sum(ring, n, D, (s[i].scale_int(total // w) for w, s in table[m]))
+            return derivation_sum(ring, n, D, _last_layer_applications(table, m, i, D))
+        return NCSeries.sum(
+            ring, n, D, (s.components[i].scale_int(total // w) for w, s in table[m])
+        )
 
     return tuple(
         weighted_sum(i).map_coefficients(lambda c: ring.div_by_int(c, total))

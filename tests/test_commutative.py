@@ -237,6 +237,24 @@ def test_commpoly_terms_and_coefficients_by_exponent_vector():
     assert p.coefficient((0, 1)) == 0
 
 
+def test_commpoly_terms_yield_the_stored_exponent_vectors_sorted():
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        expos = {
+            tuple(rng.randrange(4) for _ in range(n)): Fraction(rng.randrange(1, 9))
+            for _ in range(12)
+        }
+        p = CommPoly.from_terms(QQ, n, 12, expos.items())
+        expect = sorted(expos.items(), key=lambda t: (sum(t[0]), t[0]))
+        assert list(p.terms()) == expect
+        assert list(p.terms(1)) == expect
+        assert p.first_term() == expect[0]
+        # the keys are the stored tuples themselves, not decoded copies
+        stored = {e for b in p.buckets.values() for e in b}
+        assert all(any(e is k for k in stored) for e, _ in p.terms())
+    assert CommPoly.zero(QQ, 2, 3).first_term() is None
+
+
 def test_jacobian_entries():
     x = CommPoly.variable(QQ, 2, 4, 0)
     y = CommPoly.variable(QQ, 2, 4, 1)

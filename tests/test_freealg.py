@@ -20,6 +20,7 @@ from ncinvert import deformation, freealg
 from ncinvert.cli import _dump_json, _map_json
 from ncinvert.deformation import embed_series, special_inverse, t_residue_series
 from ncinvert.freealg import (
+    WORD_TABLE_CAP,
     Derivation,
     FormalMap,
     INFINITE_ORDER,
@@ -27,6 +28,7 @@ from ncinvert.freealg import (
     _fixed_point,
     _image_table,
     _substitute,
+    chunk_length,
     compose,
     compose_vector,
     derivation_sum,
@@ -35,6 +37,8 @@ from ncinvert.freealg import (
     replace_letters,
     star_action,
     vector_sum,
+    word_decoder,
+    word_key,
 )
 from ncinvert.inversion import invert_fixed_point
 from ncinvert.parsing import _check_unitriangular
@@ -183,6 +187,94 @@ def test_map_json_form_is_pinned():
         assert _map_json(a_map) == expected
         text = _dump_json({"map": _map_json(a_map)})
         assert json.loads(text) == {"map": expected}
+
+
+# -- decoding stored words ----------------------------------------------------
+
+
+def _word_per_letter(code, d, n, first=0):
+    """The reference decoder: the word of length d with base-n code
+    ``code``, one divmod per letter."""
+    word = [0] * d
+    for j in range(d - 1, -1, -1):
+        code, word[j] = divmod(code, n)
+    return tuple(letter + first for letter in word)
+
+
+def test_chunk_length_is_the_longest_under_the_cap():
+    # 2**8, 4**4 and 16**2 are exactly the cap; one letter stops at the
+    # chunk of two letters, and past the cap a chunk is still one letter
+    assert WORD_TABLE_CAP == 256
+    expected = {1: 8, 2: 8, 3: 5, 4: 4, 5: 3, 12: 2, 16: 2, 17: 1, 256: 1, 2000: 1}
+    assert {n: chunk_length(n) for n in expected} == expected
+    for n in range(2, 40):
+        L = chunk_length(n)
+        assert n**L <= WORD_TABLE_CAP < n ** (L + 1) or L == 1 < n
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_decoder_matches_the_per_letter_decoder(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    L = chunk_length(n)
+    d = data.draw(st.integers(0, 3 * L + 2), label="d")
+    codes = data.draw(st.lists(st.integers(0, n**d - 1), max_size=20), label="codes")
+    first = data.draw(st.sampled_from([0, 1]), label="first")
+    decoded = word_decoder(n, first)(codes, d)
+    assert list(decoded) == [_word_per_letter(c, d, n, first) for c in codes]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_terms_order_is_degree_lex_over_the_decoded_words(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    D = data.draw(st.integers(0, 3 * chunk_length(n) + 2), label="D")
+    words = st.lists(st.integers(0, n - 1), max_size=D).map(tuple)
+    terms = data.draw(st.dictionaries(words, st.integers(1, 9), max_size=12), label="terms")
+    s = NCSeries.from_terms(QQ, n, D, terms.items())
+    expect = sorted(((w, Fraction(c)) for w, c in terms.items()), key=lambda t: word_key(t[0]))
+    assert list(s.terms()) == expect
+    assert list(s.terms(1)) == [(tuple(i + 1 for i in w), c) for w, c in expect]
+    assert s.first_term() == (expect[0] if expect else None)
+
+
+class _CountedCode(int):
+    """A stored code that counts the divisions made on it and on the codes
+    divided out of it."""
+
+    divisions = 0
+
+    def _counted(op):
+        def method(self, other):
+            _CountedCode.divisions += 1
+            result = op(int(self), other)
+            if isinstance(result, tuple):
+                return tuple(map(_CountedCode, result))
+            return _CountedCode(result)
+
+        return method
+
+    __floordiv__ = _counted(int.__floordiv__)
+    __mod__ = _counted(int.__mod__)
+    __divmod__ = _counted(divmod)
+
+
+@pytest.mark.parametrize("n, d", [(2, 31), (3, 13), (5, 4), (1, 25)])
+def test_terms_and_map_json_decode_by_chunk_not_by_letter(monkeypatch, n, d):
+    # one division pair per chunk boundary: ceil(d/L) - 1 of them, where a
+    # per-letter decoder divides d times
+    rng = random.Random(d)
+    codes = sorted({rng.randrange(n**d) for _ in range(8)})
+    bucket = {_CountedCode(c): Fraction(1) for c in codes}
+    s = NCSeries(QQ, n, d, {d: bucket})
+    bound = len(codes) * 2 * (-(-d // chunk_length(n)) - 1)
+    monkeypatch.setattr(_CountedCode, "divisions", 0)
+    assert [w for w, _ in s.terms()] == [_word_per_letter(c, d, n) for c in codes]
+    assert _CountedCode.divisions <= bound < len(codes) * d
+    monkeypatch.setattr(_CountedCode, "divisions", 0)
+    words = [t["word"] for t in _map_json(FormalMap([s] * n))[0]["terms"]]
+    assert words == [list(_word_per_letter(c, d, n, 1)) for c in codes]
+    assert _CountedCode.divisions <= bound * n
 
 
 # -- composition ------------------------------------------------------------

@@ -6,15 +6,17 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncinvert.freealg as freealg
 import ncinvert.inversion as inversion
 import ncinvert.trees as trees
 from ncinvert.deformation import check_shifted_inverse_family, n_sequence_via_deformation
-from ncinvert.freealg import FormalMap, NCSeries
+from ncinvert.freealg import Derivation, FormalMap, NCSeries, word_key
 from ncinvert.inversion import (
     alt_recurrent_step,
     c_sequence,
@@ -430,6 +432,19 @@ def test_recurrence_runs_over_every_prime_field(data):
     assert nseq.assemble() == invert_fixed_point(h)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_recurrence_applies_no_derivation_alone(data):
+    # each layer streams its applications through one derivation_sum pass
+    # per component, over QQ and over GF(p), residue layers included
+    ring = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+    h = data.draw(sparse_displacements(ring, 2, 7))
+    expect = invert_fixed_point(h)
+    refuse = AssertionError("Derivation.apply called")
+    with mock.patch.object(Derivation, "apply", side_effect=refuse):
+        assert n_seq_recurrent(h).assemble() == expect
+
+
 # -- verification ----------------------------------------------------------------
 
 
@@ -472,3 +487,42 @@ def test_mutating_any_coefficient_is_detected_at_its_degree():
             report = verify_inverse(f, mutant)
             assert not report.ok
             assert report.degree == len(word), (i, word)
+
+
+def _first_residual_by_sorting(residuals):
+    """The reference: each series' terms sorted in full, the first kept."""
+    best = None
+    for i, residual in enumerate(residuals):
+        for word, c in residual.terms():
+            cand = (word_key(word), i, word, c)
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+            break
+    return best
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_first_residual_matches_the_sorted_reference(data):
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 12))
+    words = st.lists(st.integers(0, n - 1), max_size=D).map(tuple)
+    terms = st.lists(st.tuples(words, st.integers(-3, 3)), max_size=6)
+    vector = [NCSeries.from_terms(QQ, n, D, data.draw(terms)) for _ in range(n)]
+    assert inversion._first_residual(vector) == _first_residual_by_sorting(vector)
+
+
+def test_first_residual_prefers_the_lower_component_on_a_tie():
+    def s(*terms):
+        return NCSeries.from_terms(QQ, 2, 4, [(w, Fraction(c)) for w, c in terms])
+
+    tie = [s(((1, 0), 5), ((0, 1, 1), 1)), s(((1, 0), 7), ((0, 0), 2)), s(((1, 0), 3))]
+    expect = (word_key((0, 0)), 1, (0, 0), Fraction(2))
+    assert inversion._first_residual(tie) == expect == _first_residual_by_sorting(tie)
+    tie[1] = s(((1, 0), 7))
+    expect = (word_key((1, 0)), 0, (1, 0), Fraction(5))
+    assert inversion._first_residual(tie) == expect == _first_residual_by_sorting(tie)
+    # the least key of the lowest bucket is found by min: no bucket is sorted
+    with mock.patch.object(freealg, "sorted", create=True, side_effect=AssertionError):
+        assert inversion._first_residual(tie) == expect
+    assert inversion._first_residual([s(), s()]) is None

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ncinvert import freealg
 from ncinvert.freealg import Derivation, NCSeries, vector_sum
 from ncinvert.inversion import n_seq_recurrent
 from ncinvert.randmaps import random_displacement, random_homogeneous_displacement
@@ -220,7 +222,7 @@ def test_engine_table_holds_each_tree_in_enumeration_order():
     assert len(table) == 7
     for s in range(1, 7):
         assert table[s] == [
-            (t.factorial, tree_series(t, h)) for t in enumerate_pbtrees(s)
+            (t.factorial, Derivation(tree_series(t, h))) for t in enumerate_pbtrees(s)
         ], s
 
 
@@ -334,3 +336,26 @@ def test_engine_completes_through_429_trees():
     g = invert_tree(h)
     assert g.component(0).coefficient((1,) * 8 + (0,)) == 1  # y^8 x from ad^8
     assert g == n_seq_recurrent(h).assemble()
+
+
+def test_engine_builds_one_image_table_per_table_entry(monkeypatch):
+    # every stored tree is the left subtree of later grafts, and its
+    # derivation is built once, with its entry: the leaf and the trees
+    # with 2..D-2 leaves, Catalan(s - 1) of each
+    built = []
+    image_table = freealg._image_table
+
+    def counted(components):
+        built.append(len(components))
+        return image_table(components)
+
+    rng = random.Random(31)
+    for n, D in ((1, 7), (2, 8), (3, 6)):
+        h = random_displacement(rng, QQ, n, D)
+        expect = n_seq_recurrent(h).assemble()
+        with monkeypatch.context() as patched:
+            patched.setattr(freealg, "_image_table", counted)
+            built.clear()
+            assert invert_tree(h) == expect
+        entries = sum(comb(2 * (s - 1), s - 1) // s for s in range(1, D - 1))
+        assert built == [n] * entries, (n, D)
