@@ -42,7 +42,9 @@ from .trees import (
 from .deformation import (
     DeformedMap,
     SpecialDeformation,
+    TSeries,
     n_sequence_via_deformation,
+    t_graded,
 )
 from .commutative import CommPoly, abelianize, abelianize_vector
 from .parsing import format_map, format_series, parse_expression, parse_map
@@ -80,7 +82,9 @@ __all__ = [
     "tree_expansion_term",
     "DeformedMap",
     "SpecialDeformation",
+    "TSeries",
     "n_sequence_via_deformation",
+    "t_graded",
     "CommPoly",
     "abelianize",
     "abelianize_vector",

@@ -430,13 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timings", dest="timings", action="store_false",
         help="omit wall-clock fields (byte-stable output)",
     )
-    p_inv.set_defaults(func=cmd_invert)
 
     p_ver = subs.add_parser("verify", help="check that two maps invert each other")
     p_ver.add_argument("fmap")
     p_ver.add_argument("gmap")
     _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_tr = subs.add_parser("trees", help="planar binary trees: list and identities")
     p_tr.add_argument("--leaves", type=int, required=True, help="leaf count m")
@@ -448,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_tr, default=None,
         format_help="output format (default text, json with --identity)",
     )
-    p_tr.set_defaults(func=cmd_trees)
 
     p_id = subs.add_parser(
         "identities", aliases=["check-identities"],
@@ -461,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--trials", type=int, default=20, help="instances per identity")
     _add_output(p_id)
     p_id.add_argument("--no-timings", dest="timings", action="store_false")
-    p_id.set_defaults(func=cmd_identities)
 
     p_b = subs.add_parser("bench", help="time all applicable engines on one map")
     p_b.add_argument("mapfile", nargs="?")
@@ -473,16 +469,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--vars")
     p_b.add_argument("--ring", default="rational")
     p_b.add_argument("--output")
-    p_b.set_defaults(func=cmd_bench)
 
     return parser
 
 
+#: the function of each command and alias, by name, so that a function
+#: patched onto this module after the parser is built is the one called
+COMMANDS = {
+    "invert": "cmd_invert",
+    "verify": "cmd_verify",
+    "trees": "cmd_trees",
+    "identities": "cmd_identities",
+    "check-identities": "cmd_identities",
+    "bench": "cmd_bench",
+}
+
+
+@functools.cache
+def _parser():
+    """The one parser of the process, built on first use; ``parse_args``
+    returns a new namespace per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[COMMANDS[args.command]](args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

@@ -15,11 +15,18 @@ written on top of them: construction, ``coefficient``, arithmetic, powers,
 ``terms``, ``==`` and ``repr``.  The calculus of the quotient stays here: the power-rule
 partials, the Jacobian and substitution, so the commutative PDE check shares
 no calculus with the noncommutative side.
+
+:class:`TCommPoly` is CommPoly's t-graded kind (see
+:mod:`ncinvert.deformation`): the t-power is appended to the exponent vector,
+so products, which add exponent vectors, add t-powers too and drop a pair
+past t^K, and the partials, which read the first n entries, leave t alone.
+``special_inverse`` and ``solves_cauchy_problem`` run on it as they run on
+TSeries.
 """
 
 from __future__ import annotations
 
-from .deformation import solves_cauchy_problem, special_inverse
+from .deformation import TGraded, solves_cauchy_problem, special_inverse
 from .freealg import NCSeries
 
 
@@ -66,6 +73,9 @@ class CommPoly(NCSeries):
     def _key_text(expo):
         return f"x^{list(expo)}"
 
+    #: exponent vectors have no letter positions: no derivation splices them
+    _splices = None
+
     def partial(self, i):
         """d/dx_i with the classical power rule."""
         mul_int = self.ring.mul_int
@@ -77,6 +87,28 @@ class CommPoly(NCSeries):
             ])
             for d, b in self.buckets.items()
         )
+
+
+class TCommPoly(TGraded, CommPoly):
+    """A CommPoly in x and t at t-order K: the stored key of x^e t^j is the
+    exponent vector e with j appended."""
+
+    __slots__ = ()
+    base = CommPoly
+
+    @staticmethod
+    def _t_join(expo, t):
+        return expo + (t,)
+
+    @staticmethod
+    def _t_parts(expos):
+        return ((e[:-1], e[-1]) for e in expos)
+
+    def _products(self, b1, b2, d2, rmul):
+        """Exponent vectors add, t-powers with them; a pair past t^K is
+        dropped."""
+        top = self.torder
+        return [(e, c) for e, c in super()._products(b1, b2, d2, rmul) if e[-1] <= top]
 
 
 def abelianize(series: NCSeries) -> CommPoly:
@@ -103,24 +135,28 @@ def substitute(poly: CommPoly, vector) -> CommPoly:
         poly._check_compatible(v)
         if v.order() < 1:
             raise ValueError(f"substitution component {i + 1} has a constant term")
-    ring, n, D = poly.ring, poly.arity, poly.degree
+    kind, ring, n, D = type(poly), poly.ring, poly.arity, poly.degree
     power_cache = {}
 
     def power(i, k):
         got = power_cache.get((i, k))
         if got is None:
-            got = CommPoly.one(ring, n, D) if k == 0 else power(i, k - 1) * vector[i]
+            got = kind.one(ring, n, D) if k == 0 else power(i, k - 1) * vector[i]
             power_cache[(i, k)] = got
         return got
 
     def image(expo, c):
-        prod = CommPoly.constant(ring, n, D, c)
-        for i, k in enumerate(expo):
+        # c times the t-power of a t-graded key: the key with the exponents
+        # of the n variables set to 0 (for CommPoly, the key of 1)
+        prod = kind(ring, n, D, {0: {(0,) * n + expo[n:]: c}})
+        for i, k in enumerate(expo[:n]):
             if k:
                 prod = prod * power(i, k)
         return prod
 
-    return CommPoly.sum(ring, n, D, (image(e, c) for e, c in poly.terms()))
+    return kind.sum(
+        ring, n, D, (image(e, c) for bucket in poly.buckets.values() for e, c in bucket.items())
+    )
 
 
 def substitute_vector(polys, vector):
@@ -148,7 +184,7 @@ def jacobian_power_apply(h_vec, m: int):
 
 def _dot_row(row, vec):
     first = row[0]
-    return CommPoly.sum(
+    return type(first).sum(
         first.ring, first.arity, first.degree, (a * b for a, b in zip(row, vec))
     )
 
@@ -157,8 +193,8 @@ def inversion_pde_check(h_vec, torder: int) -> bool:
     """The commutative image of the inverse-flow PDE: with z + t*N_t
     inverting z - t*H in commuting variables, dN_t/dt = (J N_t) N_t.
 
-    N_t is produced by an independent fixed-point inversion over the
-    t-quotient ring, and the right-hand side by the Jacobian calculus of this
+    N_t is produced by an independent fixed-point inversion in the t-graded
+    kind TCommPoly, and the right-hand side by the Jacobian calculus of this
     module, so this check does not assume the PDE anywhere.
     """
     h_vec = tuple(h_vec)

@@ -25,7 +25,8 @@ Every series is built by one collector, ``NCSeries._collect``: sums,
 products, derivations, compositions and ``from_terms`` hand it their
 (key, coefficient) pairs degree by degree, and it is the one place where a
 pair is added into a bucket and a cancelled key is dropped.  No module but
-this one and :mod:`ncinvert.commutative` reads the buckets.
+this one, :mod:`ncinvert.commutative` and :mod:`ncinvert.deformation` reads
+the buckets.
 
 Series values are immutable by convention: no operation mutates its inputs,
 and results may be shared freely.
@@ -118,7 +119,8 @@ class NCSeries:
 
     Only the key methods below read a stored key: ``_key_degree``,
     ``_unit_key``, ``_check_key``, ``_key_in``, ``_keys_out``,
-    ``_products``, ``_splices`` and ``_key_text`` (the text of a key in
+    ``_products``, ``_splices``, ``_image_terms`` (an image bucket as
+    ``_splices`` reads it) and ``_key_text`` (the text of a key in
     ``repr``).  Every other method works on the buckets as they are or goes
     through the key methods, so a subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
@@ -126,13 +128,18 @@ class NCSeries:
     ``from_terms()`` take and yield keys as tuples, encoding them one at a
     time with ``_key_in`` and decoding a sorted bucket in one pass with
     ``_keys_out``: words here, by the tables of ``word_decoder``, and
-    exponent vectors (stored as they are) in the subclass.  A series has
+    exponent vectors (stored as they are) in the subclass.  The t-graded
+    kinds of :mod:`ncinvert.deformation` add a t-power to the keys of this
+    kind or of ``CommPoly``; ``torder`` is their bound K.  A series has
     no JSON form of its own: the one JSON value of series is the ``"map"``
     of the CLI's ``invert`` payload, built and written by ``ncinvert.cli``,
     and nothing reads JSON back.
     """
 
     __slots__ = ("ring", "arity", "degree", "buckets")
+
+    #: the t-order K of a t-graded kind; a kind without t has none
+    torder = None
 
     def __init__(self, ring: Ring, arity: int, degree: int, buckets=None):
         if arity < 1:
@@ -213,6 +220,8 @@ class NCSeries:
                     for hi, letter, lo, c in split
                     for uw, uc in by_letter[letter]
                 ]
+
+    _image_terms = staticmethod(dict.items)
 
     _key_text = staticmethod(word_text)
 
@@ -510,7 +519,7 @@ class FormalMap(_SeriesVector):
         _check_order_at_least(h_vector, 2, "H")
         first = h_vector[0]
         comps = [
-            NCSeries.variable(first.ring, first.arity, first.degree, i) - h
+            type(first).variable(first.ring, first.arity, first.degree, i) - h
             for i, h in enumerate(h_vector)
         ]
         return cls(comps)
@@ -522,7 +531,7 @@ class FormalMap(_SeriesVector):
         _check_order_at_least(m_vector, 2, "M")
         first = m_vector[0]
         comps = [
-            NCSeries.variable(first.ring, first.arity, first.degree, i) + m
+            type(first).variable(first.ring, first.arity, first.degree, i) + m
             for i, m in enumerate(m_vector)
         ]
         return cls(comps)
@@ -534,8 +543,9 @@ class FormalMap(_SeriesVector):
 
     def displacement(self):
         """The vector V with map = z + V (so H = -displacement for F-form)."""
+        kind = type(self.components[0])
         return tuple(
-            comp - NCSeries.variable(self.ring, self.arity, self.degree, i)
+            comp - kind.variable(self.ring, self.arity, self.degree, i)
             for i, comp in enumerate(self.components)
         )
 
@@ -557,14 +567,17 @@ class FormalMap(_SeriesVector):
 
 
 def _check_vector(vector):
-    """The vector as a tuple, once its entries are known to be NCSeries of
-    one ring, arity and truncation, with one entry per variable."""
+    """The vector as a tuple, once its entries are known to be series of
+    words (NCSeries or its t-graded kind) of one kind, ring, arity and
+    truncation, with one entry per variable."""
     vector = tuple(vector)
     if not vector:
         raise ValueError("a vector of series needs at least one component")
     first = vector[0]
-    if type(first) is not NCSeries:
-        raise ValueError(f"a vector of series holds NCSeries, not {type(first).__name__}")
+    if not isinstance(first, NCSeries) or first._splices is None:
+        raise ValueError(
+            f"a vector of series holds NCSeries of words, not {type(first).__name__}"
+        )
     for other in vector[1:]:
         first._check_compatible(other)
     if len(vector) != first.arity:
@@ -581,11 +594,13 @@ def _check_order_at_least(vector, bound, name):
 
 
 def vector_sum(ring, arity, degree, vectors):
-    """The componentwise sum of ``vectors``, each ``arity`` series over
-    ``ring`` truncated at ``degree``; the zero vector if there are none."""
+    """The componentwise sum of ``vectors``, each ``arity`` series of one
+    kind over ``ring`` truncated at ``degree``; the zero vector of NCSeries
+    if there are none."""
     vectors = list(vectors)
+    kind = type(vectors[0][0]) if vectors else NCSeries
     return tuple(
-        NCSeries.sum(ring, arity, degree, (v[i] for v in vectors)) for i in range(arity)
+        kind.sum(ring, arity, degree, (v[i] for v in vectors)) for i in range(arity)
     )
 
 
@@ -597,11 +612,12 @@ def vector_sum(ring, arity, degree, vectors):
 def _image_table(components):
     """The terms of each component grouped by degree: a list of
     (du, [terms of degree du of component i, for each i]) in increasing du,
-    the form in which ``NCSeries._splices`` reads the images of the letters.
-    The terms are the items views of the components' buckets, so the table
-    copies no term."""
+    the form in which ``_splices`` reads the images of the letters.  The
+    terms are those of ``_image_terms``: for NCSeries the items views of the
+    components' buckets, so the table copies no term."""
+    terms = components[0]._image_terms
     return [
-        (du, [u.buckets.get(du, {}).items() for u in components])
+        (du, [terms(u.buckets.get(du, {})) for u in components])
         for du in sorted({du for u in components for du in u.buckets})
     ]
 
@@ -651,15 +667,15 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     table = cache.get(())
     if table is None:
         table = cache[()] = _image_table(f_map.displacement())
-    words = u.buckets
-    out = NCSeries(u.ring, u.arity, u.degree)
+    words, kind = u.buckets, type(u)
+    out = kind(u.ring, u.arity, u.degree)
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words:
             # every term so far is longer than k + 1, so no key is shared
-            out = NCSeries(u.ring, u.arity, u.degree, {**out.buckets, k + 1: words[k + 1]})
+            out = kind(u.ring, u.arity, u.degree, {**out.buckets, k + 1: words[k + 1]})
         out = _splice_pass(out, out, table, k, u.degree)
     if 0 in words:
-        out = NCSeries(u.ring, u.arity, u.degree, {**out.buckets, 0: words[0]})
+        out = kind(u.ring, u.arity, u.degree, {**out.buckets, 0: words[0]})
     return out
 
 
@@ -702,8 +718,8 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     if j == 0:
         return u
     table = _image_table(images)
-    D, words = u.degree, u.buckets
-    empty = NCSeries(u.ring, u.arity, D)
+    D, words, kind = u.degree, u.buckets, type(u)
+    empty = kind(u.ring, u.arity, D)
     if not table:
         # r = inf would turn the prune's 0 * inf at s = j into nan
         return empty
@@ -714,9 +730,7 @@ def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words and j <= k + 1 <= room[0]:
             # state 0 holds raw words of u, so no key is shared
-            states[0] = NCSeries(
-                u.ring, u.arity, D, {**states[0].buckets, k + 1: words[k + 1]}
-            )
+            states[0] = kind(u.ring, u.arity, D, {**states[0].buckets, k + 1: words[k + 1]})
         low = max(j - k, 0)
         states = [empty] * low + [
             _splice_pass(states[s], states[s - 1], table, k, room[s]) if s else states[0]
@@ -850,7 +864,11 @@ def star_action(f_map: FormalMap, f_inv: FormalMap, delta: Derivation) -> Deriva
     ``f_inv`` is caller-supplied and verified: f_map(f_inv) must be the
     identity to the shared truncation degree.
     """
-    check = f_map.after(f_inv)
-    if not check.is_identity():
+    if not f_map.after(f_inv).is_identity():
         raise ValueError("supplied inverse fails f(g) = id at this truncation")
+    return _pushforward(f_map, f_inv, delta)
+
+
+def _pushforward(f_map: FormalMap, f_inv: FormalMap, delta: Derivation) -> Derivation:
+    """``star_action`` for an ``f_inv`` already known to invert ``f_map``."""
     return Derivation(compose_vector(delta.apply_vector(f_map.components), f_inv))

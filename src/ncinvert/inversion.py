@@ -45,7 +45,6 @@ from .freealg import (
     derivation_sum,
     replace_letters,
     vector_sum,
-    word_key,
     word_text,
 )
 from .rings import IntPolyRing, PrimeField
@@ -54,6 +53,8 @@ def _vector_meta(h_vector):
     h_vector = _check_vector(h_vector)
     _check_order_at_least(h_vector, 2, "H")
     first = h_vector[0]
+    if first.torder is not None:
+        raise ValueError("the engines invert NCSeries; a t-graded H is a DeformedMap")
     return h_vector, first.ring, first.arity, first.degree
 
 
@@ -279,6 +280,7 @@ class VerifyReport:
     word: tuple = None
     degree: int = None
     coefficient: str = None
+    tpower: int = None  # the power of t of the term, for t-graded series
 
     def __bool__(self):
         return self.ok
@@ -287,6 +289,8 @@ class VerifyReport:
         if self.ok:
             return "verified: both compositions equal the identity"
         letters = word_text(j - 1 for j in self.word)
+        if self.tpower is not None:
+            letters += f" * t^{self.tpower}"
         return (
             f"residual in {self.side}, component {self.component}: "
             f"{self.coefficient} * {letters} at degree {self.degree}"
@@ -306,16 +310,16 @@ class VerifyReport:
 
 
 def _first_residual(residuals):
-    """(sort key, component index, word, coefficient) of the
+    """(sort key, component index, key, coefficient) of the
     degree-lexicographically first nonzero term of a vector of series, the
-    lower component first on a tie; None if every series is zero.  Each
-    series gives its least term alone (``first_term``): no bucket is
-    sorted."""
+    lower component first on a tie; None if every series is zero.  The sort
+    key is (degree, key): for a word, ``word_key``.  Each series gives its
+    least term alone (``first_term``): no bucket is sorted."""
     best = None
     for i, residual in enumerate(residuals):
         term = residual.first_term()
         if term is not None:
-            cand = (word_key(term[0]), i, *term)
+            cand = ((residual._key_degree(term[0]), term[0]), i, *term)
             if best is None or cand[:2] < best[:2]:
                 best = cand
     return best
@@ -334,6 +338,9 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
         return VerifyReport(ok=True)
     key, side, i, word, c = min(failures, key=lambda t: t[0])
     ring = f_map.ring
+    tpower = None
+    if f_map.components[0].torder is not None:
+        word, tpower = word
     return VerifyReport(
         ok=False,
         side=side,
@@ -341,6 +348,7 @@ def verify_inverse(f_map: FormalMap, g_map: FormalMap) -> VerifyReport:
         word=tuple(j + 1 for j in word),
         degree=len(word),
         coefficient=ring.to_string(c),
+        tpower=tpower,
     )
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 
-from .deformation import embed_series
+from .deformation import embed_series, t_graded
 from .freealg import NCSeries
-from .rings import TQuotientRing
 
 #: characteristic-0 coefficients are drawn from [-COEFF_BOUND, COEFF_BOUND] minus 0
 COEFF_BOUND = 3
@@ -85,15 +84,14 @@ def random_deformed_displacement(
 ):
     """A genuinely t-dependent H_t: a random t-polynomial of t-degree <= K
     whose z-part has order >= 2 and degree <= 3, two words per t-layer,
-    over TQuotientRing(base, K)."""
-    tring = TQuotientRing(base_ring, torder)
+    as TSeries over ``base_ring``."""
     out = []
     for _ in range(arity):
-        acc = NCSeries.zero(tring, arity, degree)
+        acc = t_graded(NCSeries, torder).zero(base_ring, arity, degree)
         for j in range(torder + 1):
             if j > 0 and rng.random() < 0.5:
                 continue
             layer = random_series(rng, base_ring, arity, degree, 2, 3, 2)
-            acc = acc + embed_series(layer, tring, j)
+            acc = acc + embed_series(layer, torder, j)
         out.append(acc)
     return tuple(out)

@@ -1,21 +1,25 @@
 """Exact coefficient rings.
 
 Every algorithm in this package is exact: coefficients are big rationals,
-prime-field residues, truncated polynomials in a central parameter t, or
-the integers of the charp-lift engine's integer lift.  A ring is a context
-object that owns the arithmetic; ring *values* are plain Python data
-(Fraction, int, tuple) so that tight loops stay cheap.  Values are never
-mutated after construction.
+prime-field residues, or the integers of the charp-lift engine's integer
+lift.  A ring is a context object that owns the arithmetic; ring *values*
+are plain Python data (Fraction, int, tuple) so that tight loops stay
+cheap.  Values are never mutated after construction.
 
 Every ring knows its characteristic (0 or a prime) and supports exact
 division by integers through ``div_by_int``; there is no floating point
 anywhere.  Values are printed with ``to_string`` and never read back.
-Only :class:`TQuotientRing` knows that a value of R[t]/(t^(K+1)) is the
-tuple of its K+1 base-ring coefficients.  Its operations do not check the
-t-order of their values: a series over one t-order meets a series over
-another only in ``NCSeries._check_compatible``, which refuses it because
-the rings differ.  Equality, hash and repr are stated once, in
-:class:`Ring`, from each ring's tuple of constructor arguments.
+Equality, hash and repr are stated once, in :class:`Ring`, from each
+ring's tuple of constructor arguments.
+
+Series in a central parameter t are not series over a ring of t: the
+t-graded kinds of :mod:`ncinvert.deformation` keep the t-power in the key
+and base-ring coefficients, so no pair multiplies two polynomials in t.
+:class:`TQuotientRing`, whose values are the tuples of K+1 coefficients of
+R[t]/(t^(K+1)), stays as the tests' oracle for those kinds: the package
+itself no longer uses it.  Its operations do not check the t-order of their
+values: a series over one t-order meets a series over another only in
+``NCSeries._check_compatible``, which refuses it because the rings differ.
 
 A ring works on single values.  Terms are summed into series in one place,
 :meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
@@ -202,7 +206,8 @@ class TQuotientRing(Ring):
 
     Values are tuples ``(c_0, ..., c_K)`` of base-ring values.  The bound K
     is part of the ring identity, so a truncation mismatch is refused where
-    two series meet rather than lost in silence.
+    two series meet rather than lost in silence.  The tests check the
+    t-graded series kinds against it, and the layer trace counts ``mul``.
     """
 
     def __init__(self, base: Ring, torder: int):

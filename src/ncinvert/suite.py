@@ -169,10 +169,9 @@ def _parameter_chain_rule(rng, bounds):
     n, D, K = bounds.draw(rng)
     h_t = random_deformed_displacement(rng, QQ, n, D, K)
     d = DeformedMap(h_t)
-    tring = d.tring
-    u_t = embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), tring)
+    u_t = embed_series(random_series(rng, QQ, n, D, 0, 3, terms=2), K)
     u_t = u_t + embed_series(
-        random_series(rng, QQ, n, D, 0, 3, terms=2), tring, rng.randint(1, K)
+        random_series(rng, QQ, n, D, 0, 3, terms=2), K, rng.randint(1, K)
     )
     lhs = t_derivative_series(compose(u_t, d.f_t))
     df_dt = t_derivative_vector(d.f_t.components)

@@ -564,6 +564,38 @@ def test_check_identities_alias(capsys):
     assert "all identities passed" in out
 
 
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    built, original = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run_cli(capsys, "trees", "--leaves", "2")[:2] == (0, "(oo) 1\n")
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_dispatches_to_its_function_patched_after_the_parser(
+    capsys, monkeypatch, command
+):
+    # the parser is built before the patch: dispatch reads the function by name
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, cli.COMMANDS[command], lambda args: seen.append(args.command) or 7)
+    args = {"invert": ["-d", "2"], "verify": ["f", "g", "-d", "2"], "trees": ["--leaves", "1"]}
+    assert main([command, *args.get(command, [])]) == 7
+    assert seen == [command]
+    subs = next(a for a in cli._parser()._actions if a.dest == "command")
+    assert set(cli.COMMANDS) == set(subs.choices)
+
+
 @pytest.mark.parametrize(
     "option, value, message",
     [

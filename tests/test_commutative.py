@@ -198,7 +198,7 @@ def catalan_case(torder):
 def test_commutative_pde_at_torder_zero_is_the_boundary():
     _, h, n_t = catalan_case(0)
     assert inversion_pde_check(h, torder=0)
-    assert n_t[0].ring.torder == 0
+    assert n_t[0].torder == 0
 
     def never(_):
         raise AssertionError("no equation to check at t-order 0")
@@ -210,7 +210,7 @@ def test_commutative_pde_rejects_extra_t_constant_term():
     # N_t + x^3 starts at H + x^3 but does not follow (J N) N from there
     x, h, n_t = catalan_case(4)
     assert solves_cauchy_problem(n_t, h, comm_flow)
-    bump = embed_series(x ** 3, n_t[0].ring)
+    bump = embed_series(x ** 3, n_t[0].torder)
     assert not solves_cauchy_problem((n_t[0] + bump,), (h[0] + x ** 3,), comm_flow)
 
 

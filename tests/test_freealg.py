@@ -18,7 +18,7 @@ from ncinvert.commutative import (
 )
 from ncinvert import deformation, freealg
 from ncinvert.cli import _dump_json, _map_json
-from ncinvert.deformation import embed_series, special_inverse, t_residue_series
+from ncinvert.deformation import embed_series, special_inverse, t_graded, t_residue_series
 from ncinvert.freealg import (
     WORD_TABLE_CAP,
     Derivation,
@@ -738,7 +738,7 @@ def _substitute_copy_per_term(poly, vector):
 def _word_product(word, components):
     """F_i1 * ... * F_im for the word z_i1...z_im, one product per letter."""
     first = components[0]
-    prod = NCSeries.one(first.ring, first.arity, first.degree)
+    prod = type(first).one(first.ring, first.arity, first.degree)
     for letter in word:
         prod = prod * components[letter]
     return prod
@@ -797,16 +797,13 @@ def _t_residue_route(u, h_vector, j):
     """(-1)^j [t^j] u(z - t*H) over R[t]/(t^(j+1)), one word product per
     term of u (products only, no substitution pass)."""
     ring, n, D = u.ring, u.arity, u.degree
-    tring = TQuotientRing(ring, j)
+    kind = t_graded(NCSeries, j)
     shifted = [
-        NCSeries.variable(tring, n, D, i) - embed_series(h, tring, 1)
+        kind.variable(ring, n, D, i) - embed_series(h, j, 1)
         for i, h in enumerate(h_vector)
     ]
     image = t_residue_series(
-        NCSeries.sum(
-            tring, n, D,
-            (_word_product(w, shifted).scale(tring.embed(c)) for w, c in u.terms()),
-        ),
+        kind.sum(ring, n, D, (_word_product(w, shifted).scale(c) for w, c in u.terms())),
         j,
     )
     return image if j % 2 == 0 else -image
