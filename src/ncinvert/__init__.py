@@ -29,6 +29,7 @@ from .inversion import (
     invert_charp_lift,
     invert_fixed_point,
     n_seq_charp_direct,
+    n_seq_charp_lift,
     n_seq_recurrent,
     verify_inverse,
 )
@@ -37,6 +38,7 @@ from .trees import (
     enumerate_pbtrees,
     factorial_identity_check,
     invert_tree,
+    n_seq_tree,
     tree_expansion_term,
 )
 from .deformation import (
@@ -73,12 +75,14 @@ __all__ = [
     "invert_charp_lift",
     "invert_fixed_point",
     "n_seq_charp_direct",
+    "n_seq_charp_lift",
     "n_seq_recurrent",
     "verify_inverse",
     "PBTree",
     "enumerate_pbtrees",
     "factorial_identity_check",
     "invert_tree",
+    "n_seq_tree",
     "tree_expansion_term",
     "DeformedMap",
     "SpecialDeformation",

@@ -51,7 +51,7 @@ from .freealg import (
     compose_vector,
     vector_sum,
 )
-from .inversion import NSequence, c_sequence, n_seq_recurrent, verify_inverse
+from .inversion import NSequence, _vector_meta, c_sequence, n_seq_recurrent, verify_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +382,13 @@ def n_sequence_via_deformation(h_vector) -> NSequence:
     Independent of the recurrence engines: this is the oracle they are
     checked against.
     """
-    h_vector = tuple(h_vector)
-    first = h_vector[0]
-    D = first.degree
+    h_vector, ring, n, D = _vector_meta(h_vector)
     count = max(D - 1, 0)
     if count == 0:
-        return NSequence(first.ring, first.arity, D, [])
+        return NSequence(ring, n, D, [])
     sd = SpecialDeformation(h_vector, torder=count - 1)
     terms = [sd.n_term(m) for m in range(1, count + 1)]
-    return NSequence(first.ring, first.arity, D, terms)
+    return NSequence(ring, n, D, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ one table, and ``check_engine`` is the one test of a name against a ring:
 characteristic; ``recurrent`` runs it over Q and ``charp-direct`` over GF(p),
 so the two never meet on one ring.  The layered engines (the recurrence and
 the tree expansion) build their terms with the one loop
-``NSequence.from_layers`` and differ only in the layer they hand it; the
-inverse of z - H is then z + sum_m N_[m], which ``NSequence.assemble`` sums.
-Since o(N_[m]) >= m+1, the terms with m >= D are invisible at truncation
-degree D, so engines compute D-1 of them.
+``NSequence.from_layers`` and differ only in the layer they hand it; each
+returns its ``NSequence``, which ``invert`` alone sums into the inverse
+z + sum_m N_[m].  Since o(N_[m]) >= m+1, the terms with m >= D are
+invisible at truncation degree D, so engines compute D-1 of them.
 """
 
 from __future__ import annotations
@@ -110,13 +110,16 @@ class NSequence:
         """The map z + sum_m N_[m], the inverse of z - H."""
         return FormalMap.g_form(vector_sum(self.ring, self.arity, self.degree, self.terms))
 
-    def validate_bounds(self, h_vector):
-        """Check the order / degree / homogeneity bounds of every term.
+    def validate_bounds(self):
+        """Check the order / degree / homogeneity bounds that N_[1] = H sets.
 
         Raises AssertionError on the first violated bound, explicitly rather
         than by ``assert``, so that ``python -O`` keeps the check; used by
         tests and the identity suite's ``sequence-bounds`` check.
         """
+        if not self.terms:
+            return
+        h_vector = self.terms[0]
         h_deg = max(h.poly_degree() for h in h_vector)
         homogeneous = all(h.is_homogeneous() for h in h_vector) and len(
             {h.poly_degree() for h in h_vector if not h.is_zero()}
@@ -174,8 +177,8 @@ def n_seq_recurrent(h_vector) -> NSequence:
     """N_[1..D-1] by the recurrence, in any characteristic: from N_[1] = H,
     the divided convolution where m-1 is invertible and the residue step
     where m-1 is 0 in the ring, which over GF(p) is at m = kp + 1."""
-    h_vector = tuple(h_vector)
-    p = h_vector[0].ring.characteristic
+    h_vector, ring = _vector_meta(h_vector)[:2]
+    p = ring.characteristic
 
     def layer(terms, m):
         if p and (m - 1) % p == 0:
@@ -225,8 +228,8 @@ def alt_recurrent_step(prev_terms, h_vector, m):
 def n_seq_charp_direct(h_vector) -> NSequence:
     """The GF(p) sequence of the charp-direct engine: ``n_seq_recurrent``,
     once the coefficients are known to lie in a prime field."""
-    h_vector = tuple(h_vector)
-    if not isinstance(h_vector[0].ring, PrimeField):
+    h_vector, ring = _vector_meta(h_vector)[:2]
+    if not isinstance(ring, PrimeField):
         raise ValueError("charp-direct requires PrimeField coefficients")
     return n_seq_recurrent(h_vector)
 
@@ -240,14 +243,14 @@ def invert_charp_direct(h_vector) -> FormalMap:
 # ---------------------------------------------------------------------------
 
 
-def invert_charp_lift(h_vector) -> FormalMap:
-    """Invert over GF(p) by lifting each coefficient of H to its integer
-    representative in [0, p), running the characteristic-0 recurrence over
-    the integers, and reducing every coefficient mod p.
+def n_seq_charp_lift(h_vector) -> NSequence:
+    """The GF(p) sequence of the charp-lift engine: lift each coefficient of
+    H to its integer representative in [0, p), run the characteristic-0
+    recurrence over the integers, and reduce each layer mod p.
 
     The fixed point M = H(z + M) needs no division, so every N_[m] of an
     integral H is integral: the divisions by m - 1 are exact, and reducing
-    mod p afterwards gives the GF(p) inverse.  ``IntPolyRing`` raises
+    mod p afterwards gives the GF(p) sequence.  ``IntPolyRing`` raises
     AssertionError if one of them ever leaves a remainder.
     """
     h_vector, field = _vector_meta(h_vector)[:2]
@@ -255,10 +258,15 @@ def invert_charp_lift(h_vector) -> FormalMap:
         raise ValueError("the lift starts from PrimeField coefficients")
     lift_ring = IntPolyRing()
     lifted = tuple(h.map_coefficients(int, new_ring=lift_ring) for h in h_vector)
-    g_tilde = n_seq_recurrent(lifted).assemble()
-    return FormalMap(
-        [c.map_coefficients(field.from_int, new_ring=field) for c in g_tilde.components]
-    )
+    nseq = n_seq_recurrent(lifted)
+    nseq.ring = field
+    for m, vec in enumerate(nseq.terms):
+        nseq.terms[m] = tuple(s.map_coefficients(field.from_int, new_ring=field) for s in vec)
+    return nseq
+
+
+def invert_charp_lift(h_vector) -> FormalMap:
+    return n_seq_charp_lift(h_vector).assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +379,18 @@ def _prime_field(ring):
 
 def _engine_table():
     """Engine name -> (function of H, the engine's rule on the coefficient
-    ring: any ring, characteristic 0, or a PrimeField).  Rebuilt on every
-    call, so a function patched onto its module after import is the one
-    dispatched to."""
+    ring: any ring, characteristic 0, or a PrimeField).  A layered engine's
+    function returns its ``NSequence``, which ``invert`` assembles; the
+    fixed point's returns the map.  Rebuilt on every call, so a function
+    patched onto its module after import is the one dispatched to."""
     from . import trees
 
     return {
         "fixed-point": (invert_fixed_point, _any_ring),
-        "recurrent": (lambda h: n_seq_recurrent(h).assemble(), _char_zero),
-        "tree": (trees.invert_tree, _char_zero),
-        "charp-direct": (invert_charp_direct, _prime_field),
-        "charp-lift": (invert_charp_lift, _prime_field),
+        "recurrent": (n_seq_recurrent, _char_zero),
+        "tree": (trees.n_seq_tree, _char_zero),
+        "charp-direct": (n_seq_charp_direct, _prime_field),
+        "charp-lift": (n_seq_charp_lift, _prime_field),
     }
 
 
@@ -408,5 +417,6 @@ def check_engine(name, ring):
 
 def invert(h_vector, engine="fixed-point") -> FormalMap:
     """Run the selected engine on the displacement vector H of z - H."""
-    h_vector = tuple(h_vector)
-    return check_engine(engine, h_vector[0].ring)(h_vector)
+    h_vector = _check_vector(h_vector)
+    out = check_engine(engine, h_vector[0].ring)(h_vector)
+    return out.assemble() if isinstance(out, NSequence) else out

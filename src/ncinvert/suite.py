@@ -259,10 +259,10 @@ def _sequence_bounds(rng, bounds):
     n, D, _ = bounds.draw(rng)
     ring = QQ if rng.random() < 0.5 else PrimeField(rng.choice([2, 3, 5]))
     h = random_displacement(rng, ring, n, D)
-    n_seq_recurrent(h).validate_bounds(h)
+    n_seq_recurrent(h).validate_bounds()
     # homogeneous instance checks the sharper degree statement
     h2 = random_homogeneous_displacement(rng, QQ, n, D, deg=2)
-    n_seq_recurrent(h2).validate_bounds(h2)
+    n_seq_recurrent(h2).validate_bounds()
     return True
 
 
@@ -307,12 +307,7 @@ def _sequence_recursion(rng, bounds):
 def _tree_agreement(rng, bounds):
     n, D, _ = bounds.draw(rng)
     h = random_displacement(rng, QQ, n, D)
-    nseq = n_seq_recurrent(h)
-    table = []
-    for m in range(1, len(nseq) + 1):
-        if list(trees.tree_expansion_term(h, m, table)) != list(nseq.term(m)):
-            return False
-    return True
+    return trees.n_seq_tree(h).terms == n_seq_recurrent(h).terms
 
 
 @register("factorial-reciprocal-sums")

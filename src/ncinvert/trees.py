@@ -205,19 +205,22 @@ def tree_expansion_term(h_vector, m: int, table=None):
     )
 
 
-def invert_tree(h_vector) -> FormalMap:
-    """The tree-expansion engine: z + sum_m N_[m], each N_[m] summed over
-    trees from H alone (reading the earlier terms would fold it into the
-    recurrence); equals the other characteristic-0 engines term for term."""
-    h_vector = tuple(h_vector)
+def n_seq_tree(h_vector) -> NSequence:
+    """The tree-expansion engine's N_[1..D-1], each N_[m] summed over trees
+    from H alone (reading the earlier terms would fold it into the
+    recurrence); equals the other characteristic-0 sequences term for term."""
+    h_vector, ring, _, D = _vector_meta(h_vector)
     # here too: at D <= 2 no layer runs
-    _check_characteristic_zero(h_vector[0].ring)
-    _check_tree_count(max(1, h_vector[0].degree - 1))
+    _check_characteristic_zero(ring)
+    _check_tree_count(max(1, D - 1))
     table = []
-    nseq = NSequence.from_layers(
+    return NSequence.from_layers(
         h_vector, lambda _, m: tree_expansion_term(h_vector, m, table)
     )
-    return nseq.assemble()
+
+
+def invert_tree(h_vector) -> FormalMap:
+    return n_seq_tree(h_vector).assemble()
 
 
 # ---------------------------------------------------------------------------

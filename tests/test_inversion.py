@@ -27,12 +27,13 @@ from ncinvert.inversion import (
     invert_charp_lift,
     invert_fixed_point,
     n_seq_charp_direct,
+    n_seq_charp_lift,
     n_seq_recurrent,
     verify_inverse,
 )
 from ncinvert.randmaps import random_displacement
 from ncinvert.rings import QQ, IntPolyRing, PrimeField, TQuotientRing
-from ncinvert.trees import invert_tree
+from ncinvert.trees import invert_tree, n_seq_tree
 
 
 def catalan_numbers(count):
@@ -163,7 +164,17 @@ def test_sequence_bounds_hold():
     nseq = n_seq_recurrent(h)
     # o(N_[m]) >= m+1 makes D-1 terms sufficient at truncation D
     assert len(nseq) == 6 - 1
-    nseq.validate_bounds(h)
+    nseq.validate_bounds()
+
+
+def test_sequence_bounds_are_set_by_the_first_term():
+    # N_[1] = H of degree 2 bounds N_[2] to degree 3; a sequence without
+    # terms (D <= 1) checks nothing
+    h = (NCSeries.from_terms(QQ, 1, 6, [((0, 0), 1)]),)
+    n2 = (NCSeries.from_terms(QQ, 1, 6, [((0, 0, 0, 0), 1)]),)
+    with pytest.raises(AssertionError, match=r"^deg N_\[2\] = 4 > 3$"):
+        inversion.NSequence(QQ, 1, 6, [h, n2]).validate_bounds()
+    inversion.NSequence(QQ, 1, 1, []).validate_bounds()
 
 
 def test_sequence_bounds_are_checked_under_python_O():
@@ -174,7 +185,7 @@ def test_sequence_bounds_are_checked_under_python_O():
         "from ncinvert.rings import QQ\n"
         "h = (NCSeries.from_terms(QQ, 1, 4, [((0, 0), 1)]),)\n"
         "try:\n"
-        "    NSequence(QQ, 1, 4, [h, h]).validate_bounds(h)\n"
+        "    NSequence(QQ, 1, 4, [h, h]).validate_bounds()\n"
         "except AssertionError as err:\n"
         "    print(__debug__, err)\n"
     )
@@ -257,12 +268,7 @@ def test_residue_step_agrees_with_lift_at_wraparound_layer():
     step = alt_recurrent_step(direct.terms[: m - 1], h, m)
     assert list(step) == list(direct.term(m))
     # against the lift: the integer N_[m] of the representatives, reduced mod p
-    lifted = tuple(s.map_coefficients(int, new_ring=IntPolyRing()) for s in h)
-    integral = n_seq_recurrent(lifted)
-    reduced = tuple(
-        s.map_coefficients(field.from_int, new_ring=field) for s in integral.term(m)
-    )
-    assert list(reduced) == list(direct.term(m))
+    assert n_seq_charp_lift(h).term(m) == direct.term(m)
 
 
 # -- characteristic p ------------------------------------------------------------
@@ -312,14 +318,14 @@ def test_lift_and_direct_agree_on_random_maps_per_prime():
         for i in range(50):
             n = rng.choice([1, 2, 3])
             h = random_displacement(rng, field, n, 6, max_deg=3, terms=2)
-            assert invert_charp_lift(h) == invert_charp_direct(h), (p, i)
+            assert n_seq_charp_lift(h).terms == n_seq_charp_direct(h).terms, (p, i)
     # at D = 6 only p = 2, 3 reach a layer m = kp + 1 <= D - 1; these reach p + 1
     for p, D in ((5, 7), (7, 9)):
         field = PrimeField(p)
         for i in range(15):
             n = rng.choice([1, 2])
             h = random_displacement(rng, field, n, D, max_deg=3, terms=2)
-            assert invert_charp_lift(h) == invert_charp_direct(h), (p, D, i)
+            assert n_seq_charp_lift(h).terms == n_seq_charp_direct(h).terms, (p, D, i)
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -364,19 +370,60 @@ def test_dispatch_rejects_mismatched_engine():
 
 
 def test_dispatch_calls_the_module_attributes_of_the_moment(monkeypatch):
-    # a table that kept the functions from import time would miss these
+    # a table that kept the functions from import time would miss these;
+    # ``invert`` passes the fixed point's map through and assembles the
+    # sequence of every layered engine
     def sentinel(name):
         return lambda h_vector: name
 
+    def sequence(name):
+        nseq = mock.Mock(spec=inversion.NSequence)
+        nseq.assemble.return_value = name
+        return lambda h_vector: nseq
+
     monkeypatch.setattr(inversion, "invert_fixed_point", sentinel("fp"))
-    monkeypatch.setattr(inversion, "invert_charp_lift", sentinel("lift"))
-    monkeypatch.setattr(trees, "invert_tree", sentinel("tree"))
+    monkeypatch.setattr(inversion, "n_seq_recurrent", sequence("recurrent"))
+    monkeypatch.setattr(inversion, "n_seq_charp_direct", sequence("direct"))
+    monkeypatch.setattr(inversion, "n_seq_charp_lift", sequence("lift"))
+    monkeypatch.setattr(trees, "n_seq_tree", sequence("tree"))
     h = commutator_displacement(QQ, 4)
     hp = commutator_displacement(PrimeField(5), 4)
     assert invert(h) == "fp"
+    assert invert(h, engine="recurrent") == "recurrent"
     assert invert(h, engine="tree") == "tree"
     assert invert(hp, engine="fixed-point") == "fp"
+    assert invert(hp, engine="charp-direct") == "direct"
     assert invert(hp, engine="charp-lift") == "lift"
+
+
+SEQUENCE_AND_MAP_FUNCTIONS = (
+    invert_fixed_point,
+    n_seq_recurrent,
+    n_seq_tree,
+    n_seq_charp_direct,
+    n_seq_charp_lift,
+    n_sequence_via_deformation,
+    invert_tree,
+    invert_charp_direct,
+    invert_charp_lift,
+)
+NOT_A_VECTOR = (
+    ((), "^a vector of series needs at least one component$"),
+    ([1, 2], "^a vector of series holds NCSeries of words, not int$"),
+)
+
+
+@pytest.mark.parametrize("h, message", NOT_A_VECTOR)
+@pytest.mark.parametrize(
+    "run",
+    [lambda h, e=e: invert(h, engine=e) for e in inversion._engine_table()]
+    + list(SEQUENCE_AND_MAP_FUNCTIONS),
+    ids=[f"invert-{e}" for e in inversion._engine_table()]
+    + [f.__name__ for f in SEQUENCE_AND_MAP_FUNCTIONS],
+)
+def test_every_entry_point_validates_the_vector_before_reading_it(run, h, message):
+    with pytest.raises(ValueError, match=message):
+        run(h)
 
 
 # -- differential: every engine of a ring agrees on random sparse maps ----------
@@ -418,6 +465,25 @@ def test_characteristic_p_engines_agree(data):
     field = PrimeField(data.draw(st.sampled_from([2, 3])))
     h = data.draw(sparse_displacements(field, 2, 8))
     _assert_engines_agree(h, ("fixed-point", "charp-direct", "charp-lift"))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_layered_engines_agree_layer_by_layer(data):
+    # each layered engine's N_[m] against the deformation oracle's, over QQ
+    # and GF(p); the lift's reduced layers sum to its reduced integer map
+    ring = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)]))
+    h = data.draw(sparse_displacements(ring, 2, 6))
+    oracle = n_sequence_via_deformation(h).terms
+    if not ring.characteristic:
+        assert n_seq_tree(h).terms == n_seq_recurrent(h).terms == oracle
+        return
+    lift = n_seq_charp_lift(h)
+    assert lift.terms == n_seq_charp_direct(h).terms == oracle
+    lifted = tuple(s.map_coefficients(int, new_ring=IntPolyRing()) for s in h)
+    integral = n_seq_recurrent(lifted).assemble()
+    reduced = [s.map_coefficients(ring.from_int, new_ring=ring) for s in integral.components]
+    assert lift.assemble() == FormalMap(reduced)
 
 
 @given(st.data())

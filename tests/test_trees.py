@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncinvert import freealg
+from ncinvert import freealg, trees
 from ncinvert.freealg import Derivation, NCSeries, vector_sum
 from ncinvert.inversion import n_seq_recurrent
 from ncinvert.randmaps import random_displacement, random_homogeneous_displacement
@@ -21,6 +21,7 @@ from ncinvert.trees import (
     factorial_reciprocal_sum,
     gf_identity_check,
     invert_tree,
+    n_seq_tree,
     tree_expansion_term,
 )
 
@@ -359,3 +360,26 @@ def test_engine_builds_one_image_table_per_table_entry(monkeypatch):
             assert invert_tree(h) == expect
         entries = sum(comb(2 * (s - 1), s - 1) // s for s in range(1, D - 1))
         assert built == [n] * entries, (n, D)
+
+
+@pytest.mark.parametrize(
+    "seed, n, D, scaled",
+    [(1, 1, 7, [42]), (2, 2, 6, [177, 129]), (3, 2, 7, [250, 250])],
+)
+def test_last_layer_scales_only_the_terms_that_reach_degree_d(monkeypatch, seed, n, D, scaled):
+    # the terms of each scaled N_T2 the last layer's pass receives, summed
+    # per component; keeping one degree more of N_T2 changes no result,
+    # only these counts
+    seen = []
+    real = trees.derivation_sum
+
+    def counting(ring, arity, degree, applications):
+        applications = list(applications)
+        seen.append(sum(f.term_count() for _, f in applications))
+        return real(ring, arity, degree, applications)
+
+    monkeypatch.setattr(trees, "derivation_sum", counting)
+    h = random_displacement(random.Random(seed), QQ, n, D)
+    nseq = n_seq_tree(h)
+    assert seen == scaled
+    assert nseq.terms == n_seq_recurrent(h).terms
