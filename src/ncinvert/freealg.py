@@ -831,6 +831,28 @@ def derivation_sum(ring, arity, degree, applications):
     )
 
 
+def derivation_sum_keeping(ring, arity, degree, applications, kept):
+    """``derivation_sum`` that keeps each ``delta.apply(f)`` below degree
+    ``degree``: collected once, appended to the list ``kept`` in order, and
+    read by the pass from there; the Leibniz terms of degree ``degree`` go
+    straight into the pass."""
+
+    def blocks():
+        for delta, f in applications:
+            below = []
+            for block in delta._leibniz_terms(f):
+                if block[0] < degree:
+                    below.append(block)
+                else:
+                    yield block
+            part = f._collect(below)
+            kept.append(part)
+            for d, bucket in part.buckets.items():
+                yield d, bucket.items()
+
+    return NCSeries(ring, arity, degree)._collect(blocks())
+
+
 # ---------------------------------------------------------------------------
 # Jacobian-style matrices: tuples of row vectors
 # ---------------------------------------------------------------------------

@@ -11,16 +11,16 @@ where N_leaf = H and N_(T1,T2) = [N_T1 d/dz] N_T2.  The reciprocal weights
 are exact rationals summing to 1 in every leaf count, which is one of the
 testable identities shipped here.
 
-One recursion, ``_grow``, grafts the trees of each leaf count; it carries a
-``PBTree`` for the listing, the int T^! for the identities and the pair
-(T^!, N_T) for the engine, whose table keeps one entry per tree with at
-most D - 2 leaves.  The engine holds N_T as the derivation [N_T d/dz],
-built once with the entry, since every entry is the left subtree of the
-grafts that use it.  The engine sums a layer over ints: T^! divides (m-1)!,
-and e(T) = (m-1)!/T^! counts the linear extensions of the reduced tree, so
-N_[m] = (sum over T of e(T) N_T) / (m-1)!, one accumulation pass per
-component and one division per term.  The trees of the last layer,
-m = D - 1, are grafted into that pass as Leibniz pairs and never stored.
+One enumeration, ``_grafts``, lists the trees of each leaf count as grafts
+(T1, T2) of smaller ones; ``_grow`` builds from it a ``PBTree`` per tree
+for the listing and the int T^! for the identities, and the engine grafts
+each layer through it.  The engine sums over ints: e(T) = (m-1)!/T^!
+counts the linear extensions of the reduced tree, so N_[m] = (sum over T
+of E_T) / (m-1)! with E_T = e(T) N_T, and since T^! = (m-1) T1^! T2^!,
+E_T = C(m-2, k-1) [E_T1 d/dz] E_T2 for T1 with k leaves.  Its table keeps
+E_T as the derivation [E_T d/dz] for each tree with at most D - 2 leaves,
+without the terms of degree D that no graft reads; those, and the whole
+last layer m = D - 1, go only into the pass.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
-from .freealg import Derivation, FormalMap, NCSeries, derivation_sum
+from .freealg import Derivation, FormalMap, NCSeries, derivation_sum_keeping
 from .inversion import NSequence, _vector_meta
 
 #: the most trees with one leaf count that ``_grow`` builds
@@ -106,24 +106,28 @@ def _check_tree_count(m: int):
     )
 
 
-def _grow(table, m: int, leaf, graft):
-    """``table`` (seeded with ``leaf`` if empty) extended through m leaves,
-    refused past MAX_TREES: ``table[s]`` lists ``graft(s, a, b)`` over
-    k = 1..s-1, a in ``table[k]``, b in ``table[s - k]``."""
+def _grafts(lefts, rights, s):
+    """The (a, b) pairs of the trees with s leaves, in their one order: over
+    k = 1..s-1, a in ``lefts[k]`` and b in ``rights[s - k]``, the entries of
+    the left and the right subtree."""
+    return [(a, b) for k in range(1, s) for a in lefts[k] for b in rights[s - k]]
+
+
+def _grow(m: int, leaf, graft):
+    """The table of the trees through m leaves, refused past MAX_TREES:
+    ``table[1]`` is ``[leaf]`` and ``table[s]`` lists ``graft(s, a, b)``
+    over the pairs of ``_grafts``."""
     _check_tree_count(m)
-    if not table:
-        table += [[], [leaf]]
-    for s in range(len(table), m + 1):
-        table.append(
-            [graft(s, a, b) for k in range(1, s) for a in table[k] for b in table[s - k]]
-        )
+    table = [[], [leaf]]
+    for s in range(2, m + 1):
+        table.append([graft(s, a, b) for a, b in _grafts(table, table, s)])
     return table
 
 
 def enumerate_pbtrees(m: int):
-    """All planar binary trees with m leaves, in ``_grow``'s order;
+    """All planar binary trees with m leaves, in ``_grafts``' order;
     Catalan(m-1) of them, refused with a ValueError past MAX_TREES."""
-    return _grow([], m, LEAF, lambda s, a, b: PBTree(a, b))[m]
+    return _grow(m, LEAF, lambda s, a, b: PBTree(a, b))[m]
 
 
 # ---------------------------------------------------------------------------
@@ -141,67 +145,63 @@ def _check_characteristic_zero(ring):
         )
 
 
-def _graft_series(s, a, b):
-    """(T^!, N_T) of a tree with s leaves from the pairs of its subtrees,
-    N_T as the derivation [N_T d/dz]: the one a graft with T on the left
-    applies."""
-    return _graft_factorial(s, a[0], b[0]), Derivation(a[1].apply_vector(b[1].components))
-
-
-def _last_layer_applications(table, m, i, D):
-    """([N_T1 d/dz], component i of e(T) N_T2) per tree T = (T1, T2) with
-    m leaves, in ``_grow``'s order, so that e(T) N_T is the derivation
-    applied: T^! = (m-1) T1^! T2^! gives e(T) = (m-2)!/(T1^! T2^!).  Only
-    the terms of N_T2 of degree <= D - k are scaled: N_T1, with k leaves,
-    has order >= k + 1, so it raises every degree by at least k."""
-    weight = factorial(m - 2)
-    for k in range(1, m):
-        for w1, delta in table[k]:
-            for w2, n2 in table[m - k]:
-                # the terms of degree <= D - k, kept at truncation D
-                low = n2.components[i].truncated(D - k).truncated(D)
-                yield delta, low.scale_int(weight // (w1 * w2))
+def _layer(table, m, ring, n, D):
+    """The sum of E_T over the trees T with m leaves, one pass per
+    component over the Leibniz terms of all their grafts.  A right operand
+    C(m-2, k-1) E_T2, k leaves on the left, is built once per (k, T2) and
+    only through degree D - k: E_T1 has order >= k + 1, so it raises every
+    degree by at least k.  A layer of at most D - 2 leaves that the table
+    does not hold yet becomes its next layer, each graft's terms below
+    degree D its entry."""
+    kept = [[] for _ in range(n)]
+    sums = []
+    for i in range(n):
+        rights = [[]]
+        for k in range(m - 1, 0, -1):
+            low = [e.components[i].truncated(D - k).truncated(D) for e in table[m - k]]
+            weight = comb(m - 2, k - 1)
+            rights.append(low if weight == 1 else [r.scale_int(weight) for r in low])
+        sums.append(derivation_sum_keeping(ring, n, D, _grafts(table, rights, m), kept[i]))
+    if len(table) == m <= D - 2:
+        table.append([Derivation(components) for components in zip(*kept)])
+    return sums
 
 
 def tree_expansion_term(h_vector, m: int, table=None):
     """N_[m] as the weighted sum over all trees with m leaves.
 
-    Each tree T enters with the int weight e(T) = (m-1)!/T^!, the number of
-    linear extensions of its reduced tree (T^! divides (m-1)!): one
-    accumulation pass per component sums e(T) N_T over the trees, in
-    ``_grow``'s order, and each term of the sum is divided once by (m-1)!.
+    One accumulation pass per component sums E_T = e(T) N_T over the trees,
+    with e(T) = (m-1)!/T^! the int count of linear extensions of the reduced
+    tree, and each term of the sum is divided once by (m-1)!.  E_T is
+    grafted as C(m-2, k-1) [E_T1 d/dz] E_T2, T1 with k leaves: each right
+    entry is scaled once per k and shared by every left entry.
 
-    ``table`` holds (T^!, Derivation(N_T)) per tree and leaf count for this
-    H; calls that share it evaluate each tree, and build its derivation,
-    once.  It grows through m, but no layer >= D - 1 is grafted into it.
-    N_T has order >= m + 1, so a tree with D - 1 leaves is no subtree of a
-    tree that survives truncation at D: at m = D - 1 the Leibniz terms of
-    each graft go straight into the pass (``derivation_sum``).  At m >= D
-    every N_T is 0 and nothing is grafted.
+    ``table`` holds, per leaf count s <= D - 2, the entry Derivation(E_T)
+    of each tree without its terms of degree D; the leaf's entry is
+    Derivation(H), and a table whose leaf entry is not is refused.  Calls
+    that share it, one per layer in order, graft each tree once; it grows
+    through m, but no layer >= D - 1 is stored.  The terms of degree D, and the whole last
+    layer, whose trees are no subtree of a tree that survives truncation at
+    D, go only into the pass.  At m >= D every N_T is 0.
     """
     h_vector, ring, n, D = _vector_meta(h_vector)
     _check_characteristic_zero(ring)
     _check_tree_count(m)
     if m >= D:
         return (NCSeries.zero(ring, n, D),) * n
-    # layer 1 is the leaf that seeds the table, not a graft
-    last = 1 < m == D - 1
     table = [] if table is None else table
-    # the leaf's derivation is built only to seed an empty table
-    leaf = None if table else (1, Derivation(h_vector))
-    table = _grow(table, m - 1 if last else m, leaf, _graft_series)
+    if not table:
+        table += [[], [Derivation(h_vector)]]
+    elif table[1][0].components != h_vector:
+        raise ValueError("the tree table was grown for another H")
+    if m == 1:
+        return h_vector
+    for s in range(len(table), m):
+        _layer(table, s, ring, n, D)
     total = factorial(m - 1)
-
-    def weighted_sum(i):
-        if last:
-            return derivation_sum(ring, n, D, _last_layer_applications(table, m, i, D))
-        return NCSeries.sum(
-            ring, n, D, (s.components[i].scale_int(total // w) for w, s in table[m])
-        )
-
     return tuple(
-        weighted_sum(i).map_coefficients(lambda c: ring.div_by_int(c, total))
-        for i in range(n)
+        layer.map_coefficients(lambda c: ring.div_by_int(c, total))
+        for layer in _layer(table, m, ring, n, D)
     )
 
 
@@ -237,7 +237,7 @@ def factorial_identity_check(m_max: int):
     """[(m, sum of 1/T^!)] for m = 1..m_max; every sum should be exactly 1."""
     if m_max < 1:
         raise ValueError("need m_max >= 1")
-    table = _grow([], m_max, 1, _graft_factorial)
+    table = _grow(m_max, 1, _graft_factorial)
     return [
         (m, sum(Fraction(count, w) for w, count in Counter(table[m]).items()))
         for m in range(1, m_max + 1)

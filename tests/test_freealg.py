@@ -32,6 +32,7 @@ from ncinvert.freealg import (
     compose,
     compose_vector,
     derivation_sum,
+    derivation_sum_keeping,
     jacobian_tilde,
     matrix_derivation_apply,
     replace_letters,
@@ -499,6 +500,10 @@ def test_derivation_sum_is_the_sum_of_the_applications(seed):
     ]
     expect = NCSeries.sum(QQ, n, D, (delta.apply(f) for delta, f in applications))
     assert derivation_sum(QQ, n, D, iter(applications)) == expect
+    # the same sum, keeping each application without its terms of degree D
+    kept = []
+    assert derivation_sum_keeping(QQ, n, D, iter(applications), kept) == expect
+    assert kept == [delta.apply(f).truncated(D - 1).truncated(D) for delta, f in applications]
     # a series of another truncation is refused, as by ``apply``
     delta = Derivation(random_displacement(rng, QQ, n, D))
     with pytest.raises(ValueError, match="truncation degree mismatch"):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +21,6 @@ from ncinvert.trees import (
     factorial_reciprocal_sum,
     gf_identity_check,
     invert_tree,
-    n_seq_tree,
     tree_expansion_term,
 )
 
@@ -214,6 +213,28 @@ def test_expansion_matches_recurrence():
             assert list(tree_expansion_term(h, m, table)) == list(nseq.term(m))
 
 
+def linear_extensions(tree: PBTree) -> int:
+    """e(T) = (s-1)!/T^! for a tree with s leaves."""
+    return factorial(tree.leaves - 1) // tree.factorial
+
+
+def expected_table(h, layers):
+    """The engine's table through ``layers`` leaves, tree by tree: the leaf
+    holds Derivation(H), and every other tree e(T) N_T without its terms of
+    degree D."""
+    D = h[0].degree
+    table = [[], [Derivation(h)]]
+    for s in range(2, layers + 1):
+        table.append([
+            Derivation([
+                c.scale_int(linear_extensions(t)).truncated(D - 1).truncated(D)
+                for c in tree_series(t, h)
+            ])
+            for t in enumerate_pbtrees(s)
+        ])
+    return table
+
+
 def test_engine_table_holds_each_tree_in_enumeration_order():
     # D = 8, so that layer 6 is a stored layer, not the streamed last one
     rng = random.Random(21)
@@ -221,10 +242,31 @@ def test_engine_table_holds_each_tree_in_enumeration_order():
     table = []
     tree_expansion_term(h, 6, table)
     assert len(table) == 7
+    expect = expected_table(h, 6)
     for s in range(1, 7):
-        assert table[s] == [
-            (t.factorial, Derivation(tree_series(t, h))) for t in enumerate_pbtrees(s)
-        ], s
+        assert table[s] == expect[s], s
+
+
+def test_linear_extensions_factor_over_the_graft():
+    # e(T) = C(s-2, k-1) e(T1) e(T2), T1 with k leaves: why a graft scales
+    # its right entry by the binomial alone
+    for s in range(2, 11):
+        for t in enumerate_pbtrees(s):
+            k = t.left.leaves
+            assert linear_extensions(t) == (
+                comb(s - 2, k - 1) * linear_extensions(t.left) * linear_extensions(t.right)
+            ), t
+
+
+def test_engine_refuses_a_table_grown_for_another_h():
+    # the maps x - x^2 and x - 5x^2: N_[4] is 14 x^5 and 14 * 5^4 x^5
+    h1 = (NCSeries.from_terms(QQ, 1, 6, [((0, 0), 1)]),)
+    h2 = (NCSeries.from_terms(QQ, 1, 6, [((0, 0), 5)]),)
+    table = []
+    tree_expansion_term(h1, 4, table)
+    with pytest.raises(ValueError, match="another H"):
+        tree_expansion_term(h2, 4, table)
+    assert tree_expansion_term(h2, 4, []) == n_seq_recurrent(h2).term(4)
 
 
 def test_engine_table_stops_below_the_last_layer():
@@ -272,6 +314,16 @@ def test_expansion_term_is_the_sum_over_trees_divided_by_their_factorials(h):
             ),
         )
         assert tree_expansion_term(h, m, table) == expect, m
+
+
+@settings(max_examples=25, deadline=None)
+@given(fractional_maps())
+def test_engine_table_holds_weighted_entries_below_degree_d(h):
+    D = h[0].degree
+    table = []
+    for m in range(1, D):
+        tree_expansion_term(h, m, table)
+    assert table == expected_table(h, max(1, D - 2))
 
 
 def test_identities_and_engine_build_no_pbtree(monkeypatch):
@@ -363,23 +415,35 @@ def test_engine_builds_one_image_table_per_table_entry(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "seed, n, D, scaled",
-    [(1, 1, 7, [42]), (2, 2, 6, [177, 129]), (3, 2, 7, [250, 250])],
+    "seed, n, D, passes, held",
+    [
+        (1, 1, 7, [[2], [5], [11], [18], [23]], [2, 3, 6, 10, 14]),
+        (2, 2, 6, [[2, 2], [8, 9], [45, 44], [164, 122]], [4, 13, 73, 233]),
+        (3, 2, 7, [[2, 2], [11, 11], [64, 73], [176, 217], [222, 222]], [4, 18, 115, 320, 356]),
+    ],
 )
-def test_last_layer_scales_only_the_terms_that_reach_degree_d(monkeypatch, seed, n, D, scaled):
-    # the terms of each scaled N_T2 the last layer's pass receives, summed
-    # per component; keeping one degree more of N_T2 changes no result,
-    # only these counts
+def test_last_layer_scales_only_the_terms_that_reach_degree_d(
+    monkeypatch, seed, n, D, passes, held
+):
+    # per layer and component, the terms of the distinct right operands its
+    # pass receives, and per table layer, the terms its entries hold: each
+    # right entry is scaled once per (k, T2) and only through degree D - k,
+    # and no entry keeps a term of degree D.  Keeping more, or scaling per
+    # tree, changes no result, only these counts
     seen = []
-    real = trees.derivation_sum
+    real = trees.derivation_sum_keeping
 
-    def counting(ring, arity, degree, applications):
+    def counting(ring, arity, degree, applications, kept):
         applications = list(applications)
-        seen.append(sum(f.term_count() for _, f in applications))
-        return real(ring, arity, degree, applications)
+        rights = {id(f): f.term_count() for _, f in applications}
+        seen.append(sum(rights.values()))
+        return real(ring, arity, degree, applications, kept)
 
-    monkeypatch.setattr(trees, "derivation_sum", counting)
+    monkeypatch.setattr(trees, "derivation_sum_keeping", counting)
     h = random_displacement(random.Random(seed), QQ, n, D)
-    nseq = n_seq_tree(h)
-    assert seen == scaled
-    assert nseq.terms == n_seq_recurrent(h).terms
+    table = []
+    layers = [tree_expansion_term(h, m, table) for m in range(2, D)]
+    assert [seen[i : i + n] for i in range(0, len(seen), n)] == passes
+    terms = [sum(c.term_count() for e in entries for c in e.components) for entries in table]
+    assert terms[1:] == held
+    assert layers == n_seq_recurrent(h).terms[1:]
