@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -46,13 +47,11 @@ EXIT_VERIFY = 4
 def parse_ring(text: str):
     if text == "rational":
         return QQ
-    if text.startswith("gfp:"):
-        try:
-            modulus = int(text[len("gfp:"):])
-        except ValueError:
-            pass
-        else:
-            return PrimeField(modulus)
+    # ASCII digits, as in a map's integer literals; no more than 640 of them,
+    # the least limit Python may put on int(), so that int() never refuses
+    match = re.fullmatch(r"gfp:([0-9]{1,640})", text)
+    if match:
+        return PrimeField(int(match[1]))
     raise ValueError(f"unknown ring {text!r}; use 'rational' or 'gfp:<p>'")
 
 

@@ -686,57 +686,57 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     return tuple(compose(u, f_map, cache) for u in vector)
 
 
-def replace_letters(u: NCSeries, images, j: int) -> NCSeries:
-    """S_j(u): each word of ``u`` becomes the sum, over the ways to choose
-    exactly ``j`` of its letters, of the word with each chosen letter z_i
-    replaced by ``images[i]`` and the other letters kept.  Expanding
+def replace_letters(inputs, images) -> NCSeries:
+    """The sum of S_j(u_j) over the items (j, u_j) of ``inputs``: S_j sends a
+    word to the sum, over the ways to choose exactly j of its letters, of the
+    word with each chosen letter z_i replaced by ``images[i]``.  Expanding
     z - t*H letter by letter gives [t^j] u(z - t*H) = (-1)^j S_j(u) with
     ``images`` = H, computed here over the base ring.
 
-    The passes are those of ``compose``, from the right end to the left, with
-    j + 1 states: state s holds the terms with s letters replaced so far.
-    The words of ``u`` of length k+1 join state 0 before the pass at position
-    k; in that pass state s keeps its own terms (the letter at k is kept) and
-    takes the terms of state s - 1 with the images spliced at k.  State s is
-    dropped once its j - s missing replacements no longer fit: after pass k,
-    when j - s > k positions would be needed, and, with r = o(images), every
-    term of degree d + (j - s)(r - 1) > D, since each replacement still to
-    come adds at least r - 1 to the degree.  S_0 is u itself, and with no
-    images (H = 0, of order infinity) S_j is 0 for j >= 1, so the prune only
-    ever sees a finite r.  The images must have order >= 1, as in
-    ``compose``, so that no term of degree > D can come back below D.
-    The image table is built on each call: it holds only the terms of the
-    images.
+    The passes are those of ``compose``, right to left, with one state per
+    count of replacements still to make, shared by every input.  The words of
+    u_j of length k join state j before the pass at position k - 1 (the
+    constant term of u_0 after the last pass); that pass keeps the terms of
+    each state q and adds those of state q + 1 with the images spliced at
+    k - 1.  Then every state q >= k is dropped, for want of positions, and,
+    with r = o(images), every term of degree d in state q with
+    d + q(r - 1) > D, since each replacement to come adds at least r - 1 to
+    the degree.  The result is state 0.  The images must have order >= 1, as
+    in ``compose``, so that no term of degree > D comes back below D.  The
+    image table is built on each call.
     """
     images = _check_vector(images)
-    images[0]._check_compatible(u)
     for i, image in enumerate(images):
         if image.order() < 1:
             raise ValueError(f"image {i + 1} has a constant term")
-    if j < 0:
-        raise ValueError(f"cannot replace j = {j} letters: j must be >= 0")
-    if j == 0:
-        return u
+    for j, u in inputs.items():
+        images[0]._check_compatible(u)
+        if j < 0:
+            raise ValueError(f"cannot replace j = {j} letters: j must be >= 0")
     table = _image_table(images)
-    D, words, kind = u.degree, u.buckets, type(u)
-    empty = kind(u.ring, u.arity, D)
-    if not table:
-        # r = inf would turn the prune's 0 * inf at s = j into nan
-        return empty
-    r = table[0][0]
-    # room[s]: the largest degree a term of state s may reach
-    room = [D - (j - s) * (r - 1) for s in range(j + 1)]
-    states = [empty] * (j + 1)
-    for k in range(max(words, default=0) - 1, -1, -1):
-        if k + 1 in words and j <= k + 1 <= room[0]:
-            # state 0 holds raw words of u, so no key is shared
-            states[0] = kind(u.ring, u.arity, D, {**states[0].buckets, k + 1: words[k + 1]})
-        low = max(j - k, 0)
-        states = [empty] * low + [
-            _splice_pass(states[s], states[s - 1], table, k, room[s]) if s else states[0]
-            for s in range(low, j + 1)
-        ]
-    return states[j]
+    # with no image (H = 0) nothing is spliced, and r = 1 prunes nothing
+    r = table[0][0] if table else 1
+    first = images[0]
+    D = first.degree
+    top = max(inputs, default=0)
+    # room[q]: the largest degree a term of state q may reach
+    room = [D - q * (r - 1) for q in range(top + 1)]
+    empty = type(first)(first.ring, first.arity, D)
+    # states[top + 1] stays empty: no input needs more than top replacements
+    states = [empty] * (top + 2)
+    longest = max((d for u in inputs.values() for d in u.buckets), default=0)
+    for k in range(longest, -1, -1):
+        for j, u in inputs.items():
+            if k in u.buckets and j <= k <= room[j]:
+                # every other term of state j is longer than k
+                states[j] = type(u)(u.ring, u.arity, D, {**states[j].buckets, k: u.buckets[k]})
+        if k:
+            states = [
+                _splice_pass(states[q], states[q + 1], table, k - 1, room[q])
+                if q < k else empty
+                for q in range(top + 1)
+            ] + [empty]
+    return states[0]
 
 
 def _substitute(vector, point):

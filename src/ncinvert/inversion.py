@@ -11,12 +11,12 @@ one table, and ``check_engine`` is the one test of a name against a ring:
   m leaves weighted by 1/T^!, characteristic 0;
 * ``charp-direct``: the GF(p) engine of the same recurrence.  At the layers
   m = kp+1, where m-1 is 0 in the ring, the recurrence takes its
-  division-free form N_[m] = -sum_l [t^(m-l)] N_[l](z - t*H), read through
-  [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j (``freealg.replace_letters``)
-  replaces exactly j letters of each word by their images under H.  S_j
-  runs over the base ring, with one state per count of letters replaced so
-  far; a state is pruned once its missing replacements outnumber the
-  positions left or would push the degree past D;
+  division-free form N_[m] = -[t^m] (sum_{l<m} t^l N_[l])(z - t*H), read
+  through [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j replaces exactly j
+  letters of each word by their images under H: one pass of
+  ``freealg.replace_letters`` per component over the base ring, with one
+  state per count of replacements still to make, pruned once they
+  outnumber the positions left or would push the degree past D;
 * ``charp-lift``: over GF(p), lift the coefficients of H to their integer
   representatives, run the recurrence over the integers, reduce mod p.
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from .freealg import (
     Derivation,
     FormalMap,
-    NCSeries,
     _check_order_at_least,
     _check_vector,
     _fixed_point,
@@ -199,29 +198,26 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     Substituting z -> z - t*H into the lower terms and reading off t-powers
     gives, for m >= 2,
 
-        N_[m](z) = - sum_{l=1..m-1}  [t^(m-l)]  N_[l](z - t*H),
+        N_[m](z) = - [t^m]  (sum_{l=1..m-1}  t^l N_[l])(z - t*H),
 
     which uses no division at all and therefore works in any characteristic.
     Expanding each letter z_i - t*H_i gives [t^j] N(z - t*H) = (-1)^j S_j(N),
-    where S_j (``replace_letters``) replaces exactly j letters of each word
-    by their images under H and keeps the others, so the step runs over the
-    base ring: N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]).
+    where S_j replaces exactly j letters of each word by their images under
+    H, so N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]): one ``replace_letters``
+    call per component over the base ring, with the sign on each input.
     """
-    h_vector, ring, n, D = _vector_meta(h_vector)
+    h_vector, _, n, _ = _vector_meta(h_vector)
     if m < 2:
         raise ValueError("residue step starts at m = 2")
     if len(prev_terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
-
-    def extracted(i, l):
-        # -(-1)^j S_j: odd j adds S_j, even j subtracts it
-        j = m - l
-        s = replace_letters(prev_terms[l - 1][i], h_vector, j)
-        return s if j % 2 else -s
-
+    # -(-1)^j S_j(N) = S_j(-(-1)^j N) with j = m - l: odd j adds, even j subtracts
+    signed = {
+        m - l: prev_terms[l - 1] if (m - l) % 2 else tuple(-s for s in prev_terms[l - 1])
+        for l in range(1, m)
+    }
     return tuple(
-        NCSeries.sum(ring, n, D, (extracted(i, l) for l in range(1, m)))
-        for i in range(n)
+        replace_letters({j: vec[i] for j, vec in signed.items()}, h_vector) for i in range(n)
     )
 
 

@@ -236,7 +236,15 @@ def test_engine_ring_mismatch_exit_code(capsys):
     assert "valid engines" in err
 
 
-@pytest.mark.parametrize("ring", ["gfp:abc", "gfp:1e3", "gfp:", "rationals"])
+@pytest.mark.parametrize(
+    "ring",
+    # the modulus is ASCII digits, as an integer literal of a map is
+    [
+        "gfp:abc", "gfp:1e3", "gfp:", "rationals",
+        "gfp:\u0663", "gfp:1_3", "gfp:+13", "gfp: 3",
+        pytest.param("gfp:" + "9" * 5000, id="gfp:9*5000"),
+    ],
+)
 def test_malformed_ring_exits_3_naming_the_ring_and_the_accepted_forms(capsys, ring):
     code, out, err = run_cli(
         capsys, "invert", "--expr", "x-x*x", "--vars", "x", "-d", "4", "--ring", ring
@@ -614,9 +622,10 @@ def test_identities_rejects_out_of_range_options(capsys, option, value, message)
 
 
 def test_console_script_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "ncinvert.cli", "trees", "--leaves", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(oo) 1"

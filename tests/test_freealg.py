@@ -340,10 +340,10 @@ def test_replace_letters_replaces_exactly_j_letters():
     # x*y with x -> yy, y -> xx: one letter gives yyy + xxx, both give yyxx
     images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
     u = series(2, 4, ((0, 1), 1), ((), 5))
-    assert replace_letters(u, images, 0) == u
-    assert replace_letters(u, images, 1) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
-    assert replace_letters(u, images, 2) == series(2, 4, ((1, 1, 0, 0), 1))
-    assert replace_letters(u, images, 3).is_zero()
+    assert replace_letters({0: u}, images) == u
+    assert replace_letters({1: u}, images) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
+    assert replace_letters({2: u}, images) == series(2, 4, ((1, 1, 0, 0), 1))
+    assert replace_letters({3: u}, images).is_zero()
 
 
 def test_replace_letters_refuses_a_negative_j():
@@ -351,13 +351,13 @@ def test_replace_letters_refuses_a_negative_j():
     images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
     for v in (u, NCSeries.zero(QQ, 2, 4)):
         with pytest.raises(ValueError, match="j = -1"):
-            replace_letters(v, images, -1)
+            replace_letters({-1: v}, images)
 
 
 def test_replace_letters_rejects_constant_images():
     u = series(2, 3, ((0,), 1))
     with pytest.raises(ValueError, match="image 1 has a constant term"):
-        replace_letters(u, [NCSeries.one(QQ, 2, 3), NCSeries.zero(QQ, 2, 3)], 1)
+        replace_letters({1: u}, [NCSeries.one(QQ, 2, 3), NCSeries.zero(QQ, 2, 3)])
 
 
 def test_compose_associativity():
@@ -777,7 +777,7 @@ def test_compose_matches_word_by_word_reference(data):
     # keeping z_i or splicing V_i = F_i - z_i at each letter: u(z + V) is the
     # sum over j of the terms with exactly j letters replaced
     v = f_map.displacement()
-    assert expect == NCSeries.sum(ring, n, D, (replace_letters(u, v, j) for j in range(D + 1)))
+    assert expect == replace_letters({j: u for j in range(D + 1)}, v)
     poly, vector = abelianize(u), abelianize_vector(f_map.components)
     assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)
 
@@ -814,6 +814,20 @@ def _t_residue_route(u, h_vector, j):
     return image if j % 2 == 0 else -image
 
 
+def _draw_images(data, ring, n, D):
+    """H for ``replace_letters``: zero, or components that may be zero and
+    may have order 1."""
+    zero = NCSeries.zero(ring, n, D)
+    if data.draw(st.booleans()):
+        # H = 0, of order infinity: S_0 is u and every other S_j is 0
+        return [zero] * n
+    # order 1 is allowed as in compose
+    return [
+        data.draw(st.sampled_from([zero, data.draw(reaching_series(ring, n, D, 1))]))
+        for _ in range(n)
+    ]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_replace_letters_matches_the_t_residue_route(data):
@@ -825,18 +839,34 @@ def test_replace_letters_matches_the_t_residue_route(data):
     u = data.draw(reaching_series(ring, n, D, 0)) + NCSeries.constant(
         ring, n, D, ring.from_int(data.draw(st.integers(-2, 2)))
     )
-    zero = NCSeries.zero(ring, n, D)
-    if data.draw(st.booleans()):
-        # H = 0, of order infinity: S_0 is u and every other S_j is 0
-        h_vector = [zero] * n
-    else:
-        # some components may be zero; order 1 is allowed as in compose
-        h_vector = [
-            data.draw(st.sampled_from([zero, data.draw(reaching_series(ring, n, D, 1))]))
-            for _ in range(n)
-        ]
-    got = replace_letters(u, h_vector, j)
+    h_vector = _draw_images(data, ring, n, D)
+    got = replace_letters({j: u}, h_vector)
     assert got == _t_residue_route(u, h_vector, j)
+    _assert_stored_clean(got)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_replace_letters_sums_every_input_in_one_substitution(data):
+    # the inputs share the states of one pass: the result is the sum of the
+    # residues of the inputs, each taken alone
+    ring = data.draw(st.sampled_from((QQ, PrimeField(2), PrimeField(3))))
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 6))
+    zero = NCSeries.zero(ring, n, D)
+    # j up to 5, past D for the small D; zero inputs too, and no input at all
+    inputs = data.draw(
+        st.dictionaries(
+            st.integers(0, 5),
+            st.one_of(st.just(zero), reaching_series(ring, n, D, 0)),
+            max_size=4,
+        )
+    )
+    h_vector = _draw_images(data, ring, n, D)
+    got = replace_letters(inputs, h_vector)
+    assert got == NCSeries.sum(
+        ring, n, D, (_t_residue_route(u, h_vector, j) for j, u in inputs.items())
+    )
     _assert_stored_clean(got)
 
 

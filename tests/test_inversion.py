@@ -31,6 +31,7 @@ from ncinvert.inversion import (
     n_seq_recurrent,
     verify_inverse,
 )
+from ncinvert.parsing import parse_map
 from ncinvert.randmaps import random_displacement
 from ncinvert.rings import QQ, IntPolyRing, PrimeField, TQuotientRing
 from ncinvert.trees import invert_tree, n_seq_tree
@@ -269,6 +270,53 @@ def test_residue_step_agrees_with_lift_at_wraparound_layer():
     assert list(step) == list(direct.term(m))
     # against the lift: the integer N_[m] of the representatives, reduced mod p
     assert n_seq_charp_lift(h).term(m) == direct.term(m)
+
+
+def _residue_step_work(h, terms, m):
+    """N_[m] by the residue step, with the number of ``replace_letters``
+    calls it makes and of the (key, coefficient) pairs it collects."""
+    calls, pairs = [0], [0]
+    replace, collect = inversion.replace_letters, NCSeries._collect
+
+    def counted_replace(*args):
+        calls[0] += 1
+        return replace(*args)
+
+    def counted_collect(self, stream, start=None):
+        def counted():
+            for d, batch in stream:
+                batch = list(batch)
+                pairs[0] += len(batch)
+                yield d, batch
+
+        return collect(self, counted(), start)
+
+    with mock.patch.object(inversion, "replace_letters", counted_replace), mock.patch.object(
+        NCSeries, "_collect", counted_collect
+    ):
+        step = alt_recurrent_step(terms[: m - 1], h, m)
+    return step, calls[0], pairs[0]
+
+
+@pytest.mark.parametrize(
+    "p, D, text, work",
+    [
+        (2, 9, "x - x*y - y*x*x\ny - x*x - y*y*x", {3: 96, 5: 1306, 7: 1804}),
+        (3, 10, "x - (y*x - x*y) + x*x*y\ny - y*x", {4: 422, 7: 9802}),
+        (5, 9, "x - 2*x*y - y*y\ny - 3*x*x*x", {6: 3431}),
+    ],
+    ids=["GF(2)", "GF(3)", "GF(5)"],
+)
+def test_residue_step_is_one_substitution_per_component(p, D, text, work):
+    # every lower layer enters one replace_letters call per component, so the
+    # calls do not grow with m, and no second pass sums per-layer residues;
+    # work maps each residue layer m = kp + 1 to the pairs its step collects
+    h = parse_map(text, PrimeField(p), D, ["x", "y"]).f_map.h_vector()
+    nseq = n_seq_charp_direct(h)
+    for m, pairs in work.items():
+        step, calls, collected = _residue_step_work(h, nseq.terms, m)
+        assert list(step) == list(nseq.term(m))
+        assert (calls, collected) == (len(h), pairs), m
 
 
 # -- characteristic p ------------------------------------------------------------
