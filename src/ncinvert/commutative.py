@@ -26,6 +26,8 @@ TSeries.
 
 from __future__ import annotations
 
+import math
+
 from .deformation import TGraded, solves_cauchy_problem, special_inverse
 from .freealg import NCSeries
 
@@ -59,6 +61,10 @@ class CommPoly(NCSeries):
         """Exponent vectors as they are stored; they have no letters to
         number."""
         return expos
+
+    def _key_space(self, d):
+        """No bound: exponent vectors are no list indices."""
+        return math.inf
 
     @staticmethod
     def _products(b1, b2, d2, rmul):

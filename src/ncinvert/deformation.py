@@ -118,6 +118,9 @@ class TSeries(TGraded, NCSeries):
     def _t_parts(self, keys):
         return map(divmod, keys, repeat(self.torder + 1))
 
+    def _key_space(self, d):
+        return self.arity**d * (self.torder + 1)
+
     def _image_terms(self, bucket):
         """Per room r = 0..K, the terms (code, t, c) of ``bucket`` with
         t <= r: the terms that a key with t-power K - r can take."""

@@ -24,9 +24,15 @@ nothing but the arity and the number of the first letter.
 Every series is built by one collector, ``NCSeries._collect``: sums,
 products, derivations, compositions and ``from_terms`` hand it their
 (key, coefficient) pairs degree by degree, and it is the one place where a
-pair is added into a bucket and a cancelled key is dropped.  No module but
-this one, :mod:`ncinvert.commutative` and :mod:`ncinvert.deformation` reads
-the buckets.
+pair is added into a bucket and a cancelled key is dropped.  A bucket is
+collected in one of two forms.  It starts as a dict, and each pair looks
+its key up by hash.  Once the blocks of at least ``DENSE_BLOCK`` pairs sent
+to one degree d have brought more pairs than there are keys of degree d
+(``_key_space(d)``: n**d words), the bucket moves into a list indexed by
+key, and its later pairs are added by index.  The list goes back to a dict
+of its nonzero entries before the series is made, so both forms give the
+same series.  No module but this one, :mod:`ncinvert.commutative` and
+:mod:`ncinvert.deformation` reads the buckets.
 
 Series values are immutable by convention: no operation mutates its inputs,
 and results may be shared freely.
@@ -43,6 +49,12 @@ from .rings import Ring, coeff_bits
 
 #: order of the zero series
 INFINITE_ORDER = math.inf
+
+#: the least block that counts toward a bucket's switch to the list form in
+#: ``NCSeries._collect``; a smaller block goes through the dict uncounted, so
+#: that a collect of many small blocks (most of the identity suite's) pays
+#: nothing for the count
+DENSE_BLOCK = 16
 
 
 def word_key(word):
@@ -119,7 +131,9 @@ class NCSeries:
 
     Only the key methods below read a stored key: ``_key_degree``,
     ``_unit_key``, ``_check_key``, ``_key_in``, ``_keys_out``,
-    ``_products``, ``_splices``, ``_image_terms`` (an image bucket as
+    ``_key_space`` (the number of stored keys of a degree, which bounds the
+    list form of a bucket in ``_collect``; no bound for keys that are not
+    ints), ``_products``, ``_splices``, ``_image_terms`` (an image bucket as
     ``_splices`` reads it) and ``_key_text`` (the text of a key in
     ``repr``).  Every other method works on the buckets as they are or goes
     through the key methods, so a subclass keyed by other graded monomials
@@ -179,6 +193,11 @@ class NCSeries:
         """The tuple words of length ``d`` whose base-n codes are ``codes``,
         with letters numbered from ``first``, as an iterable."""
         return word_decoder(self.arity, first)(codes, d)
+
+    def _key_space(self, d):
+        """The number of stored keys of degree ``d``, each an int below it:
+        the n**d codes of the words of length d (see ``_collect``)."""
+        return self.arity**d
 
     def _products(self, b1, b2, d2, rmul):
         """The (key, coefficient) pairs of bucket times bucket, ``b2`` of
@@ -293,12 +312,44 @@ class NCSeries:
         ``start`` (copied, not changed) plus the pairs of ``stream``, which
         yields (degree, [(stored key, coefficient), ...]).  The one loop
         that adds terms: keys whose coefficient cancels and empty buckets
-        are dropped."""
+        are dropped.
+
+        A bucket is collected in one of two forms.  It starts as a dict, and
+        each pair looks its key up by hash and drops a key that cancels.  A
+        block of at least ``DENSE_BLOCK`` pairs counts toward the bucket's
+        switch (a smaller one is added at once, with no count): once those
+        blocks have brought more pairs than the bucket has keys,
+        ``_key_space(d)``, the bucket moves into a list of that length
+        filled with ``ring.zero()``, and each later pair is added by index
+        with no zero test.  At the end a list turns back into the dict of its
+        nonzero entries, so a series leaves here as it would have left the
+        dict alone."""
         ring = self.ring
         add, is_zero = ring.add, ring.is_zero
         buckets = {} if start is None else {d: dict(b) for d, b in start.buckets.items()}
+        # dense: the buckets in list form; left: per degree, the pairs of
+        # counted blocks still to come before the switch (both made with the
+        # first counted block)
+        dense = left = None
         for d, pairs in stream:
+            if dense and d in dense:
+                arr = dense[d]
+                for key, c in pairs:
+                    arr[key] = add(arr[key], c)
+                continue
             tgt = buckets.setdefault(d, {})
+            if len(pairs) >= DENSE_BLOCK:
+                if left is None:
+                    dense, left = {}, {}
+                room = left.get(d)
+                room = left[d] = (self._key_space(d) if room is None else room) - len(pairs)
+                if room < 0:
+                    arr = dense[d] = [ring.zero()] * self._key_space(d)
+                    for key, c in tgt.items():
+                        arr[key] = c
+                    for key, c in pairs:
+                        arr[key] = add(arr[key], c)
+                    continue
             for key, c in pairs:
                 prev = tgt.get(key)
                 val = c if prev is None else add(prev, c)
@@ -306,6 +357,9 @@ class NCSeries:
                     tgt.pop(key, None)
                 else:
                     tgt[key] = val
+        if dense:
+            for d, arr in dense.items():
+                buckets[d] = {key: c for key, c in enumerate(arr) if not is_zero(c)}
         return type(self)(
             ring, self.arity, self.degree, {d: b for d, b in buckets.items() if b}
         )
@@ -500,10 +554,16 @@ class FormalMap(_SeriesVector):
     """An n-vector of series, i.e. an endomorphism z_i -> components[i].
 
     The constructor checks only that the components form a vector;
-    ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.
+    ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.  The
+    image table of the displacement, which ``compose`` reads, is built on
+    first use and kept with the map.
     """
 
-    __slots__ = ()
+    __slots__ = ("_images",)
+
+    def __init__(self, components):
+        super().__init__(components)
+        self._images = None
 
     # -- constructors --------------------------------------------------
 
@@ -555,6 +615,13 @@ class FormalMap(_SeriesVector):
 
     def is_identity(self) -> bool:
         return all(v.is_zero() for v in self.displacement())
+
+    def image_table(self):
+        """The image table of V = F - z (see ``_image_table``): the terms of
+        each component of the displacement grouped by degree, built once."""
+        if self._images is None:
+            self._images = _image_table(self.displacement())
+        return self._images
 
     def __repr__(self):
         return f"FormalMap({list(self.components)!r})"
@@ -653,20 +720,17 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     Requires every component of the map to have order >= 1 (a constant term
     would make substitution non-convergent degree by degree).  So every raw
     letter still adds degree >= 1, a term whose length passes D is dropped
-    at once, and the result stays exact.  ``cache`` may be a dict shared
-    between calls composing with the *same* map: it holds the image table of
-    V = F - z, the terms of each component grouped by degree, under the key
-    ``()``.
+    at once, and the result stays exact.  The image table of V = F - z is
+    the map's own (``FormalMap.image_table``); a ``cache`` dict, if given,
+    receives it under the key ``()``.
     """
     f_map.components[0]._check_compatible(u)
     for i, comp in enumerate(f_map.components):
         if comp.order() < 1:
             raise ValueError(f"map component {i + 1} has a constant term")
-    if cache is None:
-        cache = {}
-    table = cache.get(())
-    if table is None:
-        table = cache[()] = _image_table(f_map.displacement())
+    table = f_map.image_table()
+    if cache is not None:
+        cache[()] = table
     words, kind = u.buckets, type(u)
     out = kind(u.ring, u.arity, u.degree)
     for k in range(max(words, default=0) - 1, -1, -1):
@@ -680,9 +744,8 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
 
 
 def compose_vector(vector, f_map: FormalMap, cache=None):
-    """Componentwise substitution sharing one image table."""
-    if cache is None:
-        cache = {}
+    """Componentwise substitution: every component reads the map's one
+    image table."""
     return tuple(compose(u, f_map, cache) for u in vector)
 
 

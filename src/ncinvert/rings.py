@@ -22,7 +22,11 @@ values: a series over one t-order meets a series over another only in
 ``NCSeries._check_compatible``, which refuses it because the rings differ.
 
 A ring works on single values.  Terms are summed into series in one place,
-:meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``.
+:meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``:
+a bucket collected as a dict tests each sum with ``is_zero``, and one
+collected as a list indexed by key (once its pairs outnumber its keys)
+starts every slot at ``zero()``, adds by index and calls ``is_zero`` once
+per slot at the end.
 A value rule may be a C builtin held as a staticmethod, so that those loops
 enter no Python frame per term: over QQ ``add``, ``neg``, ``mul`` and
 ``is_zero`` are ``operator.add``, ``neg``, ``mul`` and ``not_``, and over

@@ -144,8 +144,7 @@ def _jacobian_chain_rule(rng, bounds):
         return [[e.truncated(D - 1) for e in row] for row in rows]
 
     def composed(rows, other):
-        cache = {}
-        return [compose_vector(row, other, cache) for row in rows]
+        return [compose_vector(row, other) for row in rows]
 
     one, zero = NCSeries.one(QQ, n, D - 1), NCSeries.zero(QQ, n, D - 1)
     identity = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -273,7 +272,10 @@ def _shifted_family(rng, bounds):
     pairs = [
         (Fraction(1, 3), Fraction(1, 2)),
         (Fraction(0), Fraction(1)),
-        (Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(1, 2), rng.randint(1, 3))),
+        (
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+            Fraction(rng.randint(1, 2), rng.randint(1, 3)),
+        ),
     ]
     return all(check_shifted_inverse_family(h, t0, s0) for t0, s0 in pairs)
 

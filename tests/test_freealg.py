@@ -1,5 +1,6 @@
 """Series arithmetic, substitution, derivations, Jacobians, chain rules."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from ncinvert import deformation, freealg
 from ncinvert.cli import _dump_json, _map_json
 from ncinvert.deformation import embed_series, special_inverse, t_graded, t_residue_series
 from ncinvert.freealg import (
+    DENSE_BLOCK,
     WORD_TABLE_CAP,
     Derivation,
     FormalMap,
@@ -41,10 +43,10 @@ from ncinvert.freealg import (
     word_decoder,
     word_key,
 )
-from ncinvert.inversion import invert_fixed_point
-from ncinvert.parsing import _check_unitriangular
+from ncinvert.inversion import convolution_sum, invert_fixed_point, n_seq_recurrent
+from ncinvert.parsing import _check_unitriangular, parse_map
 from ncinvert.randmaps import random_displacement, random_series
-from ncinvert.rings import QQ, PrimeField, RationalField, TQuotientRing
+from ncinvert.rings import QQ, IntPolyRing, PrimeField, RationalField, TQuotientRing
 
 
 def series(n, degree, *terms):
@@ -985,6 +987,147 @@ def test_every_kernel_stores_no_empty_bucket_and_no_zero(data):
     for s in (a, b, p):
         assert (s + (-s)).buckets == {}
         assert (s - s).buckets == {}
+
+
+# -- the two bucket forms of the collector ------------------------------------
+
+#: IntPolyRing's values are ints, TQuotientRing's zero is a truthy tuple
+COLLECT_RINGS = (QQ, PrimeField(5), IntPolyRing(), TQuotientRing(QQ, 2))
+
+
+def _draw_value(data, ring):
+    """A small value of ``ring``, zero included."""
+    c = ring.from_int(data.draw(st.integers(-2, 2)))
+    if isinstance(ring, TQuotientRing):
+        c = ring.embed(c[0], data.draw(st.integers(0, ring.torder)))
+    return c
+
+
+def _draw_stream(data, ring, n, D, K):
+    """(degree, block) pairs with keys of the t-graded kind at t-order K
+    (K = 0: plain words): blocks on both sides of ``DENSE_BLOCK``, and at
+    times a block that cancels an earlier one of its degree."""
+    stream = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        if stream and data.draw(st.booleans()):
+            d, block = data.draw(st.sampled_from(stream))
+            stream.append((d, [(key, ring.neg(c)) for key, c in block]))
+            continue
+        d = data.draw(st.integers(0, D))
+        keys = st.integers(0, n**d * (K + 1) - 1)
+        size = data.draw(st.integers(1, 3 * DENSE_BLOCK))
+        stream.append((d, [(data.draw(keys), _draw_value(data, ring)) for _ in range(size)]))
+    return stream
+
+
+def _reference_collect(ring, start_buckets, stream):
+    """The buckets of ``start_buckets`` plus the pairs of ``stream``, summed
+    into plain dicts, with zero sums and empty buckets dropped at the end."""
+    acc = {d: dict(b) for d, b in start_buckets.items()}
+    for d, block in stream:
+        tgt = acc.setdefault(d, {})
+        for key, c in block:
+            tgt[key] = ring.add(tgt[key], c) if key in tgt else c
+    cleaned = {d: {k: c for k, c in b.items() if not ring.is_zero(c)} for d, b in acc.items()}
+    return {d: b for d, b in cleaned.items() if b}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_collect_in_either_bucket_form_is_the_dict_sum(data):
+    ring = data.draw(st.sampled_from(COLLECT_RINGS))
+    K = data.draw(st.sampled_from([0, 2]))
+    kind = NCSeries if K == 0 else t_graded(NCSeries, K)
+    n = data.draw(st.integers(1, 2))
+    D = data.draw(st.integers(0, 4))
+    start = None
+    if data.draw(st.booleans()):
+        start = kind(ring, n, D, _reference_collect(ring, {}, _draw_stream(data, ring, n, D, K)))
+    before = {} if start is None else {d: dict(b) for d, b in start.buckets.items()}
+    stream = _draw_stream(data, ring, n, D, K)
+    got = kind(ring, n, D)._collect(iter(stream), start=start)
+    assert type(got) is kind
+    assert got.buckets == _reference_collect(ring, before, stream)
+    _assert_stored_clean(got)
+    if start is not None:
+        assert start.buckets == before
+
+
+class _ZeroCountingQQ(RationalField):
+    """QQ that counts its calls of ``zero()``: ``_collect`` makes one call
+    per bucket that it moves into a list, to fill the list."""
+
+    def __init__(self):
+        self.zeros = 0
+
+    def zero(self):
+        self.zeros += 1
+        return 0
+
+
+def test_a_collect_of_small_blocks_never_asks_for_the_key_space():
+    # 150 pairs on the one key of degree 3 in one letter, all in blocks
+    # below the switch: the dict takes them, and no key space is asked for
+    blocks = [(3, [(0, 1)] * (DENSE_BLOCK - 1)) for _ in range(10)]
+    with mock.patch.object(NCSeries, "_key_space", side_effect=AssertionError):
+        got = NCSeries(QQ, 1, 3)._collect(iter(blocks))
+    assert got.buckets == {3: {0: 10 * (DENSE_BLOCK - 1)}}
+
+
+def test_the_top_layer_of_the_recurrence_collects_its_top_degree_as_a_list():
+    ring = _ZeroCountingQQ()
+    h = parse_map("x - x*y - y*x\ny - x*x + 2*y*y", ring, 11, ["x", "y"]).f_map.h_vector()
+    terms = n_seq_recurrent(h).terms
+    key_space = NCSeries._key_space
+    with mock.patch.object(NCSeries, "_key_space", autospec=True, side_effect=key_space) as asked:
+        ring.zeros = 0
+        convolution_sum(terms, 10)
+    # only degree-11 blocks are long enough to count, and in each component
+    # they outnumber the 2**11 keys of degree 11: one list per component
+    assert {call.args[1] for call in asked.call_args_list} == {11}
+    assert ring.zeros == 2
+
+
+@pytest.mark.parametrize("K", [None, 0, 2])
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 4), (3, 2), (2, 0)])
+def test_key_space_is_one_past_the_largest_stored_key(K, n, d):
+    kind = NCSeries if K is None else t_graded(NCSeries, K)
+    s = kind(QQ, n, d)
+    space = s._key_space(d)
+    words = list(itertools.product(range(n), repeat=d))
+    keys = words if K is None else [(w, t) for w in words for t in range(K + 1)]
+    # the keys of degree d are exactly 0 .. space - 1
+    assert sorted(s._key_in(key) for key in keys) == list(range(space))
+    largest = (n - 1,) * d if K is None else ((n - 1,) * d, K)
+    assert list(s._keys_out([space - 1], d)) == [largest]
+
+
+@pytest.mark.parametrize("kind", [CommPoly, t_graded(CommPoly, 1)])
+def test_commpoly_never_collects_a_bucket_as_a_list(kind):
+    ring = _ZeroCountingQQ()
+    unit = kind._unit_key(2, 0)
+    # 320 pairs on one key of degree 1: far more than the keys of degree 1
+    blocks = [(1, [(unit, 1)] * (4 * DENSE_BLOCK)) for _ in range(5)]
+    got = kind(ring, 2, 3)._collect(iter(blocks))
+    assert got.buckets == {1: {unit: 20 * DENSE_BLOCK}}
+    assert ring.zeros == 0
+
+
+@pytest.mark.parametrize("K", [None, 2])
+def test_a_map_builds_its_image_table_once(K):
+    rng = random.Random(11)
+    h = random_displacement(rng, QQ, 2, 5)
+    f_map = FormalMap.f_form(h if K is None else [embed_series(c, K, 1) for c in h])
+    vector = list(f_map.components)
+    expect = compose_vector(vector, f_map)
+    table = f_map.image_table()
+    with mock.patch.object(freealg, "_image_table", side_effect=AssertionError):
+        assert compose_vector(vector, f_map) == expect
+        assert f_map.image_table() is table
+        # a cache that compose is given still holds the table under ()
+        cache = {}
+        assert compose(vector[0], f_map, cache) == expect[0]
+        assert cache == {(): table}
 
 
 def test_repr_prints_words_as_z_letters():
