@@ -51,7 +51,7 @@ from .freealg import (
     compose_vector,
     vector_sum,
 )
-from .inversion import NSequence, _vector_meta, c_sequence, n_seq_recurrent, verify_inverse
+from .inversion import NSequence, _vector_meta, c_sequence, check_engine, verify_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +483,11 @@ def check_composed_with_forward_map(sd: SpecialDeformation) -> bool:
 
 def check_shifted_inverse_family(h_vector, t0, s0) -> bool:
     """z - s*N(t) is inverted by z + s*N(t+s), where N(c) evaluates the
-    N-sequence at the scalar c: N(c) = sum_m c^(m-1) N_[m]."""
+    N-sequence at the scalar c: N(c) = sum_m c^(m-1) N_[m], read from the
+    recurrence over Q and from charp-direct's residue step over GF(p)."""
     h_vector = tuple(h_vector)
     ring = h_vector[0].ring
-    nseq = n_seq_recurrent(h_vector)
+    nseq = check_engine("charp-direct" if ring.characteristic else "recurrent", ring)(h_vector)
 
     def shifted(s, c):
         """z + s*N(c): layer m weighted once, by s*c^(m-1)."""

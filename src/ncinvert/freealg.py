@@ -794,9 +794,11 @@ def replace_letters(inputs, images) -> NCSeries:
                 # every other term of state j is longer than k
                 states[j] = type(u)(u.ring, u.arity, D, {**states[j].buckets, k: u.buckets[k]})
         if k:
+            # a pass from an empty state q + 1 would only copy state q
             states = [
-                _splice_pass(states[q], states[q + 1], table, k - 1, room[q])
-                if q < k else empty
+                empty if q >= k
+                else states[q] if states[q + 1].is_zero()
+                else _splice_pass(states[q], states[q + 1], table, k - 1, room[q])
                 for q in range(top + 1)
             ] + [empty]
     return states[0]

@@ -9,22 +9,21 @@ one table, and ``check_engine`` is the one test of a name against a ring:
   N_[1] = H,  (m-1) N_[m] = sum_{k+l=m} [N_[k] d/dz] N_[l];
 * ``tree`` (in ``trees``): N_[m] as the sum over planar binary trees with
   m leaves weighted by 1/T^!, characteristic 0;
-* ``charp-direct``: the GF(p) engine of the same recurrence.  At the layers
-  m = kp+1, where m-1 is 0 in the ring, the recurrence takes its
-  division-free form N_[m] = -[t^m] (sum_{l<m} t^l N_[l])(z - t*H), read
-  through [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j replaces exactly j
-  letters of each word by their images under H: one pass of
+* ``charp-direct``: the GF(p) engine of the division-free residue formula
+  N_[m] = -[t^m] (sum_{l<m} t^l N_[l])(z - t*H) at every layer m >= 2,
+  read through [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j replaces exactly
+  j letters of each word by their images under H: one pass of
   ``freealg.replace_letters`` per component over the base ring, with one
   state per count of replacements still to make, pruned once they
   outnumber the positions left or would push the degree past D;
 * ``charp-lift``: over GF(p), lift the coefficients of H to their integer
   representatives, run the recurrence over the integers, reduce mod p.
 
-``n_seq_recurrent`` is the one sequence of the recurrence, in every
-characteristic; ``recurrent`` runs it over Q and ``charp-direct`` over GF(p),
-so the two never meet on one ring.  The layered engines (the recurrence and
-the tree expansion) build their terms with the one loop
-``NSequence.from_layers`` and differ only in the layer they hand it; each
+Each layered engine has one layer rule, and the two over GF(p) share none:
+``n_seq_recurrent`` is the recurrence in characteristic 0 only, which
+``recurrent`` runs over Q and ``charp-lift`` over the integers.  The layered
+engines build their terms with the one loop ``NSequence.from_layers`` and
+differ only in the layer they hand it; each
 returns its ``NSequence``, which ``invert`` alone sums into the inverse
 z + sum_m N_[m].  Since o(N_[m]) >= m+1, the terms with m >= D are
 invisible at truncation degree D, so engines compute D-1 of them.
@@ -173,18 +172,12 @@ def c_sequence(h_vector, count: int):
 
 
 def n_seq_recurrent(h_vector) -> NSequence:
-    """N_[1..D-1] by the recurrence, in any characteristic: from N_[1] = H,
-    the divided convolution where m-1 is invertible and the residue step
-    where m-1 is 0 in the ring, which over GF(p) is at m = kp + 1."""
-    h_vector, ring = _vector_meta(h_vector)[:2]
-    p = ring.characteristic
-
-    def layer(terms, m):
-        if p and (m - 1) % p == 0:
-            return alt_recurrent_step(terms, h_vector, m)
-        return _divided_convolution(terms, m)
-
-    return NSequence.from_layers(h_vector, layer)
+    """N_[1..D-1] by the recurrence: from N_[1] = H, every layer is the
+    divided convolution.  It divides by m - 1, so it refuses a ring of
+    nonzero characteristic, where m - 1 is 0 at m = kp + 1."""
+    if _vector_meta(h_vector)[1].characteristic:
+        raise ValueError("the recurrence divides by m - 1: it needs characteristic 0")
+    return NSequence.from_layers(h_vector, _divided_convolution)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +185,9 @@ def n_seq_recurrent(h_vector) -> NSequence:
 # ---------------------------------------------------------------------------
 
 
-def alt_recurrent_step(prev_terms, h_vector, m):
-    """Compute N_[m] from N_[1..m-1] by coefficient extraction.
+def alt_recurrent_step(terms, m):
+    """N_[m] from ``terms`` = N_[1..m-1] by coefficient extraction: the
+    charp-direct engine's layer at every m >= 2.
 
     Substituting z -> z - t*H into the lower terms and reading off t-powers
     gives, for m >= 2,
@@ -205,29 +199,29 @@ def alt_recurrent_step(prev_terms, h_vector, m):
     where S_j replaces exactly j letters of each word by their images under
     H, so N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]): one ``replace_letters``
     call per component over the base ring, with the sign on each input.
+    H is read as ``terms[0]``, since N_[1] = H.
     """
-    h_vector, _, n, _ = _vector_meta(h_vector)
     if m < 2:
         raise ValueError("residue step starts at m = 2")
-    if len(prev_terms) < m - 1:
-        raise ValueError(f"need N_[1..{m - 1}], got {len(prev_terms)} terms")
+    if len(terms) < m - 1:
+        raise ValueError(f"need N_[1..{m - 1}], got {len(terms)} terms")
     # -(-1)^j S_j(N) = S_j(-(-1)^j N) with j = m - l: odd j adds, even j subtracts
     signed = {
-        m - l: prev_terms[l - 1] if (m - l) % 2 else tuple(-s for s in prev_terms[l - 1])
+        m - l: terms[l - 1] if (m - l) % 2 else tuple(-s for s in terms[l - 1])
         for l in range(1, m)
     }
     return tuple(
-        replace_letters({j: vec[i] for j, vec in signed.items()}, h_vector) for i in range(n)
+        replace_letters({j: vec[i] for j, vec in signed.items()}, terms[0])
+        for i in range(len(terms[0]))
     )
 
 
 def n_seq_charp_direct(h_vector) -> NSequence:
-    """The GF(p) sequence of the charp-direct engine: ``n_seq_recurrent``,
-    once the coefficients are known to lie in a prime field."""
-    h_vector, ring = _vector_meta(h_vector)[:2]
-    if not isinstance(ring, PrimeField):
+    """The GF(p) sequence of the charp-direct engine: from N_[1] = H, the
+    residue step ``alt_recurrent_step`` at every layer, no division."""
+    if not isinstance(_vector_meta(h_vector)[1], PrimeField):
         raise ValueError("charp-direct requires PrimeField coefficients")
-    return n_seq_recurrent(h_vector)
+    return NSequence.from_layers(h_vector, alt_recurrent_step)
 
 
 def invert_charp_direct(h_vector) -> FormalMap:

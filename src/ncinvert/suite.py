@@ -43,6 +43,7 @@ from .freealg import (
 )
 from .inversion import (
     c_sequence,
+    check_engine,
     convolution_sum,
     invert_fixed_point,
     n_seq_charp_direct,
@@ -258,7 +259,7 @@ def _sequence_bounds(rng, bounds):
     n, D, _ = bounds.draw(rng)
     ring = QQ if rng.random() < 0.5 else PrimeField(rng.choice([2, 3, 5]))
     h = random_displacement(rng, ring, n, D)
-    n_seq_recurrent(h).validate_bounds()
+    check_engine("charp-direct" if ring.characteristic else "recurrent", ring)(h).validate_bounds()
     # homogeneous instance checks the sharper degree statement
     h2 = random_homogeneous_displacement(rng, QQ, n, D, deg=2)
     n_seq_recurrent(h2).validate_bounds()

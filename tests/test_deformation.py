@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncinvert.deformation as deformation
+import ncinvert.inversion as inversion
 from ncinvert.deformation import (
     DeformedMap,
     SpecialDeformation,
@@ -194,8 +194,11 @@ def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, de
     y = NCSeries.variable(ring, 2, degree, 1)
     three = ring.from_int(3)
     h = (x * y + (y * x).scale(three), x * x - y * y * x)
-    original = deformation.n_seq_recurrent
-    # N_[D-1] is visible at D; over GF(5) at D = 7 it is the residue layer m = 6
+    # the check reads the recurrence over QQ and charp-direct over GF(p)
+    engine = "n_seq_charp_direct" if ring.characteristic else "n_seq_recurrent"
+    original = getattr(inversion, engine)
+    # N_[D-1] is visible at D; over GF(5) at D = 7 it is m = 6 = p + 1, the
+    # first layer where the recurrence would divide by zero
     assert any(not s.is_zero() for s in original(h).term(degree - 1))
     pairs = [(ring.from_int(t), ring.from_int(s)) for t, s in ((0, 1), (2, 3), (1, 4), (3, 2))]
     for t0, s0 in pairs:
@@ -210,7 +213,7 @@ def test_shifted_inverse_family_sees_a_doubled_coefficient(monkeypatch, ring, de
         nseq.terms[1] = tuple(n2)
         return nseq
 
-    monkeypatch.setattr(deformation, "n_seq_recurrent", doubled)
+    monkeypatch.setattr(inversion, engine, doubled)
     for t0, s0 in pairs:
         assert not check_shifted_inverse_family(h, t0, s0)
         assert check_shifted_inverse_family(h, t0, ring.zero())

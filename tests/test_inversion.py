@@ -233,7 +233,7 @@ def test_residue_step_matches_recurrence_in_char_zero():
     h = random_displacement(rng, QQ, 2, 6)
     nseq = n_seq_recurrent(h)
     for m in range(2, len(nseq) + 1):
-        step = alt_recurrent_step(nseq.terms[: m - 1], h, m)
+        step = alt_recurrent_step(nseq.terms[: m - 1], m)
         assert list(step) == list(nseq.term(m))
 
 
@@ -241,20 +241,20 @@ def test_residue_step_matches_recurrence_in_char_zero():
 def test_residue_step_starts_at_m_2(m):
     h = commutator_displacement(PrimeField(3), 5)
     with pytest.raises(ValueError, match=r"^residue step starts at m = 2$"):
-        alt_recurrent_step([h], h, m)
+        alt_recurrent_step([h], m)
 
 
 def test_residue_step_needs_every_lower_term():
     h = commutator_displacement(PrimeField(3), 6)
     with pytest.raises(ValueError, match=r"^need N_\[1\.\.3\], got 2 terms$"):
-        alt_recurrent_step([h, h], h, 4)
+        alt_recurrent_step([h, h], 4)
     with pytest.raises(ValueError, match=r"^need N_\[1\.\.1\], got 0 terms$"):
-        alt_recurrent_step([], h, 2)
+        alt_recurrent_step([], 2)
 
 
 def test_residue_step_on_commutator_example():
     h = commutator_displacement(QQ, 5)
-    step = alt_recurrent_step([h], h, 2)
+    step = alt_recurrent_step([h], 2)
     assert step[0] == ad_y_power(QQ, 5, 2)
     assert step[1].is_zero()
 
@@ -266,16 +266,17 @@ def test_residue_step_agrees_with_lift_at_wraparound_layer():
     h = commutator_displacement(field, D, scale=4)
     direct = n_seq_charp_direct(h)
     m = p + 1
-    step = alt_recurrent_step(direct.terms[: m - 1], h, m)
+    step = alt_recurrent_step(direct.terms[: m - 1], m)
     assert list(step) == list(direct.term(m))
     # against the lift: the integer N_[m] of the representatives, reduced mod p
     assert n_seq_charp_lift(h).term(m) == direct.term(m)
 
 
-def _residue_step_work(h, terms, m):
-    """N_[m] by the residue step, with the number of ``replace_letters``
-    calls it makes and of the (key, coefficient) pairs it collects."""
-    calls, pairs = [0], [0]
+def _work(run):
+    """run() with the number of ``replace_letters`` calls it makes, of
+    ``NCSeries._collect`` calls and of the (key, coefficient) pairs those
+    collect."""
+    calls, collects, pairs = [0], [0], [0]
     replace, collect = inversion.replace_letters, NCSeries._collect
 
     def counted_replace(*args):
@@ -289,13 +290,14 @@ def _residue_step_work(h, terms, m):
                 pairs[0] += len(batch)
                 yield d, batch
 
+        collects[0] += 1
         return collect(self, counted(), start)
 
     with mock.patch.object(inversion, "replace_letters", counted_replace), mock.patch.object(
         NCSeries, "_collect", counted_collect
     ):
-        step = alt_recurrent_step(terms[: m - 1], h, m)
-    return step, calls[0], pairs[0]
+        out = run()
+    return out, calls[0], collects[0], pairs[0]
 
 
 @pytest.mark.parametrize(
@@ -310,13 +312,55 @@ def _residue_step_work(h, terms, m):
 def test_residue_step_is_one_substitution_per_component(p, D, text, work):
     # every lower layer enters one replace_letters call per component, so the
     # calls do not grow with m, and no second pass sums per-layer residues;
-    # work maps each residue layer m = kp + 1 to the pairs its step collects
+    # work maps layers m = kp + 1, where the recurrence would divide by 0, to
+    # the pairs the step collects
     h = parse_map(text, PrimeField(p), D, ["x", "y"]).f_map.h_vector()
     nseq = n_seq_charp_direct(h)
     for m, pairs in work.items():
-        step, calls, collected = _residue_step_work(h, nseq.terms, m)
+        step, calls, _, collected = _work(lambda: alt_recurrent_step(nseq.terms[: m - 1], m))
         assert list(step) == list(nseq.term(m))
         assert (calls, collected) == (len(h), pairs), m
+
+
+@pytest.mark.parametrize(
+    "p, D, text, work",
+    [
+        (3, 30, "x - x*x - 2*x*x*x", (2068, 11154)),
+        (5, 12, "x - x*y - 2*y*x*x\ny - y*y + x*y*x", (466, 129290)),
+    ],
+    ids=["n1-GF(3)-D30", "n2-GF(5)-D12"],
+)
+def test_residue_step_skips_the_passes_from_an_empty_state(p, D, text, work):
+    # a pass whose source state is empty would only copy its target, so
+    # replace_letters keeps the target and collects nothing; work is the
+    # (collect calls, pairs collected) of one charp-direct inversion, whose
+    # calls grow with m * D when every pass runs
+    names = ["x", "y"][: text.count("\n") + 1]
+    h = parse_map(text, PrimeField(p), D, names).f_map.h_vector()
+    g, _, collects, pairs = _work(lambda: invert(h, engine="charp-direct"))
+    assert g == invert_fixed_point(h)
+    assert (collects, pairs) == work
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_layered_engine_keeps_its_one_layer_rule(n, p):
+    # charp-direct takes the residue step at every layer m = 2..D-1, one
+    # replace_letters call per component and no convolution; the recurrence
+    # of recurrent and charp-lift takes one convolution per layer and never
+    # the residue step
+    D = 7
+    rng = random.Random(10 * p + n)
+    h = random_displacement(rng, PrimeField(p), n, D)
+    hq = random_displacement(rng, QQ, n, D)
+    conv = mock.patch.object(inversion, "convolution_sum", wraps=inversion.convolution_sum)
+    with conv as convolutions:
+        _, calls, _, _ = _work(lambda: invert(h, engine="charp-direct"))
+        assert (calls, convolutions.call_count) == (n * (D - 2), 0)
+        for ring_h, engine in ((h, "charp-lift"), (hq, "recurrent")):
+            convolutions.reset_mock()
+            _, calls, _, _ = _work(lambda: invert(ring_h, engine=engine))
+            assert (calls, convolutions.call_count) == (0, D - 2), engine
 
 
 # -- characteristic p ------------------------------------------------------------
@@ -536,27 +580,41 @@ def test_layered_engines_agree_layer_by_layer(data):
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_recurrence_runs_over_every_prime_field(data):
-    # one recurrence in every characteristic: over GF(p) it is charp-direct's
-    # sequence, residue layers m = kp+1 included, and it sums to the inverse
+def test_charp_direct_runs_over_every_prime_field(data):
+    # the residue step at every layer is the sequence over GF(p), layers
+    # m = kp+1 included, and sums to the inverse; the recurrence divides by
+    # m - 1 and refuses the field
     field = PrimeField(data.draw(st.sampled_from([2, 3, 5, 7])))
     h = data.draw(sparse_displacements(field, 3, 9))
-    nseq = n_seq_recurrent(h)
-    assert nseq.terms == n_seq_charp_direct(h).terms
+    nseq = n_seq_charp_direct(h)
+    assert nseq.terms == n_sequence_via_deformation(h).terms
     assert nseq.assemble() == invert_fixed_point(h)
+    refusal = "^the recurrence divides by m - 1: it needs characteristic 0$"
+    with pytest.raises(ValueError, match=refusal):
+        n_seq_recurrent(h)
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_recurrence_applies_no_derivation_alone(data):
-    # each layer streams its applications through one derivation_sum pass
-    # per component, over QQ and over GF(p), residue layers included
+def test_layers_apply_no_derivation_alone(data):
+    # the recurrence streams each layer's applications through one
+    # derivation_sum pass per component, over QQ and over the integers of
+    # charp-lift; charp-direct's residue step runs no derivation at all
     ring = data.draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
     h = data.draw(sparse_displacements(ring, 2, 7))
     expect = invert_fixed_point(h)
     refuse = AssertionError("Derivation.apply called")
     with mock.patch.object(Derivation, "apply", side_effect=refuse):
-        assert n_seq_recurrent(h).assemble() == expect
+        if not ring.characteristic:
+            assert n_seq_recurrent(h).assemble() == expect
+            return
+        assert n_seq_charp_lift(h).assemble() == expect
+        with mock.patch.object(
+            inversion, "derivation_sum", side_effect=AssertionError("derivation_sum called")
+        ), mock.patch.object(
+            inversion, "convolution_sum", side_effect=AssertionError("convolution_sum called")
+        ):
+            assert n_seq_charp_direct(h).assemble() == expect
 
 
 # -- verification ----------------------------------------------------------------
