@@ -22,16 +22,17 @@ division by n**L per chunk.  A table is built on first use and depends on
 nothing but the arity and the number of the first letter.
 
 Every series is built by one collector, ``NCSeries._collect``: sums,
-products, derivations, compositions and ``from_terms`` hand it their
-(key, coefficient) pairs degree by degree, and it is the one place where a
-pair is added into a bucket and a cancelled key is dropped.  A bucket is
-collected in one of two forms.  It starts as a dict, and each pair looks
-its key up by hash.  Once the blocks of at least ``DENSE_BLOCK`` pairs sent
-to one degree d have brought more pairs than there are keys of degree d
-(``_key_space(d)``: n**d words), the bucket moves into a list indexed by
-key, and its later pairs are added by index.  The list goes back to a dict
-of its nonzero entries before the series is made, so both forms give the
-same series.  No module but this one, :mod:`ncinvert.commutative` and
+products, derivations, compositions and ``from_terms`` hand it their terms
+degree by degree, as lists of (key, coefficient) pairs or, from the splice
+kernel when a block has at least as many pairs as keys, as a dense ``Row``.
+It is the one place where a term is added into a bucket and a cancelled key
+is dropped.  A bucket is collected in one of two forms.  It starts as a
+dict, and each pair looks its key up by hash.  When a row reaches it, or
+once the pair lists of at least ``DENSE_BLOCK`` pairs sent to one degree d
+have brought more pairs than there are keys of degree d (``_key_space(d)``:
+n**d words), the bucket moves into a list indexed by key.  The list goes
+back to a dict of its nonzero entries before the series is made, so both
+forms give the same series.  No module but this one, :mod:`ncinvert.commutative` and
 :mod:`ncinvert.deformation` reads the buckets.
 
 Series values are immutable by convention: no operation mutates its inputs,
@@ -55,6 +56,15 @@ INFINITE_ORDER = math.inf
 #: that a collect of many small blocks (most of the identity suite's) pays
 #: nothing for the count
 DENSE_BLOCK = 16
+
+
+class Row(list):
+    """A dense block of the stream of ``NCSeries._collect``: the coefficient
+    of every key of its degree, indexed by key, zeros included, in at least
+    ``DENSE_BLOCK`` slots.  Values may be unreduced (see ``Ring.row_rules``),
+    and the collector may take the list over as its own."""
+
+    __slots__ = ()
 
 
 def word_key(word):
@@ -133,8 +143,9 @@ class NCSeries:
     ``_unit_key``, ``_check_key``, ``_key_in``, ``_keys_out``,
     ``_key_space`` (the number of stored keys of a degree, which bounds the
     list form of a bucket in ``_collect``; no bound for keys that are not
-    ints), ``_products``, ``_splices``, ``_image_terms`` (an image bucket as
-    ``_splices`` reads it) and ``_key_text`` (the text of a key in
+    ints), ``_products`` (pairs), ``_splices`` (a pair list or, through
+    ``_splice_row``, a dense row per block), ``_image_terms`` (an image
+    bucket as ``_splices`` reads it) and ``_key_text`` (the text of a key in
     ``repr``).  Every other method works on the buckets as they are or goes
     through the key methods, so a subclass keyed by other graded monomials
     (:class:`ncinvert.commutative.CommPoly`, by exponent vectors) overrides
@@ -211,19 +222,40 @@ class NCSeries:
 
     def _splices(self, bucket, d, images, rmul, positions=None):
         """The Leibniz terms of a derivation on one bucket of degree ``d``:
-        per position and per image degree du that stays within the
-        truncation, the output degree d - 1 + du and its (key, coefficient)
-        pairs.  ``images`` is an image table (see ``_image_table``); each
-        image term of z_i replaces z_i at each position in ``positions`` (all
-        d of them by default).  At position j a code splits once into the
-        letters before (``hi``), the letter and the letters after (``lo``,
-        j+1..d-1), and every image degree reuses that split."""
+        per image degree du that stays within the truncation, the output
+        degree d - 1 + du and its block.  ``images`` is an image table (see
+        ``_image_table``); each image term of z_i replaces z_i at each
+        position in ``positions`` (all d of them by default).
+
+        The block of a du is one ``Row`` of its S = n**(d - 1 + du) output
+        keys (``_splice_row``) when P >= S >= ``DENSE_BLOCK``, P being its
+        pairs counted from below before any exists: per position, each term
+        meets at least the image terms of the letter with fewest.  So a row
+        never holds more slots than the pairs it replaces.  Otherwise it is
+        a list of (key, coefficient) pairs: at position j a code splits once
+        into the letters before (``hi``), the letter and the letters after
+        (``lo``, j+1..d-1), and every image degree in pairs reuses that
+        split."""
         n = self.arity
         images = [(du, by_letter) for du, by_letter in images if d - 1 + du <= self.degree]
         if not images:
             # no split at all: derivations meet many buckets that no image fits
             return
-        for j in range(d) if positions is None else positions:
+        if positions is None:
+            positions = range(d)
+        reach, pairs = len(bucket) * len(positions), images
+        # a letter has at most n**du image terms, and the largest du has the
+        # most keys: no du makes a row unless
+        if reach >= n ** (d - 1) and n ** (d - 1 + images[-1][0]) >= DENSE_BLOCK:
+            pairs = []
+            for du, by_letter in images:
+                if DENSE_BLOCK <= n ** (d - 1 + du) <= reach * min(map(len, by_letter)):
+                    yield d - 1 + du, self._splice_row(bucket, d, du, by_letter, positions)
+                else:
+                    pairs.append((du, by_letter))
+        if not pairs:
+            return
+        for j in positions:
             low = n ** (d - 1 - j)
             high = low * n
             split = [
@@ -232,13 +264,67 @@ class NCSeries:
                 for hi, rest in [divmod(code, high)]
                 for letter, lo in [divmod(rest, low)]
             ]
-            for du, by_letter in images:
+            for du, by_letter in pairs:
                 lift = n**du
                 yield d - 1 + du, [
                     ((hi * lift + uw) * low + lo, rmul(c, uc))
                     for hi, letter, lo, c in split
                     for uw, uc in by_letter[letter]
                 ]
+
+    def _splice_row(self, bucket, d, du, by_letter, positions):
+        """The ``Row`` of the Leibniz terms of ``_splices`` with images of
+        degree ``du``.  At position j, with low = n**(d - 1 - j), an output
+        key is (hi * n**du + uw) * low + lo, so the terms that differ in one
+        of lo (the letters after j), hi (the letters before it) or uw (the
+        image word) lie at one stride of the row.  Each position adds them
+        along the axis that takes the fewest slice assignments, one ``map``
+        of the ring's ``row_rules`` per slice: the source read as a list of
+        n**d slots, per image term, for the first two; the image of each
+        stored term's letter as a list of n**du slots for the third."""
+        n, ring = self.arity, self.ring
+        add, mul, _ = ring.row_rules()
+        zero = ring.zero()
+        lift = n**du
+        row = Row([zero] * n ** (d - 1 + du))
+        terms = sum(map(len, by_letter))
+        src = img = None
+        for j in positions:
+            low = n ** (d - 1 - j)
+            high = low * n
+            before = n**j
+            if len(bucket) < min(before, low) * terms:
+                if img is None:
+                    img = [[zero] * lift for _ in by_letter]
+                    for dense, sparse in zip(img, by_letter):
+                        for uw, uc in sparse:
+                            dense[uw] = uc
+                for code, c in bucket.items():
+                    hi, rest = divmod(code, high)
+                    letter, lo = divmod(rest, low)
+                    at = slice(hi * lift * low + lo, (hi + 1) * lift * low, low)
+                    row[at] = map(add, row[at], map(mul, repeat(c), img[letter]))
+                continue
+            if src is None:
+                src = [zero] * n**d
+                for code, c in bucket.items():
+                    src[code] = c
+            if before <= low:
+                for hi in range(before):
+                    for letter, sparse in enumerate(by_letter):
+                        start = (hi * n + letter) * low
+                        part = src[start : start + low]
+                        for uw, uc in sparse:
+                            at = slice((hi * lift + uw) * low, (hi * lift + uw + 1) * low)
+                            row[at] = map(add, row[at], map(mul, part, repeat(uc)))
+            else:
+                for letter, sparse in enumerate(by_letter):
+                    for lo in range(low):
+                        part = src[letter * low + lo :: high]
+                        for uw, uc in sparse:
+                            at = slice(uw * low + lo, None, lift * low)
+                            row[at] = map(add, row[at], map(mul, part, repeat(uc)))
+        return row
 
     _image_terms = staticmethod(dict.items)
 
@@ -309,48 +395,58 @@ class NCSeries:
 
     def _collect(self, stream, start=None):
         """The series of this kind, ring, arity and truncation holding
-        ``start`` (copied, not changed) plus the pairs of ``stream``, which
-        yields (degree, [(stored key, coefficient), ...]).  The one loop
-        that adds terms: keys whose coefficient cancels and empty buckets
-        are dropped.
+        ``start`` (copied, not changed) plus the blocks of ``stream``, which
+        yields (degree, block): a block is an iterable of (stored key,
+        coefficient) pairs or a ``Row``.  The one loop that adds terms: keys
+        whose coefficient cancels and empty buckets are dropped.
 
         A bucket is collected in one of two forms.  It starts as a dict, and
-        each pair looks its key up by hash and drops a key that cancels.  A
-        block of at least ``DENSE_BLOCK`` pairs counts toward the bucket's
-        switch (a smaller one is added at once, with no count): once those
-        blocks have brought more pairs than the bucket has keys,
-        ``_key_space(d)``, the bucket moves into a list of that length
-        filled with ``ring.zero()``, and each later pair is added by index
-        with no zero test.  At the end a list turns back into the dict of its
-        nonzero entries, so a series leaves here as it would have left the
-        dict alone."""
+        each pair looks its key up by hash and drops a key that cancels.  It
+        moves into a list indexed by key, of ``_key_space(d)`` slots, when a
+        row arrives (the row becomes the list), or once the pair lists of at
+        least ``DENSE_BLOCK`` pairs sent to it have brought more pairs than
+        it has keys (a list filled with ``ring.zero()``; a smaller list is
+        added at once, with no count).  A list adds a later pair by index
+        and a later row slot by slot, with no zero test, by the ring's
+        ``row_rules``.  At the end a list turns back into the dict of its
+        nonzero entries, reduced once if the rules say so, so a series
+        leaves here as it would have left the dict alone."""
         ring = self.ring
         add, is_zero = ring.add, ring.is_zero
         buckets = {} if start is None else {d: dict(b) for d, b in start.buckets.items()}
         # dense: the buckets in list form; left: per degree, the pairs of
-        # counted blocks still to come before the switch (both made with the
-        # first counted block)
+        # counted blocks still to come before the switch (both made, with
+        # the row rules, at the first row or counted block)
         dense = left = None
-        for d, pairs in stream:
+        for d, block in stream:
             if dense and d in dense:
                 arr = dense[d]
-                for key, c in pairs:
-                    arr[key] = add(arr[key], c)
+                if type(block) is Row:
+                    arr[:] = map(radd, arr, block)
+                else:
+                    for key, c in block:
+                        arr[key] = radd(arr[key], c)
                 continue
             tgt = buckets.setdefault(d, {})
-            if len(pairs) >= DENSE_BLOCK:
+            if len(block) >= DENSE_BLOCK:
                 if left is None:
                     dense, left = {}, {}
+                    radd, _, modulus = ring.row_rules()
+                if type(block) is Row:
+                    arr = dense[d] = block
+                    for key, c in tgt.items():
+                        arr[key] = radd(arr[key], c)
+                    continue
                 room = left.get(d)
-                room = left[d] = (self._key_space(d) if room is None else room) - len(pairs)
+                room = left[d] = (self._key_space(d) if room is None else room) - len(block)
                 if room < 0:
                     arr = dense[d] = [ring.zero()] * self._key_space(d)
                     for key, c in tgt.items():
                         arr[key] = c
-                    for key, c in pairs:
-                        arr[key] = add(arr[key], c)
+                    for key, c in block:
+                        arr[key] = radd(arr[key], c)
                     continue
-            for key, c in pairs:
+            for key, c in block:
                 prev = tgt.get(key)
                 val = c if prev is None else add(prev, c)
                 if is_zero(val):
@@ -359,6 +455,8 @@ class NCSeries:
                     tgt[key] = val
         if dense:
             for d, arr in dense.items():
+                if modulus:
+                    arr = map(mod, arr, repeat(modulus))
                 buckets[d] = {key: c for key, c in enumerate(arr) if not is_zero(c)}
         return type(self)(
             ring, self.arity, self.degree, {d: b for d, b in buckets.items() if b}

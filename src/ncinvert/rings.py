@@ -24,9 +24,11 @@ values: a series over one t-order meets a series over another only in
 A ring works on single values.  Terms are summed into series in one place,
 :meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``:
 a bucket collected as a dict tests each sum with ``is_zero``, and one
-collected as a list indexed by key (once its pairs outnumber its keys)
-starts every slot at ``zero()``, adds by index and calls ``is_zero`` once
-per slot at the end.
+collected as a list indexed by key (once its pairs outnumber its keys, or
+a dense row of splices reaches it) adds by index and calls ``is_zero`` once
+per slot at the end.  Lists and dense rows are summed by ``row_rules()``:
+over QQ, the integer lift and GF(p) the builtins ``operator.add`` and
+``mul``, and over GF(p) one ``% p`` per slot when the list is read.
 A value rule may be a C builtin held as a staticmethod, so that those loops
 enter no Python frame per term: over QQ ``add``, ``neg``, ``mul`` and
 ``is_zero`` are ``operator.add``, ``neg``, ``mul`` and ``not_``, and over
@@ -103,6 +105,12 @@ class Ring:
     def mul_int(self, a, n: int):
         return self.mul(a, self.from_int(n))
 
+    def row_rules(self):
+        """(add, mul, modulus) for summing lists slot by slot: rules that may
+        leave a value unreduced, and the int that reduces it when the list
+        is read (None: no reduction)."""
+        return self.add, self.mul, None
+
     def __eq__(self, other):
         return type(other) is type(self) and other._args == self._args
 
@@ -141,6 +149,10 @@ class RationalField(Ring):
 
     def mul_int(self, a, n: int):
         return a * n
+
+    def row_rules(self):
+        # the integer lift's ``mul`` is a plain function: lists take the builtin
+        return operator.add, operator.mul, None
 
     def div_by_int(self, a, m: int):
         if m == 0:
@@ -189,6 +201,9 @@ class PrimeField(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def row_rules(self):
+        return operator.add, operator.mul, self.p
 
     #: a residue in [0, p) is false exactly when it is 0
     is_zero = staticmethod(operator.not_)

@@ -1,9 +1,12 @@
 """Series arithmetic, substitution, derivations, Jacobians, chain rules."""
 
+import contextlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -27,8 +30,10 @@ from ncinvert.freealg import (
     FormalMap,
     INFINITE_ORDER,
     NCSeries,
+    Row,
     _fixed_point,
     _image_table,
+    _splice_pass,
     _substitute,
     chunk_length,
     compose,
@@ -43,10 +48,11 @@ from ncinvert.freealg import (
     word_decoder,
     word_key,
 )
-from ncinvert.inversion import convolution_sum, invert_fixed_point, n_seq_recurrent
+from ncinvert.inversion import convolution_sum, invert, invert_fixed_point, n_seq_recurrent
 from ncinvert.parsing import _check_unitriangular, parse_map
 from ncinvert.randmaps import random_displacement, random_series
 from ncinvert.rings import QQ, IntPolyRing, PrimeField, RationalField, TQuotientRing
+from ncinvert.suite import SuiteBounds, run_identity_suite
 
 
 def series(n, degree, *terms):
@@ -939,6 +945,197 @@ def test_packed_kernels_match_a_tuple_word_reference(data):
     assert NCSeries.from_terms(ring, n, D, a.terms()) == a
 
 
+# -- dense rows of the splice kernel -------------------------------------------
+
+#: QQ (over ints, and over p/q when drawn), the prime fields, whose rows sum
+#: unreduced ints, the integer lift, and a ring whose zero is a truthy tuple
+ROW_RINGS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), IntPolyRing(), TQuotientRing(QQ, 2))
+
+#: no block is dense enough for a row, and no pair list counts toward a list
+#: bucket: every splice leaves as pairs and every bucket is collected as a dict
+pairs_only = partial(mock.patch.object, freealg, "DENSE_BLOCK", math.inf)
+
+
+@st.composite
+def filled_series(draw, ring, n, D, degrees, fractions=False):
+    """A series holding a drawn share, from none to all, of the words of each
+    degree in ``degrees``, with small nonzero coefficients (p/q ones when
+    ``fractions``)."""
+    fill = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def value():
+        c = rng.choice([-3, -1, 1, 2])
+        return Fraction(c, rng.randint(1, 3)) if fractions else ring.from_int(c)
+
+    words = [w for d in degrees for w in itertools.product(range(n), repeat=d)]
+    return NCSeries.from_terms(ring, n, D, [(w, value()) for w in words if rng.random() < fill])
+
+
+def _pairs_replaced(bucket, d, by_letter, positions, n):
+    """The pairs that the pair list of one block of ``_splices`` holds."""
+    return sum(len(by_letter[code // n ** (d - 1 - j) % n]) for code in bucket for j in positions)
+
+
+@contextlib.contextmanager
+def _rows_made():
+    """The (degree, slots, pairs replaced) of every row made inside, each
+    checked to hold no more slots than the pairs it stands for."""
+    made = []
+    splice_row = NCSeries._splice_row
+
+    def checked(self, bucket, d, du, by_letter, positions):
+        row = splice_row(self, bucket, d, du, by_letter, positions)
+        pairs = _pairs_replaced(bucket, d, by_letter, positions, self.arity)
+        assert len(row) <= pairs, (d, du, len(row), pairs)
+        made.append((d - 1 + du, len(row), pairs))
+        return row
+
+    with mock.patch.object(NCSeries, "_splice_row", checked):
+        yield made
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
+    ring = data.draw(st.sampled_from(ROW_RINGS))
+    fractions = ring == QQ and data.draw(st.booleans())
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(2, (8, 6, 4)[n - 1]))
+    f = data.draw(filled_series(ring, n, D, range(1, D + 1), fractions))
+    # two image degrees at most; at the top of f the larger one passes D
+    dus = data.draw(st.sets(st.integers(1, D - 1), min_size=1, max_size=2))
+    images = [data.draw(filled_series(ring, n, D, dus, fractions)) for _ in range(n)]
+    table = _image_table(images)
+    k = data.draw(st.integers(0, D - 1))
+    # the kernel alone, on every block at every fill: both sides of the rule
+    for d, bucket in f.buckets.items():
+        part = NCSeries(ring, n, D, {d: bucket})
+        for du, by_letter in table:
+            if d - 1 + du > D:
+                continue
+            image = [NCSeries(ring, n, D, {du: u.buckets[du]} if du in u.buckets else {})
+                     for u in images]
+            for positions in (range(d), [k % d]):
+                row = f._splice_row(bucket, d, du, by_letter, positions)
+                assert type(row) is Row and len(row) == n ** (d - 1 + du)
+                # a row has at least DENSE_BLOCK slots when _splices makes it
+                with mock.patch.object(freealg, "DENSE_BLOCK", 1):
+                    got = f._collect([(d - 1 + du, row)])
+                with pairs_only():
+                    blocks = f._splices(bucket, d, [(du, by_letter)], ring.mul, positions)
+                    pairs = f._collect(blocks)
+                assert got == pairs == _tuple_derivation(image, part, positions)
+                _assert_stored_clean(got)
+    # the kernels that splice, each with the rule; the pass at position k
+    # adds to a nonempty target the terms of a source longer than k + 1
+    delta = Derivation(images)
+    source = NCSeries(ring, n, D, {d: b for d, b in f.buckets.items() if d > k})
+    room = data.draw(st.integers(k, D))
+    j = data.draw(st.integers(0, 3))
+
+    def run():
+        return [
+            delta.apply(f),
+            derivation_sum(ring, n, D, [(delta, f), (delta, images[-1])]),
+            _splice_pass(images[0], source, table, k, room),
+            _splices_at(images, f, [k]),
+            replace_letters({j: f}, images),
+        ]
+
+    with _rows_made():
+        got = run()
+    with pairs_only():
+        assert got == run()
+    spliced = _tuple_derivation(images, source, [k])
+    assert got[:4] == [
+        _tuple_derivation(images, f),
+        _tuple_derivation(images, f) + _tuple_derivation(images, images[-1]),
+        images[0] + NCSeries(ring, n, D, {d: b for d, b in spliced.buckets.items() if d <= room}),
+        _tuple_derivation(images, f, [k]),
+    ]
+    if f.term_count() <= 12 and not isinstance(ring, TQuotientRing):
+        assert got[4] == _t_residue_route(f, images, j)
+    for s in got:
+        _assert_stored_clean(s)
+
+
+def test_a_full_bucket_leaves_in_rows_and_a_sparse_one_in_pairs():
+    # n = 2, D = 7: each image holds both letters and the four words of
+    # degree 2; on a bucket of degree 5 a full bucket and a quarter-full one
+    # leave as one row per image degree, and a sparse one in pairs
+    ring, n, D = QQ, 2, 7
+    words = [w for d in (1, 2) for w in itertools.product(range(n), repeat=d)]
+    images = [NCSeries.from_terms(ring, n, D, [(w, len(w)) for w in words])] * n
+    delta = Derivation(images)
+    top = list(itertools.product(range(n), repeat=5))
+    cases = ((32, [(5, 32, 320), (6, 64, 640)]), (8, [(5, 32, 80), (6, 64, 160)]), (2, []))
+    for size, rows in cases:
+        f = NCSeries.from_terms(ring, n, D, [(w, 1) for w in top[:size]])
+        with _rows_made() as made:
+            got = delta.apply(f)
+        assert sorted(made) == rows, size
+        assert got == _tuple_derivation(images, f)
+
+
+def test_the_top_layer_of_the_recurrence_sends_its_top_degree_as_rows():
+    h = parse_map("x - x*y - y*x\ny - x*x + 2*y*y", QQ, 11, ["x", "y"]).f_map.h_vector()
+    terms = n_seq_recurrent(h).terms
+    with _rows_made() as made, mock.patch.object(
+        NCSeries, "_key_space", side_effect=AssertionError
+    ):
+        convolution_sum(terms, 10)
+    # each [N_k d/dz] N_l, k + l = 10, on each component is one row of the
+    # 2**11 keys of degree 11, which the collector adds slot by slot: no pair
+    # list is sent, so no count asks for the key space
+    assert [(e, slots) for e, slots, _ in made] == [(11, 2048)] * 18
+    assert sum(pairs for _, _, pairs in made) == 107328
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # a q-engines map: n = 2, D = 8, two terms of degree <= 3 per component
+        lambda: invert(
+            random_displacement(random.Random(11), QQ, 2, 8, max_deg=3, terms=2), engine="tree"
+        ),
+        # one instance of a t-graded identity: its TSeries splice in pairs
+        lambda: run_identity_suite(
+            1, trials=1, bounds=SuiteBounds(2, 5, 4), names={"parameter-chain-rule"}
+        ),
+    ],
+    ids=["sparse-tree-inversion", "t-graded-identity"],
+)
+def test_sparse_and_t_graded_work_makes_no_row(run):
+    with _rows_made() as made:
+        run()
+    assert made == []
+
+
+#: every word of degree 2 in both components
+FULL_QUADRATIC = "x - x*x - x*y - y*x - y*y\ny - x*x - y*x - x*y - 2*y*y"
+
+
+@pytest.mark.parametrize(
+    "text, ring, engine",
+    [
+        ("x - x*y - y*x\ny - x*x + 2*y*y", QQ, "recurrent"),
+        ("x - x*y - y*x\ny - x*x + 2*y*y", QQ, "tree"),
+        (FULL_QUADRATIC, PrimeField(3), "charp-direct"),
+        (FULL_QUADRATIC, PrimeField(3), "charp-lift"),
+        (FULL_QUADRATIC, PrimeField(5), "fixed-point"),
+    ],
+)
+def test_no_row_holds_more_slots_than_the_pairs_it_replaces(text, ring, engine):
+    # so a row never takes more memory than the pair list it stands for;
+    # each inversion makes rows
+    h = parse_map(text, ring, 8, ["x", "y"]).f_map.h_vector()
+    with _rows_made() as made:
+        g = invert(h, engine=engine)
+    assert made
+    assert g == invert_fixed_point(h)
+
+
 def _assert_stored_clean(s):
     """No empty bucket and no coefficient that the ring calls zero."""
     for d, bucket in s.buckets.items():
@@ -1072,20 +1269,6 @@ def test_a_collect_of_small_blocks_never_asks_for_the_key_space():
     with mock.patch.object(NCSeries, "_key_space", side_effect=AssertionError):
         got = NCSeries(QQ, 1, 3)._collect(iter(blocks))
     assert got.buckets == {3: {0: 10 * (DENSE_BLOCK - 1)}}
-
-
-def test_the_top_layer_of_the_recurrence_collects_its_top_degree_as_a_list():
-    ring = _ZeroCountingQQ()
-    h = parse_map("x - x*y - y*x\ny - x*x + 2*y*y", ring, 11, ["x", "y"]).f_map.h_vector()
-    terms = n_seq_recurrent(h).terms
-    key_space = NCSeries._key_space
-    with mock.patch.object(NCSeries, "_key_space", autospec=True, side_effect=key_space) as asked:
-        ring.zeros = 0
-        convolution_sum(terms, 10)
-    # only degree-11 blocks are long enough to count, and in each component
-    # they outnumber the 2**11 keys of degree 11: one list per component
-    assert {call.args[1] for call in asked.call_args_list} == {11}
-    assert ring.zeros == 2
 
 
 @pytest.mark.parametrize("K", [None, 0, 2])
