@@ -142,32 +142,34 @@ class TSeries(TGraded, NCSeries):
             for q2, t2, c2 in rows[top - t1]
         ]
 
-    def _splices(self, bucket, d, images, rmul, positions=None):
+    def _splices(self, images, positions=None):
         """``NCSeries._splices`` with the t-digit under the last letter: a
         letter at position j is the digit of n**(d-1-j) * (K + 1), the part
         below it (``lo``) keeps the key's t-power, and each image term adds
-        its own, from the row of image terms that fit (``_image_terms``)."""
-        n, radix = self.arity, self.torder + 1
-        images = [(du, rows) for du, rows in images if d - 1 + du <= self.degree]
-        if not images:
-            return
-        terms = [(key, self.torder - key % radix, c) for key, c in bucket.items()]
-        for j in range(d) if positions is None else positions:
-            low = n ** (d - 1 - j) * radix
-            high = low * n
-            split = [
-                (hi, letter, lo, room, c)
-                for key, room, c in terms
-                for hi, rest in [divmod(key, high)]
-                for letter, lo in [divmod(rest, low)]
-            ]
-            for du, rows in images:
-                lift = n**du
-                yield d - 1 + du, [
-                    ((hi * lift + uq) * low + lo + ut, rmul(c, uc))
-                    for hi, letter, lo, room, c in split
-                    for uq, ut, uc in rows[letter][room]
+        its own, from the row of image terms that fit (``_image_terms``).
+        Every block is a pair list."""
+        n, radix, rmul = self.arity, self.torder + 1, self.ring.mul
+        for d, bucket in self.buckets.items():
+            fits = [(du, rows) for du, rows, _ in images if d - 1 + du <= self.degree]
+            if not fits:
+                continue
+            terms = [(key, self.torder - key % radix, c) for key, c in bucket.items()]
+            for j in range(d) if positions is None else positions:
+                low = n ** (d - 1 - j) * radix
+                high = low * n
+                split = [
+                    (hi, letter, lo, room, c)
+                    for key, room, c in terms
+                    for hi, rest in [divmod(key, high)]
+                    for letter, lo in [divmod(rest, low)]
                 ]
+                for du, rows in fits:
+                    lift = n**du
+                    yield d - 1 + du, [
+                        ((hi * lift + uq) * low + lo + ut, rmul(c, uc))
+                        for hi, letter, lo, room, c in split
+                        for uq, ut, uc in rows[letter][room]
+                    ]
 
 
 @cache

@@ -26,13 +26,16 @@ products, derivations, compositions and ``from_terms`` hand it their terms
 degree by degree, as lists of (key, coefficient) pairs or, from the splice
 kernel when a block has at least as many pairs as keys, as a dense ``Row``.
 It is the one place where a term is added into a bucket and a cancelled key
-is dropped.  A bucket is collected in one of two forms.  It starts as a
-dict, and each pair looks its key up by hash.  When a row reaches it, or
-once the pair lists of at least ``DENSE_BLOCK`` pairs sent to one degree d
-have brought more pairs than there are keys of degree d (``_key_space(d)``:
-n**d words), the bucket moves into a list indexed by key.  The list goes
-back to a dict of its nonzero entries before the series is made, so both
-forms give the same series.  No module but this one, :mod:`ncinvert.commutative` and
+is dropped.  The splice kernel, ``NCSeries._splices``, is one stream per
+series: each derivation and each substitution pass collects the splices of
+one series over one image table (``_image_table``).  A bucket is collected
+in one of two forms.  It starts as a dict, and each pair looks its key up by
+hash.  When a row reaches it, or once the pair lists of at least
+``DENSE_BLOCK`` pairs sent to one degree d have brought more pairs than
+there are keys of degree d (``_key_space(d)``: n**d words), the bucket moves
+into a list indexed by key.  The list goes back to a dict of its nonzero
+entries before the series is made, so both forms give the same series.  No
+module but this one, :mod:`ncinvert.commutative` and
 :mod:`ncinvert.deformation` reads the buckets.
 
 Series values are immutable by convention: no operation mutates its inputs,
@@ -143,7 +146,8 @@ class NCSeries:
     ``_unit_key``, ``_check_key``, ``_key_in``, ``_keys_out``,
     ``_key_space`` (the number of stored keys of a degree, which bounds the
     list form of a bucket in ``_collect``; no bound for keys that are not
-    ints), ``_products`` (pairs), ``_splices`` (a pair list or, through
+    ints), ``_products`` (pairs), ``_splices`` (the Leibniz terms of the
+    whole series over an image table: a pair list or, through
     ``_splice_row``, a dense row per block), ``_image_terms`` (an image
     bucket as ``_splices`` reads it) and ``_key_text`` (the text of a key in
     ``repr``).  Every other method works on the buckets as they are or goes
@@ -220,57 +224,53 @@ class NCSeries:
             for w2, c2 in b2.items()
         ]
 
-    def _splices(self, bucket, d, images, rmul, positions=None):
-        """The Leibniz terms of a derivation on one bucket of degree ``d``:
-        per image degree du that stays within the truncation, the output
-        degree d - 1 + du and its block.  ``images`` is an image table (see
-        ``_image_table``); each image term of z_i replaces z_i at each
-        position in ``positions`` (all d of them by default).
+    def _splices(self, images, positions=None):
+        """The Leibniz terms of a derivation on this series, uncollected:
+        per bucket of degree d and image degree du that stays within the
+        truncation, the output degree d - 1 + du and its block.  ``images``
+        is an image table (see ``_image_table``), in increasing du; each
+        image term of z_i replaces z_i at each position in ``positions``
+        (all d of them by default; given ones must be below every d).
 
         The block of a du is one ``Row`` of its S = n**(d - 1 + du) output
         keys (``_splice_row``) when P >= S >= ``DENSE_BLOCK``, P being its
         pairs counted from below before any exists: per position, each term
-        meets at least the image terms of the letter with fewest.  So a row
-        never holds more slots than the pairs it replaces.  Otherwise it is
-        a list of (key, coefficient) pairs: at position j a code splits once
-        into the letters before (``hi``), the letter and the letters after
-        (``lo``, j+1..d-1), and every image degree in pairs reuses that
-        split."""
-        n = self.arity
-        images = [(du, by_letter) for du, by_letter in images if d - 1 + du <= self.degree]
-        if not images:
-            # no split at all: derivations meet many buckets that no image fits
-            return
-        if positions is None:
-            positions = range(d)
-        reach, pairs = len(bucket) * len(positions), images
-        # a letter has at most n**du image terms, and the largest du has the
-        # most keys: no du makes a row unless
-        if reach >= n ** (d - 1) and n ** (d - 1 + images[-1][0]) >= DENSE_BLOCK:
-            pairs = []
-            for du, by_letter in images:
-                if DENSE_BLOCK <= n ** (d - 1 + du) <= reach * min(map(len, by_letter)):
-                    yield d - 1 + du, self._splice_row(bucket, d, du, by_letter, positions)
+        meets at least the fewest image terms of one letter, which the table
+        holds.  So a row never holds more slots than the pairs it replaces.
+        Otherwise it is a list of (key, coefficient) pairs: at position j a
+        code splits once into the letters before (``hi``), the letter and
+        the letters after (``lo``, j+1..d-1), and every image degree in
+        pairs reuses that split."""
+        n, rmul = self.arity, self.ring.mul
+        for d, bucket in self.buckets.items():
+            at = range(d) if positions is None else positions
+            reach, pairs = len(bucket) * len(at), []
+            for du, by_letter, fewest in images:
+                if d - 1 + du > self.degree:
+                    break
+                if DENSE_BLOCK <= n ** (d - 1 + du) <= reach * fewest:
+                    yield d - 1 + du, self._splice_row(bucket, d, du, by_letter, at)
                 else:
                     pairs.append((du, by_letter))
-        if not pairs:
-            return
-        for j in positions:
-            low = n ** (d - 1 - j)
-            high = low * n
-            split = [
-                (hi, letter, lo, c)
-                for code, c in bucket.items()
-                for hi, rest in [divmod(code, high)]
-                for letter, lo in [divmod(rest, low)]
-            ]
-            for du, by_letter in pairs:
-                lift = n**du
-                yield d - 1 + du, [
-                    ((hi * lift + uw) * low + lo, rmul(c, uc))
-                    for hi, letter, lo, c in split
-                    for uw, uc in by_letter[letter]
+            if not pairs:
+                # no split at all: derivations meet many buckets that no image fits
+                continue
+            for j in at:
+                low = n ** (d - 1 - j)
+                high = low * n
+                split = [
+                    (hi, letter, lo, c)
+                    for code, c in bucket.items()
+                    for hi, rest in [divmod(code, high)]
+                    for letter, lo in [divmod(rest, low)]
                 ]
+                for du, by_letter in pairs:
+                    lift = n**du
+                    yield d - 1 + du, [
+                        ((hi * lift + uw) * low + lo, rmul(c, uc))
+                        for hi, letter, lo, c in split
+                        for uw, uc in by_letter[letter]
+                    ]
 
     def _splice_row(self, bucket, d, du, by_letter, positions):
         """The ``Row`` of the Leibniz terms of ``_splices`` with images of
@@ -776,30 +776,17 @@ def vector_sum(ring, arity, degree, vectors):
 
 def _image_table(components):
     """The terms of each component grouped by degree: a list of
-    (du, [terms of degree du of component i, for each i]) in increasing du,
-    the form in which ``_splices`` reads the images of the letters.  The
-    terms are those of ``_image_terms``: for NCSeries the items views of the
-    components' buckets, so the table copies no term."""
-    terms = components[0]._image_terms
-    return [
-        (du, [terms(u.buckets.get(du, {})) for u in components])
-        for du in sorted({du for u in components for du in u.buckets})
-    ]
-
-
-def _splice_pass(target, source, table, k, room):
-    """``target`` plus the terms of ``source`` with the images of ``table``
-    (see ``_image_table``) spliced at position ``k``, keeping the spliced
-    terms of degree <= ``room``: one right-to-left pass of a substitution."""
-    rmul = source.ring.mul
-    spliced = (
-        pairs
-        for d, bucket in source.buckets.items()
-        for pairs in source._splices(
-            bucket, d, [(du, row) for du, row in table if d - 1 + du <= room], rmul, (k,)
-        )
-    )
-    return target._collect(spliced, start=target)
+    (du, [terms of degree du of component i, for each i], fewest) in
+    increasing du, fewest being the least number of terms of degree du that
+    one component has (0 when one has none), the form in which ``_splices``
+    reads the images of the letters.  The terms are those of
+    ``_image_terms``: for NCSeries the items views of the components'
+    buckets, so the table copies no term."""
+    terms, table = components[0]._image_terms, []
+    for du in sorted({du for u in components for du in u.buckets}):
+        buckets = [u.buckets.get(du, {}) for u in components]
+        table.append((du, [terms(b) for b in buckets], min(map(len, buckets))))
+    return table
 
 
 def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
@@ -812,8 +799,8 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     position k each term is a raw prefix of k+1 letters followed by a tail
     that is already substituted; the words of ``u`` of length k+1 join, and
     the pass keeps every term (the letter at k stays z_i) and adds the terms
-    with V spliced at k (``_splice_pass``).  Terms that share a raw prefix
-    and a tail merge before the next pass.
+    with V spliced at k (``NCSeries._splices`` at position k).  Terms that
+    share a raw prefix and a tail merge before the next pass.
 
     Requires every component of the map to have order >= 1 (a constant term
     would make substitution non-convergent degree by degree).  So every raw
@@ -835,7 +822,7 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
         if k + 1 in words:
             # every term so far is longer than k + 1, so no key is shared
             out = kind(u.ring, u.arity, u.degree, {**out.buckets, k + 1: words[k + 1]})
-        out = _splice_pass(out, out, table, k, u.degree)
+        out = out._collect(out._splices(table, (k,)), start=out)
     if 0 in words:
         out = kind(u.ring, u.arity, u.degree, {**out.buckets, 0: words[0]})
     return out
@@ -862,9 +849,11 @@ def replace_letters(inputs, images) -> NCSeries:
     k - 1.  Then every state q >= k is dropped, for want of positions, and,
     with r = o(images), every term of degree d in state q with
     d + q(r - 1) > D, since each replacement to come adds at least r - 1 to
-    the degree.  The result is state 0.  The images must have order >= 1, as
-    in ``compose``, so that no term of degree > D comes back below D.  The
-    image table is built on each call.
+    the degree: the pass into state q splices state q + 1 truncated at that
+    bound.  The result is state 0.  The images must have order >= 1, as in
+    ``compose``, so that no term of degree > D comes back below D, and no
+    source term past the bound splices below it.  The image table is built
+    on each call.
     """
     images = _check_vector(images)
     for i, image in enumerate(images):
@@ -896,7 +885,9 @@ def replace_letters(inputs, images) -> NCSeries:
             states = [
                 empty if q >= k
                 else states[q] if states[q + 1].is_zero()
-                else _splice_pass(states[q], states[q + 1], table, k - 1, room[q])
+                else states[q]._collect(
+                    states[q + 1].truncated(room[q])._splices(table, (k - 1,)), start=states[q]
+                )
                 for q in range(top + 1)
             ] + [empty]
     return states[0]
@@ -967,14 +958,11 @@ class Derivation(_SeriesVector):
 
     def _leibniz_terms(self, f: NCSeries):
         """The Leibniz terms of the derivation on ``f``, uncollected: the
-        (degree, [(stored key, coefficient), ...]) stream of
-        ``NCSeries._splices`` over the buckets of ``f``, truncated at its
-        degree bound.  ``apply`` collects it into a series, and
+        (degree, block) stream of ``NCSeries._splices`` of ``f``, truncated
+        at its degree bound.  ``apply`` collects it into a series, and
         ``derivation_sum`` collects many of them into one."""
         self.components[0]._check_compatible(f)
-        images, rmul = self.images, self.ring.mul
-        for d, bucket in f.buckets.items():
-            yield from f._splices(bucket, d, images, rmul)
+        return f._splices(self.images)
 
     def apply(self, f: NCSeries) -> NCSeries:
         """Apply to a series, truncating at its degree bound."""

@@ -207,9 +207,11 @@ class _Parser:
                 if dtok.kind != "int":
                     self.error("denominator must be an integer literal", dtok)
                 den = self.literal(dtok)
-                if den == 0:
-                    self.error("zero denominator", dtok)
-                c = self.ring.div_by_int(self.ring.from_int(num), den)
+                try:
+                    c = self.ring.div_by_int(self.ring.from_int(num), den)
+                except ZeroDivisionError:
+                    p = self.ring.characteristic
+                    self.error(f"denominator {den} is 0 mod {p}" if den else "zero denominator", dtok)
             else:
                 c = self.ring.from_int(num)
             return NCSeries.constant(self.ring, self.arity, self.degree, c)

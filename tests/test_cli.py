@@ -117,6 +117,15 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_a_denominator_that_is_0_mod_p_exits_2_at_it(capsys):
+    code, out, err = run_cli(
+        capsys, "invert", "--expr", "z1 - 1/2*z1*z1", "--ring", "gfp:2", "-d", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: 1:8: denominator 2 is 0 mod 2\n"
+
+
 def test_map_literals_take_only_ascii_digits(capsys):
     # ARABIC-INDIC DIGIT THREE is a digit to Python's int(), not to the grammar
     code, out, err = run_cli(

@@ -33,7 +33,6 @@ from ncinvert.freealg import (
     Row,
     _fixed_point,
     _image_table,
-    _splice_pass,
     _substitute,
     chunk_length,
     compose,
@@ -909,10 +908,10 @@ def _splices_at(images, f, positions):
     """The packed splices of ``images`` into ``f`` at the given positions."""
     table = _image_table(images)
     return f._collect(
-        (e, pairs)
+        block
         for d, bucket in f.buckets.items()
-        for e, pairs in f._splices(
-            bucket, d, table, f.ring.mul, [j for j in positions if j < d]
+        for block in NCSeries(f.ring, f.arity, f.degree, {d: bucket})._splices(
+            table, [j for j in positions if j < d]
         )
     )
 
@@ -1011,7 +1010,7 @@ def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
     # the kernel alone, on every block at every fill: both sides of the rule
     for d, bucket in f.buckets.items():
         part = NCSeries(ring, n, D, {d: bucket})
-        for du, by_letter in table:
+        for du, by_letter, fewest in table:
             if d - 1 + du > D:
                 continue
             image = [NCSeries(ring, n, D, {du: u.buckets[du]} if du in u.buckets else {})
@@ -1023,7 +1022,7 @@ def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
                 with mock.patch.object(freealg, "DENSE_BLOCK", 1):
                     got = f._collect([(d - 1 + du, row)])
                 with pairs_only():
-                    blocks = f._splices(bucket, d, [(du, by_letter)], ring.mul, positions)
+                    blocks = part._splices([(du, by_letter, fewest)], positions)
                     pairs = f._collect(blocks)
                 assert got == pairs == _tuple_derivation(image, part, positions)
                 _assert_stored_clean(got)
@@ -1038,7 +1037,7 @@ def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
         return [
             delta.apply(f),
             derivation_sum(ring, n, D, [(delta, f), (delta, images[-1])]),
-            _splice_pass(images[0], source, table, k, room),
+            images[0]._collect(source.truncated(room)._splices(table, (k,)), start=images[0]),
             _splices_at(images, f, [k]),
             replace_letters({j: f}, images),
         ]
@@ -1058,6 +1057,39 @@ def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
         assert got[4] == _t_residue_route(f, images, j)
     for s in got:
         _assert_stored_clean(s)
+
+
+@pytest.mark.parametrize(
+    "size, counts, positions, block, row",
+    [
+        # n = 2, d = 4, du = 1: S = 2**4 = 16 slots, and P = size * (4 or 1
+        # positions) * the fewest image terms of one letter
+        (16, (2, 2), None, 16, True),  # DENSE_BLOCK = S
+        (16, (2, 2), None, 17, False),  # DENSE_BLOCK = S + 1
+        (16, (2, 2), [2], 16, True),
+        (16, (2, 2), [2], 17, False),
+        (16, (0, 2), None, 16, False),  # z1 has no image term at du: the fewest is 0
+        (16, (2, 0), [2], 16, False),
+        (4, (1, 2), None, 16, True),  # P = 16 = S
+        (3, (2, 1), None, 16, False),  # P = 12, though z1 alone would make 24
+        (16, (1, 2), [2], 16, True),  # P = 16 = S
+        (15, (2, 1), [2], 16, False),  # P = 15
+    ],
+)
+def test_a_row_is_made_exactly_when_dense_block_le_s_le_reach_times_fewest(
+    size, counts, positions, block, row
+):
+    n, D, d, du = 2, 6, 4, 1
+    images = [
+        NCSeries(QQ, n, D, {du: dict.fromkeys(range(c), 1)} if c else {}) for c in counts
+    ]
+    table = _image_table(images)
+    assert [(e, fewest) for e, _, fewest in table] == [(du, min(counts))]
+    source = NCSeries(QQ, n, D, {d: dict.fromkeys(range(size), 1)})
+    with mock.patch.object(freealg, "DENSE_BLOCK", block), _rows_made() as made:
+        got = source._collect(source._splices(table, positions))
+    assert [e for e, _, _ in made] == ([d - 1 + du] if row else [])
+    assert got == _tuple_derivation(images, source, positions)
 
 
 def test_a_full_bucket_leaves_in_rows_and_a_sparse_one_in_pairs():

@@ -187,6 +187,18 @@ def test_overlong_integer_literal_exits_2_at_the_literal(capsys, expr, col):
     assert captured.err.startswith(f"parse error: 1:{col}: integer literal longer than ")
 
 
+@pytest.mark.parametrize("p, den", [(2, 2), (3, 6)])
+def test_a_denominator_that_is_0_mod_p_is_a_parse_error_at_it(p, den):
+    with pytest.raises(ParseError, match=f"^1:7: denominator {den} is 0 mod {p}$"):
+        parse_expression(f"x - 1/{den}*x*x", ["x"], PrimeField(p), 3)
+
+
+def test_a_denominator_prime_to_p_parses():
+    # 1/3 is 1 mod 2
+    s = parse_expression("x - 1/3*x*x", ["x"], PrimeField(2), 3)
+    assert s.coefficient((0, 0)) == 1
+
+
 def test_integer_literal_wider_than_the_bound_is_refused():
     # only reachable when Python converts strings of any length
     limit = sys.get_int_max_str_digits()
