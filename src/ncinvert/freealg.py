@@ -653,8 +653,8 @@ class FormalMap(_SeriesVector):
 
     The constructor checks only that the components form a vector;
     ``f_form`` and ``g_form`` check the shape z -/+ V with o(V) >= 2.  The
-    image table of the displacement, which ``compose`` reads, is built on
-    first use and kept with the map.
+    image table of the displacement, which ``compose`` and
+    ``replace_letters`` read, is built on first use and kept with the map.
     """
 
     __slots__ = ("_images",)
@@ -715,10 +715,16 @@ class FormalMap(_SeriesVector):
         return all(v.is_zero() for v in self.displacement())
 
     def image_table(self):
-        """The image table of V = F - z (see ``_image_table``): the terms of
-        each component of the displacement grouped by degree, built once."""
+        """The image table of V = F - z (see ``_image_table``), built once:
+        what ``compose`` and ``replace_letters`` read.  A component with a
+        constant term is refused here, since substituting it would not
+        converge degree by degree."""
         if self._images is None:
-            self._images = _image_table(self.displacement())
+            displacement = self.displacement()
+            for i, v in enumerate(displacement):
+                if 0 in v.buckets:
+                    raise ValueError(f"map component {i + 1} has a constant term")
+            self._images = _image_table(displacement)
         return self._images
 
     def __repr__(self):
@@ -802,17 +808,13 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     with V spliced at k (``NCSeries._splices`` at position k).  Terms that
     share a raw prefix and a tail merge before the next pass.
 
-    Requires every component of the map to have order >= 1 (a constant term
-    would make substitution non-convergent degree by degree).  So every raw
-    letter still adds degree >= 1, a term whose length passes D is dropped
-    at once, and the result stays exact.  The image table of V = F - z is
-    the map's own (``FormalMap.image_table``); a ``cache`` dict, if given,
-    receives it under the key ``()``.
+    The image table of V = F - z is the map's own (``FormalMap.image_table``,
+    which refuses a constant term).  So every raw letter still adds degree
+    >= 1, a term whose length passes D is dropped at once, and the result
+    stays exact.  A ``cache`` dict, if given, receives the table under the
+    key ``()``.
     """
     f_map.components[0]._check_compatible(u)
-    for i, comp in enumerate(f_map.components):
-        if comp.order() < 1:
-            raise ValueError(f"map component {i + 1} has a constant term")
     table = f_map.image_table()
     if cache is not None:
         cache[()] = table
@@ -834,39 +836,32 @@ def compose_vector(vector, f_map: FormalMap, cache=None):
     return tuple(compose(u, f_map, cache) for u in vector)
 
 
-def replace_letters(inputs, images) -> NCSeries:
-    """The sum of S_j(u_j) over the items (j, u_j) of ``inputs``: S_j sends a
-    word to the sum, over the ways to choose exactly j of its letters, of the
-    word with each chosen letter z_i replaced by ``images[i]``.  Expanding
-    z - t*H letter by letter gives [t^j] u(z - t*H) = (-1)^j S_j(u) with
-    ``images`` = H, computed here over the base ring.
+def replace_letters(inputs, f_map: FormalMap) -> NCSeries:
+    """The sum of [t^j] u_j(z + t*V) over the items (j, u_j) of ``inputs``,
+    with V = F - z the displacement of ``f_map``: each word goes to the sum,
+    over the ways to choose exactly j of its letters, of the word with each
+    chosen z_i replaced by V_i.  So ``compose(u, F)`` is the sum over j of
+    ``replace_letters({j: u}, F)``.
 
     The passes are those of ``compose``, right to left, with one state per
     count of replacements still to make, shared by every input.  The words of
     u_j of length k join state j before the pass at position k - 1 (the
     constant term of u_0 after the last pass); that pass keeps the terms of
-    each state q and adds those of state q + 1 with the images spliced at
-    k - 1.  Then every state q >= k is dropped, for want of positions, and,
-    with r = o(images), every term of degree d in state q with
-    d + q(r - 1) > D, since each replacement to come adds at least r - 1 to
-    the degree: the pass into state q splices state q + 1 truncated at that
-    bound.  The result is state 0.  The images must have order >= 1, as in
-    ``compose``, so that no term of degree > D comes back below D, and no
-    source term past the bound splices below it.  The image table is built
-    on each call.
+    each state q and adds those of state q + 1 with V spliced at k - 1.
+    Then every state q >= k is dropped, for want of positions, and, with
+    r = o(V), every term of degree d in state q with d + q(r - 1) > D, since
+    each replacement to come adds at least r - 1 to the degree: the pass into
+    state q splices state q + 1 truncated at that bound.  The result is state
+    0.  The image table is the map's own, as in ``compose``.
     """
-    images = _check_vector(images)
-    for i, image in enumerate(images):
-        if image.order() < 1:
-            raise ValueError(f"image {i + 1} has a constant term")
+    first = f_map.components[0]
     for j, u in inputs.items():
-        images[0]._check_compatible(u)
+        first._check_compatible(u)
         if j < 0:
             raise ValueError(f"cannot replace j = {j} letters: j must be >= 0")
-    table = _image_table(images)
-    # with no image (H = 0) nothing is spliced, and r = 1 prunes nothing
+    table = f_map.image_table()
+    # with V = 0 nothing is spliced, and r = 1 prunes nothing
     r = table[0][0] if table else 1
-    first = images[0]
     D = first.degree
     top = max(inputs, default=0)
     # room[q]: the largest degree a term of state q may reach

@@ -11,11 +11,11 @@ one table, and ``check_engine`` is the one test of a name against a ring:
   m leaves weighted by 1/T^!, characteristic 0;
 * ``charp-direct``: the GF(p) engine of the division-free residue formula
   N_[m] = -[t^m] (sum_{l<m} t^l N_[l])(z - t*H) at every layer m >= 2,
-  read through [t^j] N(z - t*H) = (-1)^j S_j(N), where S_j replaces exactly
-  j letters of each word by their images under H: one pass of
-  ``freealg.replace_letters`` per component over the base ring, with one
-  state per count of replacements still to make, pruned once they
-  outnumber the positions left or would push the degree past D;
+  a substitution of the map F = z - H itself: one pass of
+  ``freealg.replace_letters`` per component over the base ring, all on the
+  image table of F, with one state per count of letters still to replace,
+  pruned once they outnumber the positions left or would push the degree
+  past D;
 * ``charp-lift``: over GF(p), lift the coefficients of H to their integer
   representatives, run the recurrence over the integers, reduce mod p.
 
@@ -195,23 +195,18 @@ def alt_recurrent_step(terms, m):
         N_[m](z) = - [t^m]  (sum_{l=1..m-1}  t^l N_[l])(z - t*H),
 
     which uses no division at all and therefore works in any characteristic.
-    Expanding each letter z_i - t*H_i gives [t^j] N(z - t*H) = (-1)^j S_j(N),
-    where S_j replaces exactly j letters of each word by their images under
-    H, so N_[m] = - sum_l (-1)^(m-l) S_(m-l)(N_[l]): one ``replace_letters``
-    call per component over the base ring, with the sign on each input.
-    H is read as ``terms[0]``, since N_[1] = H.
+    With F = z - H, whose displacement is -H, that is
+    N_[m] = - sum_l [t^(m-l)] N_[l](z + t*(F - z)): one ``replace_letters``
+    call per component over the base ring, all reading the image table of
+    one F.  H is read as ``terms[0]``, since N_[1] = H.
     """
     if m < 2:
         raise ValueError("residue step starts at m = 2")
     if len(terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(terms)} terms")
-    # -(-1)^j S_j(N) = S_j(-(-1)^j N) with j = m - l: odd j adds, even j subtracts
-    signed = {
-        m - l: terms[l - 1] if (m - l) % 2 else tuple(-s for s in terms[l - 1])
-        for l in range(1, m)
-    }
+    f_map = FormalMap.f_form(terms[0])
     return tuple(
-        replace_letters({j: vec[i] for j, vec in signed.items()}, terms[0])
+        -replace_letters({m - l: terms[l - 1][i] for l in range(1, m)}, f_map)
         for i in range(len(terms[0]))
     )
 

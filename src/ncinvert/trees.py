@@ -235,8 +235,6 @@ def factorial_reciprocal_sum(m: int) -> Fraction:
 
 def factorial_identity_check(m_max: int):
     """[(m, sum of 1/T^!)] for m = 1..m_max; every sum should be exactly 1."""
-    if m_max < 1:
-        raise ValueError("need m_max >= 1")
     table = _grow(m_max, 1, _graft_factorial)
     return [
         (m, sum(Fraction(count, w) for w, count in Counter(table[m]).items()))
@@ -248,6 +246,8 @@ def gf_identity_check(m_max: int, sums=None) -> bool:
     """Check the generating function a(s) = sum a_m s^(m-1) of the reciprocal
     sums against its defining ODE a' = a^2, a(0) = 1, coefficientwise:
     (m-1) a_m = sum_{k+l=m} a_k a_l for every m <= m_max."""
+    if m_max < 1:
+        raise ValueError("leaf count must be >= 1")
     if sums is None:
         sums = [total for _, total in factorial_identity_check(m_max)]
     if len(sums) < m_max:

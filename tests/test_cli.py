@@ -329,6 +329,12 @@ def test_trees_identity_json(capsys):
     assert [row["sum"] for row in payload["sums"]] == ["1"] * 6
 
 
+@pytest.mark.parametrize("identity", [(), ("--identity",)])
+def test_trees_refuses_a_leaf_count_below_one(capsys, identity):
+    code, out, err = run_cli(capsys, "trees", "--leaves", "0", *identity)
+    assert (code, out, err) == (3, "", "error: leaf count must be >= 1\n")
+
+
 def test_trees_refuses_too_many_leaves_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "trees", "--leaves", "40")

@@ -334,37 +334,44 @@ def test_compose_example_with_commutator():
     assert compose(u, f) == series(2, 4, ((0,), 1), ((1, 0), -1), ((0, 1), 1))
 
 
+def shifted(images):
+    """The map z + V for the displacement vector V = ``images``."""
+    first = images[0]
+    kind, ring, n, D = type(first), first.ring, first.arity, first.degree
+    return FormalMap([kind.variable(ring, n, D, i) + v for i, v in enumerate(images)])
+
+
+# one refusal, in FormalMap.image_table, names the first constant component
+CONSTANT_MAP = FormalMap([NCSeries.variable(QQ, 2, 3, 0), NCSeries.one(QQ, 2, 3)])
+CONSTANT_REFUSAL = "^map component 2 has a constant term$"
+
+
 def test_compose_rejects_constant_terms():
-    u = series(2, 3, ((0,), 1))
-    bad = FormalMap(
-        [NCSeries.one(QQ, 2, 3), NCSeries.variable(QQ, 2, 3, 1)]
-    )
-    with pytest.raises(ValueError):
-        compose(u, bad)
+    with pytest.raises(ValueError, match=CONSTANT_REFUSAL):
+        compose(series(2, 3, ((0,), 1)), CONSTANT_MAP)
+
+
+def test_replace_letters_rejects_constant_images():
+    with pytest.raises(ValueError, match=CONSTANT_REFUSAL):
+        replace_letters({1: series(2, 3, ((0,), 1))}, CONSTANT_MAP)
 
 
 def test_replace_letters_replaces_exactly_j_letters():
     # x*y with x -> yy, y -> xx: one letter gives yyy + xxx, both give yyxx
-    images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
+    f_map = shifted([series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))])
     u = series(2, 4, ((0, 1), 1), ((), 5))
-    assert replace_letters({0: u}, images) == u
-    assert replace_letters({1: u}, images) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
-    assert replace_letters({2: u}, images) == series(2, 4, ((1, 1, 0, 0), 1))
-    assert replace_letters({3: u}, images).is_zero()
+    assert replace_letters({0: u}, f_map) == u
+    assert replace_letters({1: u}, f_map) == series(2, 4, ((1, 1, 1), 1), ((0, 0, 0), 1))
+    assert replace_letters({2: u}, f_map) == series(2, 4, ((1, 1, 0, 0), 1))
+    assert replace_letters({3: u}, f_map).is_zero()
 
 
 def test_replace_letters_refuses_a_negative_j():
     u = series(2, 4, ((0, 1), 1))
-    images = [series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))]
+    f_map = shifted([series(2, 4, ((1, 1), 1)), series(2, 4, ((0, 0), 1))])
     for v in (u, NCSeries.zero(QQ, 2, 4)):
         with pytest.raises(ValueError, match="j = -1"):
-            replace_letters({-1: v}, images)
-
-
-def test_replace_letters_rejects_constant_images():
-    u = series(2, 3, ((0,), 1))
-    with pytest.raises(ValueError, match="image 1 has a constant term"):
-        replace_letters({1: u}, [NCSeries.one(QQ, 2, 3), NCSeries.zero(QQ, 2, 3)])
+            replace_letters({-1: v}, f_map)
 
 
 def test_compose_associativity():
@@ -376,6 +383,8 @@ def test_compose_associativity():
     lhs = compose(compose(u, f), g)
     rhs = compose(u, f.after(g))
     assert lhs == rhs
+    # u(F) = u(z + V) is the sum over j of the terms with j letters replaced
+    assert compose(u, f) == replace_letters({j: u for j in range(D + 1)}, f)
 
 
 # -- the fixed-point loop -------------------------------------------------------
@@ -783,8 +792,7 @@ def test_compose_matches_word_by_word_reference(data):
     assert compose(u, f_map) == expect
     # keeping z_i or splicing V_i = F_i - z_i at each letter: u(z + V) is the
     # sum over j of the terms with exactly j letters replaced
-    v = f_map.displacement()
-    assert expect == replace_letters({j: u for j in range(D + 1)}, v)
+    assert expect == replace_letters({j: u for j in range(D + 1)}, f_map)
     poly, vector = abelianize(u), abelianize_vector(f_map.components)
     assert substitute(poly, vector) == _substitute_copy_per_term(poly, vector)
 
@@ -805,28 +813,27 @@ def test_compose_vector_shares_one_image_table(data):
     assert compose_vector(vector, f_map, cache) == shared
 
 
-def _t_residue_route(u, h_vector, j):
-    """(-1)^j [t^j] u(z - t*H) over R[t]/(t^(j+1)), one word product per
-    term of u (products only, no substitution pass)."""
+def _t_residue_route(u, images, j):
+    """[t^j] u(z + t*V) over R[t]/(t^(j+1)) with V = ``images``, one word
+    product per term of u (products only, no substitution pass)."""
     ring, n, D = u.ring, u.arity, u.degree
     kind = t_graded(NCSeries, j)
-    shifted = [
-        kind.variable(ring, n, D, i) - embed_series(h, j, 1)
-        for i, h in enumerate(h_vector)
+    moved = [
+        kind.variable(ring, n, D, i) + embed_series(v, j, 1)
+        for i, v in enumerate(images)
     ]
-    image = t_residue_series(
-        kind.sum(ring, n, D, (_word_product(w, shifted).scale(c) for w, c in u.terms())),
+    return t_residue_series(
+        kind.sum(ring, n, D, (_word_product(w, moved).scale(c) for w, c in u.terms())),
         j,
     )
-    return image if j % 2 == 0 else -image
 
 
 def _draw_images(data, ring, n, D):
-    """H for ``replace_letters``: zero, or components that may be zero and
+    """V for ``replace_letters``: zero, or components that may be zero and
     may have order 1."""
     zero = NCSeries.zero(ring, n, D)
     if data.draw(st.booleans()):
-        # H = 0, of order infinity: S_0 is u and every other S_j is 0
+        # V = 0, of order infinity: [t^0] is u and every other [t^j] is 0
         return [zero] * n
     # order 1 is allowed as in compose
     return [
@@ -846,9 +853,9 @@ def test_replace_letters_matches_the_t_residue_route(data):
     u = data.draw(reaching_series(ring, n, D, 0)) + NCSeries.constant(
         ring, n, D, ring.from_int(data.draw(st.integers(-2, 2)))
     )
-    h_vector = _draw_images(data, ring, n, D)
-    got = replace_letters({j: u}, h_vector)
-    assert got == _t_residue_route(u, h_vector, j)
+    images = _draw_images(data, ring, n, D)
+    got = replace_letters({j: u}, shifted(images))
+    assert got == _t_residue_route(u, images, j)
     _assert_stored_clean(got)
 
 
@@ -869,10 +876,10 @@ def test_replace_letters_sums_every_input_in_one_substitution(data):
             max_size=4,
         )
     )
-    h_vector = _draw_images(data, ring, n, D)
-    got = replace_letters(inputs, h_vector)
+    images = _draw_images(data, ring, n, D)
+    got = replace_letters(inputs, shifted(images))
     assert got == NCSeries.sum(
-        ring, n, D, (_t_residue_route(u, h_vector, j) for j, u in inputs.items())
+        ring, n, D, (_t_residue_route(u, images, j) for j, u in inputs.items())
     )
     _assert_stored_clean(got)
 
@@ -1039,7 +1046,7 @@ def test_row_splices_match_the_pair_path_and_a_tuple_word_reference(data):
             derivation_sum(ring, n, D, [(delta, f), (delta, images[-1])]),
             images[0]._collect(source.truncated(room)._splices(table, (k,)), start=images[0]),
             _splices_at(images, f, [k]),
-            replace_letters({j: f}, images),
+            replace_letters({j: f}, shifted(images)),
         ]
 
     with _rows_made():

@@ -307,9 +307,9 @@ def _work(run):
 @pytest.mark.parametrize(
     "p, D, text, work",
     [
-        (2, 9, "x - x*y - y*x*x\ny - x*x - y*y*x", {3: 96, 5: 1306, 7: 1804}),
-        (3, 10, "x - (y*x - x*y) + x*x*y\ny - y*x", {4: 422, 7: 9802}),
-        (5, 9, "x - 2*x*y - y*y\ny - 3*x*x*x", {6: 3431}),
+        (2, 9, "x - x*y - y*x*x\ny - x*x - y*y*x", {3: 102, 5: 1312, 7: 1810}),
+        (3, 10, "x - (y*x - x*y) + x*x*y\ny - y*x", {4: 428, 7: 9808}),
+        (5, 9, "x - 2*x*y - y*y\ny - 3*x*x*x", {6: 3436}),
     ],
     ids=["GF(2)", "GF(3)", "GF(5)"],
 )
@@ -317,22 +317,25 @@ def test_residue_step_is_one_substitution_per_component(p, D, text, work):
     # every lower layer enters one replace_letters call per component, so the
     # calls do not grow with m, and no second pass sums per-layer residues;
     # work maps layers m = kp + 1, where the recurrence would divide by 0, to
-    # the pairs the step collects
+    # the pairs the step collects, sum |H_i| + n of them in building F = z - H
+    # and reading its displacement for the one image table of the layer
     h = parse_map(text, PrimeField(p), D, ["x", "y"]).f_map.h_vector()
     nseq = n_seq_charp_direct(h)
+    tables = mock.patch.object(freealg, "_image_table", wraps=freealg._image_table)
     for m, pairs in work.items():
-        step, calls, _, collected, rows = _work(
-            lambda: alt_recurrent_step(nseq.terms[: m - 1], m)
-        )
+        with tables as built:
+            step, calls, _, collected, rows = _work(
+                lambda: alt_recurrent_step(nseq.terms[: m - 1], m)
+            )
         assert list(step) == list(nseq.term(m))
-        assert (calls, collected, rows) == (len(h), pairs, 0), m
+        assert (calls, collected, rows, built.call_count) == (len(h), pairs, 0, 1), m
 
 
 @pytest.mark.parametrize(
     "p, D, text, work",
     [
-        (3, 30, "x - x*x - 2*x*x*x", (2068, 11154)),
-        (5, 12, "x - x*y - 2*y*x*x\ny - y*y + x*y*x", (466, 129290)),
+        (3, 30, "x - x*x - 2*x*x*x", (2124, 11238)),
+        (5, 12, "x - x*y - 2*y*x*x\ny - y*y + x*y*x", (506, 129350)),
     ],
     ids=["n1-GF(3)-D30", "n2-GF(5)-D12"],
 )

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -160,6 +161,13 @@ def test_gf_identity():
     sums = [factorial_reciprocal_sum(m) for m in range(1, 7)]
     sums[3] += Fraction(1, 7)
     assert not gf_identity_check(6, sums)
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_identity_checks_refuse_a_leaf_count_below_one(m):
+    for check in (factorial_identity_check, gf_identity_check, partial(gf_identity_check, sums=[])):
+        with pytest.raises(ValueError, match="^leaf count must be >= 1$"):
+            check(m)
 
 
 # -- the expansion --------------------------------------------------------------
