@@ -148,7 +148,7 @@ class TSeries(TGraded, NCSeries):
         below it (``lo``) keeps the key's t-power, and each image term adds
         its own, from the row of image terms that fit (``_image_terms``).
         Every block is a pair list."""
-        n, radix, rmul = self.arity, self.torder + 1, self.ring.mul
+        n, radix, rmul = self.arity, self.torder + 1, self.ring.row_rules[1]
         for d, bucket in self.buckets.items():
             fits = [(du, rows) for du, rows, _ in images if d - 1 + du <= self.degree]
             if not fits:

@@ -34,8 +34,11 @@ hash.  When a row reaches it, or once the pair lists of at least
 ``DENSE_BLOCK`` pairs sent to one degree d have brought more pairs than
 there are keys of degree d (``_key_space(d)``: n**d words), the bucket moves
 into a list indexed by key.  The list goes back to a dict of its nonzero
-entries before the series is made, so both forms give the same series.  No
-module but this one, :mod:`ncinvert.commutative` and
+entries before the series is made, so both forms give the same series.
+Every pair kernel multiplies by the ring's ``row_rules`` (see
+:mod:`ncinvert.rings`), which over GF(p) leave products unreduced: the
+collector reduces each sum once, inline on a dict bucket and per slot when
+a list is read.  No module but this one, :mod:`ncinvert.commutative` and
 :mod:`ncinvert.deformation` reads the buckets.
 
 Series values are immutable by convention: no operation mutates its inputs,
@@ -216,7 +219,8 @@ class NCSeries:
 
     def _products(self, b1, b2, d2, rmul):
         """The (key, coefficient) pairs of bucket times bucket, ``b2`` of
-        degree ``d2``: words concatenate, so codes shift by n**d2 and add."""
+        degree ``d2``: words concatenate, so codes shift by n**d2 and add.
+        ``rmul`` is the ring's row rule."""
         shift = self.arity ** d2
         return [
             (w1 * shift + w2, rmul(c1, c2))
@@ -240,8 +244,9 @@ class NCSeries:
         Otherwise it is a list of (key, coefficient) pairs: at position j a
         code splits once into the letters before (``hi``), the letter and
         the letters after (``lo``, j+1..d-1), and every image degree in
-        pairs reuses that split."""
-        n, rmul = self.arity, self.ring.mul
+        pairs reuses that split.  Both multiply by the ring's row rule,
+        which may leave a product unreduced for ``_collect``."""
+        n, rmul = self.arity, self.ring.row_rules[1]
         for d, bucket in self.buckets.items():
             at = range(d) if positions is None else positions
             reach, pairs = len(bucket) * len(at), []
@@ -283,7 +288,7 @@ class NCSeries:
         n**d slots, per image term, for the first two; the image of each
         stored term's letter as a list of n**du slots for the third."""
         n, ring = self.arity, self.ring
-        add, mul, _ = ring.row_rules()
+        add, mul, _ = ring.row_rules
         zero = ring.zero()
         lift = n**du
         row = Row([zero] * n ** (d - 1 + du))
@@ -410,13 +415,17 @@ class NCSeries:
         and a later row slot by slot, with no zero test, by the ring's
         ``row_rules``.  At the end a list turns back into the dict of its
         nonzero entries, reduced once if the rules say so, so a series
-        leaves here as it would have left the dict alone."""
+        leaves here as it would have left the dict alone.  A dict adds by
+        ``ring.add`` and tests by ``is_zero``, or, when the rules carry a
+        modulus, adds and reduces inline, since a kernel's pairs may hold
+        unreduced products; the loop is picked once per block."""
         ring = self.ring
         add, is_zero = ring.add, ring.is_zero
+        radd, _, modulus = ring.row_rules
         buckets = {} if start is None else {d: dict(b) for d, b in start.buckets.items()}
         # dense: the buckets in list form; left: per degree, the pairs of
-        # counted blocks still to come before the switch (both made, with
-        # the row rules, at the first row or counted block)
+        # counted blocks still to come before the switch (both made at the
+        # first row or counted block)
         dense = left = None
         for d, block in stream:
             if dense and d in dense:
@@ -431,7 +440,6 @@ class NCSeries:
             if len(block) >= DENSE_BLOCK:
                 if left is None:
                     dense, left = {}, {}
-                    radd, _, modulus = ring.row_rules()
                 if type(block) is Row:
                     arr = dense[d] = block
                     for key, c in tgt.items():
@@ -446,6 +454,15 @@ class NCSeries:
                     for key, c in block:
                         arr[key] = radd(arr[key], c)
                     continue
+            if modulus:
+                for key, c in block:
+                    prev = tgt.get(key)
+                    val = (c if prev is None else prev + c) % modulus
+                    if val:
+                        tgt[key] = val
+                    else:
+                        tgt.pop(key, None)
+                continue
             for key, c in block:
                 prev = tgt.get(key)
                 val = c if prev is None else add(prev, c)
@@ -572,7 +589,7 @@ class NCSeries:
     def __mul__(self, other):
         """Truncated product: terms of degree > D are dropped."""
         self._check_compatible(other)
-        rmul, products, D = self.ring.mul, self._products, self.degree
+        rmul, products, D = self.ring.row_rules[1], self._products, self.degree
         return self._collect(
             (d1 + d2, products(b1, b2, d2, rmul))
             for d1, b1 in self.buckets.items()

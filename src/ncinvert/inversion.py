@@ -185,7 +185,7 @@ def n_seq_recurrent(h_vector) -> NSequence:
 # ---------------------------------------------------------------------------
 
 
-def alt_recurrent_step(terms, m):
+def alt_recurrent_step(terms, m, f_map=None):
     """N_[m] from ``terms`` = N_[1..m-1] by coefficient extraction: the
     charp-direct engine's layer at every m >= 2.
 
@@ -198,13 +198,15 @@ def alt_recurrent_step(terms, m):
     With F = z - H, whose displacement is -H, that is
     N_[m] = - sum_l [t^(m-l)] N_[l](z + t*(F - z)): one ``replace_letters``
     call per component over the base ring, all reading the image table of
-    one F.  H is read as ``terms[0]``, since N_[1] = H.
+    one F.  ``f_map`` is F; when it is not given, it is built from
+    H = ``terms[0]``, since N_[1] = H.
     """
     if m < 2:
         raise ValueError("residue step starts at m = 2")
     if len(terms) < m - 1:
         raise ValueError(f"need N_[1..{m - 1}], got {len(terms)} terms")
-    f_map = FormalMap.f_form(terms[0])
+    if f_map is None:
+        f_map = FormalMap.f_form(terms[0])
     return tuple(
         -replace_letters({m - l: terms[l - 1][i] for l in range(1, m)}, f_map)
         for i in range(len(terms[0]))
@@ -213,10 +215,13 @@ def alt_recurrent_step(terms, m):
 
 def n_seq_charp_direct(h_vector) -> NSequence:
     """The GF(p) sequence of the charp-direct engine: from N_[1] = H, the
-    residue step ``alt_recurrent_step`` at every layer, no division."""
-    if not isinstance(_vector_meta(h_vector)[1], PrimeField):
+    residue step ``alt_recurrent_step`` at every layer, no division, each
+    layer reading the one map F = z - H and its image table."""
+    h_vector, ring = _vector_meta(h_vector)[:2]
+    if not isinstance(ring, PrimeField):
         raise ValueError("charp-direct requires PrimeField coefficients")
-    return NSequence.from_layers(h_vector, alt_recurrent_step)
+    f_map = FormalMap.f_form(h_vector)
+    return NSequence.from_layers(h_vector, lambda terms, m: alt_recurrent_step(terms, m, f_map))
 
 
 def invert_charp_direct(h_vector) -> FormalMap:

@@ -22,20 +22,25 @@ values: a series over one t-order meets a series over another only in
 ``NCSeries._check_compatible``, which refuses it because the rings differ.
 
 A ring works on single values.  Terms are summed into series in one place,
-:meth:`ncinvert.freealg.NCSeries._collect`, through ``add`` and ``is_zero``:
-a bucket collected as a dict tests each sum with ``is_zero``, and one
-collected as a list indexed by key (once its pairs outnumber its keys, or
-a dense row of splices reaches it) adds by index and calls ``is_zero`` once
-per slot at the end.  Lists and dense rows are summed by ``row_rules()``:
-over QQ, the integer lift and GF(p) the builtins ``operator.add`` and
-``mul``, and over GF(p) one ``% p`` per slot when the list is read.
-A value rule may be a C builtin held as a staticmethod, so that those loops
-enter no Python frame per term: over QQ ``add``, ``neg``, ``mul`` and
-``is_zero`` are ``operator.add``, ``neg``, ``mul`` and ``not_``, and over
-GF(p) ``is_zero`` is ``operator.not_``.  ``IntPolyRing.mul`` and
-``TQuotientRing.mul`` stay plain functions in their own class bodies,
-because the layer trace (``perfbench/layertrace.py``) counts their calls
-with a wrapper that is bound as a method.
+:meth:`ncinvert.freealg.NCSeries._collect`.  Each ring holds its
+``row_rules``, (add, mul, modulus): every pair kernel (the splices of a
+derivation or a substitution, the products of ``__mul__``) multiplies by
+its ``mul``, read once per kernel call, and a bucket collected as a list
+indexed by key (once its pairs outnumber its keys, or a dense row of
+splices reaches it) adds by its ``add``.  Over QQ, the integer lift and
+GF(p) these are the builtins ``operator.add`` and ``mul``; over GF(p) they
+leave values unreduced, and the collector reduces by the modulus p: inline,
+once per sum, on a bucket collected as a dict, and once per slot when a
+list is read.  A dict bucket of a ring without a modulus adds by the
+ring's own ``add`` and tests by ``is_zero``.  So over these three rings no
+pair enters a Python frame.  A value rule may be a C builtin held as a
+staticmethod: over QQ ``add``, ``neg``, ``mul`` and ``is_zero`` are
+``operator.add``, ``neg``, ``mul`` and ``not_``, and over GF(p)
+``is_zero`` is ``operator.not_``.
+``IntPolyRing.mul`` and ``TQuotientRing.mul`` stay plain functions in their
+own class bodies only because the layer trace (``perfbench/layertrace.py``)
+counts their calls with a wrapper that is bound as a method: no kernel
+reaches the former, and the package uses the latter nowhere.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 
 #: Miller-Rabin witnesses: the primes up to 41.  Together they expose every
@@ -105,10 +111,12 @@ class Ring:
     def mul_int(self, a, n: int):
         return self.mul(a, self.from_int(n))
 
+    @cached_property
     def row_rules(self):
-        """(add, mul, modulus) for summing lists slot by slot: rules that may
-        leave a value unreduced, and the int that reduces it when the list
-        is read (None: no reduction)."""
+        """(add, mul, modulus): the rules by which every pair kernel
+        multiplies and the collector sums, which may leave a value
+        unreduced, and the int that reduces it (None: no reduction).  A
+        value the ring holds, so that each kernel call reads it once."""
         return self.add, self.mul, None
 
     def __eq__(self, other):
@@ -150,9 +158,8 @@ class RationalField(Ring):
     def mul_int(self, a, n: int):
         return a * n
 
-    def row_rules(self):
-        # the integer lift's ``mul`` is a plain function: lists take the builtin
-        return operator.add, operator.mul, None
+    #: the integer lift's ``mul`` is a plain function: its kernels take the builtin
+    row_rules = (operator.add, operator.mul, None)
 
     def div_by_int(self, a, m: int):
         if m == 0:
@@ -186,6 +193,7 @@ class PrimeField(Ring):
         self.p = p
         self.characteristic = p
         self._args = (p,)
+        self.row_rules = (operator.add, operator.mul, p)
 
     def zero(self):
         return 0
@@ -201,9 +209,6 @@ class PrimeField(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def row_rules(self):
-        return operator.add, operator.mul, self.p
 
     #: a residue in [0, p) is false exactly when it is 0
     is_zero = staticmethod(operator.not_)
@@ -322,7 +327,8 @@ class IntPolyRing(RationalField):
     check.  The class keeps its historical name and a plain-function ``mul``
     in its own body, not QQ's builtin, because the external layer trace
     (``perfbench/layertrace.py``) counts calls of
-    ``IntPolyRing.__dict__["mul"]``.
+    ``IntPolyRing.__dict__["mul"]``; the pair kernels multiply by QQ's
+    ``row_rules``, so they make none.
     """
 
     def mul(self, a, b):

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import partial
@@ -304,10 +305,11 @@ def test_compose_identity_fixes_everything():
 
 
 class CountingField(RationalField):
-    """QQ that counts its products."""
+    """QQ that counts its products, the pair kernels' through its rules."""
 
     def __init__(self):
         self.muls = 0
+        self.row_rules = (operator.add, self.mul, None)
 
     def mul(self, a, b):
         self.muls += 1
@@ -1287,6 +1289,76 @@ def test_collect_in_either_bucket_form_is_the_dict_sum(data):
     _assert_stored_clean(got)
     if start is not None:
         assert start.buckets == before
+
+
+# -- GF(p) on the builtin rules ------------------------------------------------
+
+#: small primes, whose sums wrap often, and a 61-bit one, whose products
+#: pass a machine word before they are reduced
+REDUCED_PRIMES = (2, 3, 5, 2**61 - 1)
+
+
+@st.composite
+def integral_series(draw, n, D, min_deg):
+    """A QQ series of int coefficients, small or past 2**64, on drawn words
+    of degree ``min_deg`` to D, and at times on every word of one degree,
+    so that dense buckets and rows are drawn too."""
+    if D < min_deg:
+        return NCSeries.zero(QQ, n, D)
+    words = st.lists(st.integers(0, n - 1), min_size=min_deg, max_size=D).map(tuple)
+    values = st.one_of(st.integers(-6, 6), st.integers(-(2**80), 2**80))
+    terms = draw(st.lists(st.tuples(words, values), max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        d = draw(st.integers(min_deg, D))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        terms += [(w, rng.randint(-(2**70), 2**70)) for w in itertools.product(range(n), repeat=d)]
+    return NCSeries.from_terms(QQ, n, D, terms)
+
+
+def _assert_reduced(s, p):
+    """Every stored coefficient is a residue in [1, p)."""
+    for bucket in s.buckets.values():
+        assert all(type(c) is int and 0 < c < p for c in bucket.values()), bucket
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_gfp_kernels_are_the_qq_kernels_reduced_mod_p(data):
+    # the pair kernels multiply GF(p) residues unreduced and the collector
+    # reduces each sum once: every kernel over PrimeField(p) must give the
+    # same operation over QQ on the integer lifts, reduced mod p
+    p = data.draw(st.sampled_from(REDUCED_PRIMES))
+    field = PrimeField(p)
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, (7, 6, 4)[n - 1]))
+
+    def reduced(s):
+        return s.map_coefficients(field.from_int, new_ring=field)
+
+    a, b = (data.draw(integral_series(n, D, 0)) for _ in range(2))
+    images = [data.draw(integral_series(n, D, 0)) for _ in range(n)]
+    f_map = FormalMap([data.draw(integral_series(n, D, 1)) for _ in range(n)])
+    fp_map = FormalMap([reduced(c) for c in f_map.components])
+    inputs = {j: data.draw(integral_series(n, D, 0)) for j in data.draw(st.sets(st.integers(0, 4)))}
+    pairs = [
+        (a * b, reduced(a) * reduced(b)),
+        (Derivation(images).apply(a), Derivation([reduced(u) for u in images]).apply(reduced(a))),
+        (compose(a, f_map), compose(reduced(a), fp_map)),
+        (
+            replace_letters(inputs, f_map),
+            replace_letters({j: reduced(u) for j, u in inputs.items()}, fp_map),
+        ),
+    ]
+    for over_qq, over_field in pairs:
+        assert over_field == reduced(over_qq)
+        _assert_reduced(over_field, p)
+
+
+def test_from_terms_over_gfp_stores_residues():
+    # the dict loop reduces every sum mod p, a term's first one included, so
+    # an int outside [0, p) is stored as its residue and a multiple of p not
+    s = NCSeries.from_terms(PrimeField(3), 1, 3, [((0,), 7), ((0, 0), -1), ((0, 0, 0), 3)])
+    assert s.buckets == {1: {0: 1}, 2: {0: 2}}
 
 
 class _ZeroCountingQQ(RationalField):

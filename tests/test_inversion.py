@@ -334,8 +334,8 @@ def test_residue_step_is_one_substitution_per_component(p, D, text, work):
 @pytest.mark.parametrize(
     "p, D, text, work",
     [
-        (3, 30, "x - x*x - 2*x*x*x", (2124, 11238)),
-        (5, 12, "x - x*y - 2*y*x*x\ny - y*y + x*y*x", (506, 129350)),
+        (3, 30, "x - x*x - 2*x*x*x", (2070, 11157)),
+        (5, 12, "x - x*y - 2*y*x*x\ny - y*y + x*y*x", (470, 129296)),
     ],
     ids=["n1-GF(3)-D30", "n2-GF(5)-D12"],
 )
@@ -343,7 +343,8 @@ def test_residue_step_skips_the_passes_from_an_empty_state(p, D, text, work):
     # a pass whose source state is empty would only copy its target, so
     # replace_letters keeps the target and collects nothing; work is the
     # (collect calls, pairs collected) of one charp-direct inversion, whose
-    # calls grow with m * D when every pass runs
+    # calls grow with m * D when every pass runs; it builds F = z - H once,
+    # not once per layer (2n collects and sum |H_i| + n pairs a build)
     names = ["x", "y"][: text.count("\n") + 1]
     h = parse_map(text, PrimeField(p), D, names).f_map.h_vector()
     g, _, collects, pairs, rows = _work(lambda: invert(h, engine="charp-direct"))
@@ -375,6 +376,37 @@ def test_each_layered_engine_keeps_its_one_layer_rule(n, p):
 
 
 # -- characteristic p ------------------------------------------------------------
+
+
+def test_gfp_engines_and_verify_call_no_value_rule_per_pair():
+    # every pair kernel multiplies by the ring's row rule, a builtin, and the
+    # collector reduces GF(p) sums inline, so the GF(p) engines and verify
+    # make no call of the field's add or mul, nor of the integer lift's mul;
+    # each map is the QQ inverse of the integral H reduced mod p
+    text, D, field = "x - x*y - 2*y*x*x + x*x\ny - y*y + x*y*x + 2*y*x", 9, PrimeField(3)
+    h = parse_map(text, field, D, ["x", "y"]).f_map.h_vector()
+    over_qq = invert_fixed_point(parse_map(text, QQ, D, ["x", "y"]).f_map.h_vector())
+    expect = FormalMap(
+        [g.map_coefficients(field.from_int, new_ring=field) for g in over_qq.components]
+    )
+    f_map = FormalMap.f_form(h)
+    calls = {}
+
+    def counted(cls, name):
+        rule = getattr(cls, name)
+
+        def count(self, *args):
+            calls[cls.__name__, name] = calls.get((cls.__name__, name), 0) + 1
+            return rule(self, *args)
+
+        return mock.patch.object(cls, name, count)
+
+    with counted(PrimeField, "add"), counted(PrimeField, "mul"), counted(IntPolyRing, "mul"):
+        for engine in ("fixed-point", "charp-direct", "charp-lift"):
+            g = invert(h, engine=engine)
+            assert g == expect, engine
+            assert verify_inverse(f_map, g).ok, engine
+    assert calls == {}
 
 
 def test_charp_engines_match_reduced_power_series():
