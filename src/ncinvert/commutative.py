@@ -165,8 +165,13 @@ def substitute(poly: CommPoly, vector) -> CommPoly:
     )
 
 
-def substitute_vector(polys, vector):
-    return tuple(substitute(p, vector) for p in polys)
+def substitute_vector(polys, vector, bound=0):
+    """Each polynomial evaluated at ``vector``, without its terms of degree
+    below ``bound``."""
+    return tuple(
+        type(s)(s.ring, s.arity, s.degree, {d: b for d, b in s.buckets.items() if d >= bound})
+        for s in (substitute(p, vector) for p in polys)
+    )
 
 
 def jacobian(vector):

@@ -142,7 +142,7 @@ class TSeries(TGraded, NCSeries):
             for q2, t2, c2 in rows[top - t1]
         ]
 
-    def _splices(self, images, positions=None):
+    def _splices(self, images, positions=None, bound=0):
         """``NCSeries._splices`` with the t-digit under the last letter: a
         letter at position j is the digit of n**(d-1-j) * (K + 1), the part
         below it (``lo``) keeps the key's t-power, and each image term adds
@@ -150,7 +150,7 @@ class TSeries(TGraded, NCSeries):
         Every block is a pair list."""
         n, radix, rmul = self.arity, self.torder + 1, self.ring.row_rules[1]
         for d, bucket in self.buckets.items():
-            fits = [(du, rows) for du, rows, _ in images if d - 1 + du <= self.degree]
+            fits = [(du, rows) for du, rows, _ in images if bound <= d - 1 + du <= self.degree]
             if not fits:
                 continue
             terms = [(key, self.torder - key % radix, c) for key, c in bucket.items()]

@@ -228,13 +228,13 @@ class NCSeries:
             for w2, c2 in b2.items()
         ]
 
-    def _splices(self, images, positions=None):
+    def _splices(self, images, positions=None, bound=0):
         """The Leibniz terms of a derivation on this series, uncollected:
-        per bucket of degree d and image degree du that stays within the
-        truncation, the output degree d - 1 + du and its block.  ``images``
-        is an image table (see ``_image_table``), in increasing du; each
-        image term of z_i replaces z_i at each position in ``positions``
-        (all d of them by default; given ones must be below every d).
+        per bucket of degree d and image degree du with bound <= d - 1 + du
+        <= D, the output degree d - 1 + du and its block.  ``images`` is an
+        image table (see ``_image_table``), in increasing du; each image term
+        of z_i replaces z_i at each position in ``positions`` (all d of them
+        by default; given ones must be below every d).
 
         The block of a du is one ``Row`` of its S = n**(d - 1 + du) output
         keys (``_splice_row``) when P >= S >= ``DENSE_BLOCK``, P being its
@@ -253,6 +253,8 @@ class NCSeries:
             for du, by_letter, fewest in images:
                 if d - 1 + du > self.degree:
                     break
+                if d - 1 + du < bound:
+                    continue
                 if DENSE_BLOCK <= n ** (d - 1 + du) <= reach * fewest:
                     yield d - 1 + du, self._splice_row(bucket, d, du, by_letter, at)
                 else:
@@ -717,12 +719,17 @@ class FormalMap(_SeriesVector):
         return self.components[i]
 
     def displacement(self):
-        """The vector V with map = z + V (so H = -displacement for F-form)."""
-        kind = type(self.components[0])
-        return tuple(
-            comp - kind.variable(self.ring, self.arity, self.degree, i)
-            for i, comp in enumerate(self.components)
-        )
+        """The vector V with map = z + V (so H = -displacement for F-form).
+        Only the linear bucket of a component holds z_i: it alone is
+        collected, and the other buckets are shared."""
+        kind, ring, n, D = type(self.components[0]), self.ring, self.arity, self.degree
+        out = []
+        for i, comp in enumerate(self.components):
+            rest = dict(comp.buckets)
+            linear = kind(ring, n, D, {1: rest.pop(1)} if 1 in rest else {})
+            rest.update((linear - kind.variable(ring, n, D, i)).buckets)
+            out.append(kind(ring, n, D, rest))
+        return tuple(out)
 
     def h_vector(self):
         """H such that the map is z - H."""
@@ -823,7 +830,9 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     that is already substituted; the words of ``u`` of length k+1 join, and
     the pass keeps every term (the letter at k stays z_i) and adds the terms
     with V spliced at k (``NCSeries._splices`` at position k).  Terms that
-    share a raw prefix and a tail merge before the next pass.
+    share a raw prefix and a tail merge before the next pass.  The passes
+    are those of ``_compose``, which keeps every term here: only the fixed
+    point's passes (``compose_vector`` with a bound) drop the low degrees.
 
     The image table of V = F - z is the map's own (``FormalMap.image_table``,
     which refuses a constant term).  So every raw letter still adds degree
@@ -831,26 +840,50 @@ def compose(u: NCSeries, f_map: FormalMap, cache=None) -> NCSeries:
     stays exact.  A ``cache`` dict, if given, receives the table under the
     key ``()``.
     """
+    return _compose(u, _map_table(f_map, u, cache))
+
+
+def _map_table(f_map, u, cache):
+    """The image table of ``f_map`` for substitution into ``u``, once their
+    truncations agree; stored in ``cache`` under ``()`` if one is given."""
     f_map.components[0]._check_compatible(u)
     table = f_map.image_table()
     if cache is not None:
         cache[()] = table
+    return table
+
+
+def _compose(u, table, bound=0):
+    """The passes of ``compose`` over an image table, without the terms of
+    degree below ``bound``.  A term only grows until the pass at position 0,
+    the last, fixes its degree; so that pass alone applies the bound: it
+    splices no block below it (``NCSeries._splices``), keeps no raw term
+    below it, and the constant term of ``u`` joins only when the bound is
+    0."""
     words, kind = u.buckets, type(u)
     out = kind(u.ring, u.arity, u.degree)
     for k in range(max(words, default=0) - 1, -1, -1):
         if k + 1 in words:
             # every term so far is longer than k + 1, so no key is shared
             out = kind(u.ring, u.arity, u.degree, {**out.buckets, k + 1: words[k + 1]})
-        out = out._collect(out._splices(table, (k,)), start=out)
-    if 0 in words:
+        least = 0 if k else bound
+        kept = out if not least else kind(
+            u.ring, u.arity, u.degree, {d: b for d, b in out.buckets.items() if d >= least}
+        )
+        out = out._collect(out._splices(table, (k,), least), start=kept)
+    if 0 in words and bound <= 0:
         out = kind(u.ring, u.arity, u.degree, {**out.buckets, 0: words[0]})
     return out
 
 
-def compose_vector(vector, f_map: FormalMap, cache=None):
+def compose_vector(vector, f_map: FormalMap, cache=None, bound=0):
     """Componentwise substitution: every component reads the map's one
-    image table."""
-    return tuple(compose(u, f_map, cache) for u in vector)
+    image table.  With a ``bound``, each component leaves out its terms of
+    degree below it (``_compose``); without one, each goes through
+    ``compose``."""
+    if not bound:
+        return tuple(compose(u, f_map, cache) for u in vector)
+    return tuple(_compose(u, _map_table(f_map, u, cache), bound) for u in vector)
 
 
 def replace_letters(inputs, f_map: FormalMap) -> NCSeries:
@@ -868,8 +901,9 @@ def replace_letters(inputs, f_map: FormalMap) -> NCSeries:
     Then every state q >= k is dropped, for want of positions, and, with
     r = o(V), every term of degree d in state q with d + q(r - 1) > D, since
     each replacement to come adds at least r - 1 to the degree: the pass into
-    state q splices state q + 1 truncated at that bound.  The result is state
-    0.  The image table is the map's own, as in ``compose``.
+    state q splices state q + 1 truncated at that bound.  So no state q with
+    q(r - 1) > D is built, and no input joins one.  The result is state 0.
+    The image table is the map's own, as in ``compose``.
     """
     first = f_map.components[0]
     for j, u in inputs.items():
@@ -881,15 +915,18 @@ def replace_letters(inputs, f_map: FormalMap) -> NCSeries:
     r = table[0][0] if table else 1
     D = first.degree
     top = max(inputs, default=0)
-    # room[q]: the largest degree a term of state q may reach
+    if r > 1:
+        # a state whose replacements alone pass D would hold no term
+        top = min(top, D // (r - 1))
+    # room[q] >= 0: the largest degree a term of state q may reach
     room = [D - q * (r - 1) for q in range(top + 1)]
     empty = type(first)(first.ring, first.arity, D)
-    # states[top + 1] stays empty: no input needs more than top replacements
+    # states[top + 1] stays empty: no input joins a state past top
     states = [empty] * (top + 2)
     longest = max((d for u in inputs.values() for d in u.buckets), default=0)
     for k in range(longest, -1, -1):
         for j, u in inputs.items():
-            if k in u.buckets and j <= k <= room[j]:
+            if j <= top and k in u.buckets and j <= k <= room[j]:
                 # every other term of state j is longer than k
                 states[j] = type(u)(u.ring, u.arity, D, {**states[j].buckets, k: u.buckets[k]})
         if k:
@@ -905,22 +942,33 @@ def replace_letters(inputs, f_map: FormalMap) -> NCSeries:
     return states[0]
 
 
-def _substitute(vector, point):
-    """vector(point) for NCSeries: the substitution of the fixed-point loop."""
-    return compose_vector(vector, FormalMap(point))
+def _substitute(vector, point, bound=0):
+    """vector(point) for word series, without its terms of degree below
+    ``bound``: the substitution of the fixed-point loop."""
+    return compose_vector(vector, FormalMap(point), bound=bound)
 
 
 def _fixed_point(h_vector, substitute):
-    """M = H(z + M) by passes of M <- substitute(H, z + M) from M = 0.
+    """M = H(z + M) by passes of M <- H(z + M) from M = 0.
 
     ``h_vector`` fixes the kind (NCSeries or commutative polynomials), ring,
-    arity and truncation D of M; ``substitute(vector, point)`` evaluates a
-    vector at a point of the vector's truncation.  With r = o(H) >= 2, M = 0
-    is exact through degree r - 1, and the degree-e part of H(z + M) reads M
-    only through degree e - (r - 1).  So pass k (from 1) runs at truncation
+    arity and truncation D of M; ``substitute(vector, point, bound)``
+    evaluates a vector at a point of the vector's truncation and returns its
+    terms of degree >= ``bound``.  With r = o(H) >= 2, M = 0 is exact
+    through degree r - 1, and the degree-e part of H(z + M) reads M only
+    through degree e - (r - 1).  So pass k (from 1) runs at truncation
     d = min(D, (k + 1)(r - 1)), with H cut to d and the previous M raised to
     d, and leaves M exact through d: (D - 1) // (r - 1) passes reach D, which
     is D - 1 when H has a quadratic term and none when r > D.
+
+    A pass computes only the degrees it adds.  M is already exact through
+    the previous pass's truncation k(r - 1), so those degrees are kept as
+    they are, and the substitution returns H(z + M) from degree
+    k(r - 1) + 1 on: its last position pass splices nothing below that
+    bound (``_compose``).
+    The point z + M shares M's buckets, since o(M) >= 2, and its image table
+    is M's own.  For one letter and r = 2 a pass costs about D pairs, so the
+    fixed point costs about D^2 pairs rather than D^3.
     """
     first = h_vector[0]
     kind, ring, n, D = type(first), first.ring, first.arity, first.degree
@@ -930,9 +978,11 @@ def _fixed_point(h_vector, substitute):
     for k in range(1, passes + 1):
         d = min(D, (k + 1) * (r - 1))
         point = tuple(
-            kind.variable(ring, n, d, i) + m.truncated(d) for i, m in enumerate(m_vec)
+            kind(ring, n, d, {**kind.variable(ring, n, d, i).buckets, **m.buckets})
+            for i, m in enumerate(m_vec)
         )
-        m_vec = substitute(tuple(h.truncated(d) for h in h_vector), point)
+        new = substitute(tuple(h.truncated(d) for h in h_vector), point, k * (r - 1) + 1)
+        m_vec = tuple(kind(ring, n, d, {**m.buckets, **s.buckets}) for m, s in zip(m_vec, new))
     return m_vec
 
 

@@ -412,9 +412,9 @@ def test_fixed_point_pass_count_is_fixed_by_the_order_of_h(D, r):
     calls = []
 
     def counting(substitute):
-        def counted(vector, point):
+        def counted(vector, point, bound=0):
             calls.append(point)
-            return substitute(vector, point)
+            return substitute(vector, point, bound)
 
         return counted
 
@@ -815,6 +815,83 @@ def test_compose_vector_shares_one_image_table(data):
     assert compose_vector(vector, f_map, cache) == shared
 
 
+@st.composite
+def t_graded_series(draw, ring, n, D, K, min_deg):
+    """A series of the t-graded kind at t-order K: up to three sparse pieces,
+    each times a drawn power of t."""
+    kind = t_graded(NCSeries, K)
+    pieces = draw(st.lists(st.tuples(reaching_series(ring, n, D, min_deg), st.integers(0, K)),
+                           max_size=3))
+    return kind.sum(ring, n, D, (embed_series(s, K, t) for s, t in pieces))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_bounded_substitution_is_compose_without_its_low_degrees(data):
+    # the fixed point's pass: the bound applies only at the last position
+    # pass, and the result is compose(u, F) less its terms below the bound
+    route = data.draw(st.sampled_from(["QQ", "GF(3)", "lift", "R[t]"]))
+    ring = {"GF(3)": PrimeField(3), "lift": IntPolyRing()}.get(route, QQ)
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 6))
+    if route == "R[t]":
+        K = data.draw(st.integers(0, 3))
+        u = data.draw(t_graded_series(ring, n, D, K, 0))
+        comps = [data.draw(t_graded_series(ring, n, D, K, 1)) for _ in range(n)]
+    else:
+        u = data.draw(reaching_series(ring, n, D, 0))
+        comps = [data.draw(reaching_series(ring, n, D, 1)) for _ in range(n)]
+    f_map = FormalMap(comps)
+    full = compose(u, f_map)
+    for bound in range(D + 2):
+        got = compose_vector([u], f_map, bound=bound)[0]
+        assert got == type(u)(ring, n, D, {d: b for d, b in full.buckets.items() if d >= bound})
+        _assert_stored_clean(got)
+
+
+def _pairs_spliced(run):
+    """The result of ``run()`` and the pairs that ``NCSeries._splices``
+    yields while it runs, in pair lists and in rows (one per slot)."""
+    splices = NCSeries._splices
+    pairs = [0]
+
+    def counted(self, *args):
+        for d, block in splices(self, *args):
+            pairs[0] += len(block)
+            yield d, block
+
+    with mock.patch.object(NCSeries, "_splices", counted):
+        out = run()
+    return out, pairs[0]
+
+
+def test_compose_without_a_bound_splices_what_it_spliced_before_the_bound():
+    # the verify path: both sides of F(G) = id = G(F) keep every splice
+    f_map = parse_map("x - x*y - y*x*x\ny - x*x - y*y*x", QQ, 9, ["x", "y"]).f_map
+    g_map = invert(f_map.h_vector(), "recurrent")
+    f_of_g, pairs = _pairs_spliced(lambda: f_map.after(g_map))
+    assert f_of_g.is_identity() and pairs == 9315
+    g_of_f, pairs = _pairs_spliced(lambda: g_map.after(f_map))
+    assert g_of_f.is_identity() and pairs == 6096
+
+
+@pytest.mark.parametrize(
+    "ring, work",
+    [(QQ, {20: 342, 40: 1482, 80: 6162}), (PrimeField(3), {20: 197, 40: 600, 80: 1772})],
+    ids=["QQ", "GF(3)"],
+)
+def test_the_fixed_point_splices_each_degree_once(ring, work):
+    # x - x*x: each pass splices only the degree it adds, about D pairs, so
+    # the work grows about 4x per doubling of D (D^2); re-substituting every
+    # degree in each pass spliced 1,311 / 10,621 / 85,241 pairs over QQ and
+    # 756 / 3,694 / 20,139 over GF(3) (D^3 over QQ)
+    for D, pairs in work.items():
+        h = parse_map("x - x*x", ring, D, ["x"]).f_map.h_vector()
+        g_map, spliced = _pairs_spliced(lambda: invert_fixed_point(h))
+        assert spliced == pairs, D
+        assert g_map == invert(h, "charp-direct" if ring.characteristic else "recurrent")
+
+
 def _t_residue_route(u, images, j):
     """[t^j] u(z + t*V) over R[t]/(t^(j+1)) with V = ``images``, one word
     product per term of u (products only, no substitution pass)."""
@@ -1099,6 +1176,34 @@ def test_a_row_is_made_exactly_when_dense_block_le_s_le_reach_times_fewest(
         got = source._collect(source._splices(table, positions))
     assert [e for e, _, _ in made] == ([d - 1 + du] if row else [])
     assert got == _tuple_derivation(images, source, positions)
+
+
+def test_a_row_takes_the_axis_with_the_fewest_slice_assignments():
+    # n = 2, d = 5, du = 2, four image terms: at position j the hi or lo axis
+    # takes min(2**j, 2**(4 - j)) * 4 slices, the image axis one per stored
+    # term; a sparse bucket takes the image axis, a full one the other two
+    n, D, d, du = 2, 7, 5, 2
+    images = [NCSeries(QQ, n, D, {du: {0: 1, 3: 2}})] * n
+    table = _image_table(images)
+    by_letter = table[0][1]
+    slices = []
+
+    def counted(self, key, value):
+        if isinstance(key, slice):
+            slices.append(key)
+        list.__setitem__(self, key, value)
+
+    sparse = {1: 1, 9: 2, 22: 3}
+    full = {code: code % 3 + 1 for code in range(n**d)}
+    for bucket, j, assignments in [(sparse, 2, 3), (full, 2, 16), (full, 1, 8), (full, 3, 8)]:
+        source = NCSeries(QQ, n, D, {d: bucket})
+        slices.clear()
+        with mock.patch.object(Row, "__setitem__", counted):
+            row = source._splice_row(bucket, d, du, by_letter, [j])
+        assert len(slices) == assignments, (len(bucket), j)
+        with mock.patch.object(freealg, "DENSE_BLOCK", 1):
+            got = source._collect([(d - 1 + du, row)])
+        assert got == _tuple_derivation(images, source, [j])
 
 
 def test_a_full_bucket_leaves_in_rows_and_a_sparse_one_in_pairs():

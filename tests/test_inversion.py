@@ -354,6 +354,28 @@ def test_residue_step_skips_the_passes_from_an_empty_state(p, D, text, work):
     assert (collects, pairs, rows) == work + (0,)
 
 
+@pytest.mark.parametrize(
+    "p, D, text",
+    [
+        (3, 12, "x - x*x*x"),
+        (3, 10, "x - x*y*x\ny - y*y*y + 2*x*x*y"),
+        (5, 12, "x - 2*x*x*x - x*x*x*x"),
+        (5, 10, "x - y*y*y\ny - x*y*x + 3*x*x*x*y"),
+    ],
+    ids=["n1-GF(3)", "n2-GF(3)", "n1-GF(5)", "n2-GF(5)"],
+)
+def test_residue_step_needs_no_shortcut_to_stay_in_range(p, D, text):
+    # with r = o(H) = 3, a state q with 2q > D would have negative room, so
+    # replace_letters builds none, and the skip of a pass from an empty state
+    # is a shortcut only: with it turned off, every layer is the same
+    names = ["x", "y"][: text.count("\n") + 1]
+    h = parse_map(text, PrimeField(p), D, names).f_map.h_vector()
+    expect = n_seq_charp_direct(h).terms
+    with mock.patch.object(NCSeries, "is_zero", lambda self: False):
+        assert n_seq_charp_direct(h).terms == expect
+    assert invert_charp_direct(h) == invert_fixed_point(h)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_each_layered_engine_keeps_its_one_layer_rule(n, p):
